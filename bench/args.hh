@@ -8,19 +8,25 @@
  * and the daemon identically. Environment defaults (CAPCHECK_SERVER,
  * CAPCHECK_CACHE_DIR, CAPCHECK_CACHE_MAX_BYTES) are applied first;
  * explicit flags win.
+ *
+ * Every flag is one row of benchFlags(): its spelling, whether it
+ * takes a value, how the value lands in BenchOptions, and its --help
+ * text. A flag that takes a value accepts both "--x V" and "--x=V".
  */
 
 #ifndef CAPCHECK_BENCH_ARGS_HH
 #define CAPCHECK_BENCH_ARGS_HH
 
 #include <cstdlib>
-#include <cstring>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "base/trace.hh"
 #include "harness/sweep_options.hh"
-#include "sim/kernels/registry.hh"
 #include "system/topology.hh"
 
 namespace capcheck::bench
@@ -41,13 +47,6 @@ inline std::string cliTopologyFile; // NOLINT(cert-err58-cpp)
  * shape for the non-CHERI points instead of fataling mid-sweep.
  */
 inline bool cliTopologyNeedsChecker = false;
-/**
- * The --kernel choice from the last parseOptions() call; modeConfig()
- * folds it into every SocConfig, so one flag switches a whole sweep
- * between the reference and fast simulation kernels (or the
- * differential compare harness).
- */
-inline sim::SimKernel cliKernel = sim::SimKernel::ref;
 } // namespace detail
 
 /** The options every bench harness accepts. */
@@ -64,75 +63,192 @@ struct BenchOptions
     bool dumpTopology = false;
     /** Builtin dumped when no --topology file names one. */
     std::string dumpTopologyMode = "ccpu+caccel";
-
-    /** --kernel ref|fast|compare: simulation kernel for every run. */
-    sim::SimKernel kernel = sim::SimKernel::ref;
 };
+
+/** One command-line flag of the bench harnesses. */
+struct BenchFlag
+{
+    enum class Value
+    {
+        none,     ///< "--x" only
+        required, ///< "--x V" or "--x=V"
+        optional, ///< "--x" or "--x=V"
+    };
+
+    const char *name;
+    /** Short spelling ("-j"), or nullptr. */
+    const char *alias;
+    /** Value placeholder in the usage text ("N", "DIR"); "" for none. */
+    const char *metavar;
+    Value value;
+    /** Apply the flag; @p v is nullptr for a flag given without one. */
+    void (*set)(BenchOptions &opts, const std::string *v);
+    /** --help description, '\n' between lines. */
+    const char *help;
+};
+
+/** Setter storing a flag's value in a SweepOptions text field. */
+template <std::string harness::SweepOptions::*field>
+void
+sweepText(BenchOptions &o, const std::string *v)
+{
+    o.sweep.*field = *v;
+}
+
+/** Setter parsing a flag's value into a SweepOptions number field. */
+template <auto field>
+void
+sweepNumber(BenchOptions &o, const std::string *v)
+{
+    using T = std::remove_reference_t<decltype(o.sweep.*field)>;
+    o.sweep.*field = static_cast<T>(std::strtoull(v->c_str(), nullptr, 10));
+}
+
+/** Every flag, in --help order. */
+inline const std::vector<BenchFlag> &
+benchFlags()
+{
+    using V = BenchFlag::Value;
+    using S = harness::SweepOptions;
+    static const std::vector<BenchFlag> flags = {
+        {"--jobs", "-j", "N", V::required, sweepNumber<&S::jobs>,
+         "worker threads (default: all cores)"},
+        {"--json-dir", nullptr, "DIR", V::required, sweepText<&S::jsonDir>,
+         "write run-<hash>.json + manifest"},
+        {"--no-cache", nullptr, "", V::none,
+         [](BenchOptions &o, const std::string *) {
+             o.sweep.cacheEnabled = false;
+         },
+         "re-simulate repeated requests"},
+        {"--quiet", "-q", "", V::none,
+         [](BenchOptions &o, const std::string *) { o.quiet = true; },
+         "no per-run progress lines on stderr"},
+        {"--server", nullptr, "SOCK", V::required,
+         sweepText<&S::serverSocket>,
+         "submit to the capcheckd daemon at\n"
+         "this Unix socket instead of\n"
+         "simulating in-process (or set\n"
+         "CAPCHECK_SERVER)"},
+        {"--cache-dir", nullptr, "DIR", V::required, sweepText<&S::cacheDir>,
+         "disk-backed result cache shared\n"
+         "across runs and restarts (or set\n"
+         "CAPCHECK_CACHE_DIR)"},
+        {"--cache-max-bytes", nullptr, "N", V::required,
+         sweepNumber<&S::cacheMaxBytes>,
+         "LRU byte cap of the disk cache\n"
+         "(default 1 GiB, 0 = unbounded)"},
+        {"--trace-id", nullptr, "ID", V::required, sweepText<&S::traceId>,
+         "trace id sent with remote submits\n"
+         "so daemon-side spans and JSONL log\n"
+         "lines join against this run (or set\n"
+         "CAPCHECK_TRACE_ID)"},
+        {"--trace-out", nullptr, "DIR", V::required, sweepText<&S::traceDir>,
+         "write run-<hash>.trace.json Chrome\n"
+         "trace timelines (Perfetto-loadable)"},
+        {"--sample-interval", nullptr, "N", V::required,
+         sweepNumber<&S::sampleInterval>,
+         "snapshot stats every N cycles into\n"
+         "run-<hash>.samples.json"},
+        {"--audit-log", nullptr, "DIR", V::required, sweepText<&S::auditDir>,
+         "write run-<hash>.audit.jsonl\n"
+         "security audit logs"},
+        {"--flight-out", nullptr, "DIR", V::required,
+         sweepText<&S::flightDir>,
+         "write run-<hash>.flights.json tables\n"
+         "of the slowest DMA requests with\n"
+         "per-hop latency breakdowns"},
+        {"--latency-json", nullptr, "DIR", V::required,
+         sweepText<&S::latencyDir>,
+         "write run-<hash>.latency.json log2\n"
+         "latency histograms (p50/p95/p99) and\n"
+         "per-component cycle attribution"},
+        {"--topn", nullptr, "N", V::required, sweepNumber<&S::topN>,
+         "slowest flights kept per run (10)"},
+        {"--prof-out", nullptr, "DIR", V::required, sweepText<&S::profDir>,
+         "write run-<hash>.prof.json host-time\n"
+         "profiles (per-domain self/total nanos\n"
+         "and share-of-run; read with 'capstat\n"
+         "prof'). Host wall-clock: enabling it\n"
+         "never changes the simulated outputs.\n"
+         "In-process runs only (no --server)"},
+        {"--prof-folded", nullptr, "DIR", V::required,
+         sweepText<&S::foldedDir>,
+         "write run-<hash>.folded stacks for\n"
+         "flamegraph.pl / speedscope"},
+        {"--topology", nullptr, "FILE", V::required,
+         [](BenchOptions &o, const std::string *v) { o.topology = *v; },
+         "load the platform topology from a\n"
+         "JSON file instead of the builtin\n"
+         "shape for each mode"},
+        {"--dump-topology", nullptr, "", V::optional,
+         [](BenchOptions &o, const std::string *v) {
+             o.dumpTopology = true;
+             if (!v)
+                 return;
+             const auto &names = system::Topology::builtinNames();
+             bool known = false;
+             for (const std::string &n : names)
+                 known = known || n == *v;
+             if (!known) {
+                 std::cerr << "unknown --dump-topology mode '" << *v
+                           << "'; choices:";
+                 for (const std::string &n : names)
+                     std::cerr << " " << n;
+                 std::cerr << "\n";
+                 std::exit(2);
+             }
+             o.dumpTopologyMode = *v;
+         },
+         "print the (builtin or loaded)\n"
+         "topology as canonical JSON and exit"},
+        {"--debug-flags", nullptr, "LIST", V::required,
+         [](BenchOptions &, const std::string *v) {
+             if (*v == "?") {
+                 trace::DebugFlag::listFlags(std::cout);
+                 std::exit(0);
+             }
+             trace::DebugFlag::applyList(*v);
+         },
+         "enable debug flags (? lists them)"},
+    };
+    return flags;
+}
 
 inline void
 printUsage(const char *argv0)
 {
-    std::cout
-        << "usage: " << argv0
-        << " [--jobs N] [--json-dir DIR] [--no-cache] [--quiet]\n"
-        << "       [--server SOCK] [--cache-dir DIR]"
-        << " [--cache-max-bytes N] [--trace-id ID]\n"
-        << "       [--trace-out DIR] [--sample-interval N]"
-        << " [--audit-log DIR]\n"
-        << "       [--flight-out DIR] [--latency-json DIR] [--topn N]"
-        << " [--debug-flags LIST]\n"
-        << "       [--prof-out DIR] [--prof-folded DIR]\n"
-        << "       [--topology FILE] [--dump-topology]"
-        << " [--kernel ref|fast|compare]\n"
-        << "  --jobs N            worker threads (default: all cores)\n"
-        << "  --json-dir DIR      write run-<hash>.json + manifest\n"
-        << "  --no-cache          re-simulate repeated requests\n"
-        << "  --quiet             no per-run progress lines on stderr\n"
-        << "  --server SOCK       submit to the capcheckd daemon at\n"
-        << "                      this Unix socket instead of\n"
-        << "                      simulating in-process (or set\n"
-        << "                      CAPCHECK_SERVER)\n"
-        << "  --cache-dir DIR     disk-backed result cache shared\n"
-        << "                      across runs and restarts (or set\n"
-        << "                      CAPCHECK_CACHE_DIR)\n"
-        << "  --cache-max-bytes N LRU byte cap of the disk cache\n"
-        << "                      (default 1 GiB, 0 = unbounded)\n"
-        << "  --trace-id ID       trace id sent with remote submits\n"
-        << "                      so daemon-side spans and JSONL log\n"
-        << "                      lines join against this run (or set\n"
-        << "                      CAPCHECK_TRACE_ID)\n"
-        << "  --trace-out DIR     write run-<hash>.trace.json Chrome\n"
-        << "                      trace timelines (Perfetto-loadable)\n"
-        << "  --sample-interval N snapshot stats every N cycles into\n"
-        << "                      run-<hash>.samples.json\n"
-        << "  --audit-log DIR     write run-<hash>.audit.jsonl\n"
-        << "                      security audit logs\n"
-        << "  --flight-out DIR    write run-<hash>.flights.json tables\n"
-        << "                      of the slowest DMA requests with\n"
-        << "                      per-hop latency breakdowns\n"
-        << "  --latency-json DIR  write run-<hash>.latency.json log2\n"
-        << "                      latency histograms (p50/p95/p99) and\n"
-        << "                      per-component cycle attribution\n"
-        << "  --topn N            slowest flights kept per run (10)\n"
-        << "  --prof-out DIR      write run-<hash>.prof.json host-time\n"
-        << "                      profiles (per-domain self/total nanos\n"
-        << "                      and share-of-run; read with 'capstat\n"
-        << "                      prof'). Host wall-clock: enabling it\n"
-        << "                      never changes the simulated outputs.\n"
-        << "                      In-process runs only (no --server)\n"
-        << "  --prof-folded DIR   write run-<hash>.folded stacks for\n"
-        << "                      flamegraph.pl / speedscope\n"
-        << "  --topology FILE     load the platform topology from a\n"
-        << "                      JSON file instead of the builtin\n"
-        << "                      shape for each mode\n"
-        << "  --dump-topology     print the (builtin or loaded)\n"
-        << "                      topology as canonical JSON and exit\n"
-        << "  --kernel NAME       simulation kernel: ref (default),\n"
-        << "                      fast (hash-indexed tables, bucketed\n"
-        << "                      event queue, retry-driven replay;\n"
-        << "                      bit-identical results), or compare\n"
-        << "                      (run both, fail on any divergence)\n"
-        << "  --debug-flags LIST  enable debug flags (? lists them)\n";
+    // Synopsis: every flag in brackets, wrapped under the program name.
+    const std::string indent = "       ";
+    std::string line = std::string("usage: ") + argv0;
+    for (const BenchFlag &f : benchFlags()) {
+        std::string item = std::string("[") + f.name;
+        if (f.value == BenchFlag::Value::required)
+            item += std::string(" ") + f.metavar;
+        item += "]";
+        if (line.size() + 1 + item.size() > 72 && line != indent) {
+            std::cout << line << "\n";
+            line = indent;
+        } else {
+            line += " ";
+        }
+        line += item;
+    }
+    std::cout << line << "\n";
+
+    // One described entry per flag, descriptions from column 22.
+    for (const BenchFlag &f : benchFlags()) {
+        std::string left = f.name;
+        if (f.value == BenchFlag::Value::required)
+            left += std::string(" ") + f.metavar;
+        std::istringstream help(f.help);
+        std::string text;
+        bool first = true;
+        while (std::getline(help, text)) {
+            std::cout << "  " << std::left << std::setw(20)
+                      << (first ? left : "") << text << "\n";
+            first = false;
+        }
+    }
 }
 
 inline BenchOptions
@@ -145,155 +261,47 @@ parseOptions(int argc, char **argv)
     opts.sweep = harness::SweepOptions::fromEnvironment();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs an argument\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jobs" || arg == "-j") {
-            opts.sweep.jobs =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.sweep.jobs = static_cast<unsigned>(
-                std::atoi(arg.c_str() + std::strlen("--jobs=")));
-        } else if (arg == "--json-dir") {
-            opts.sweep.jsonDir = next();
-        } else if (arg.rfind("--json-dir=", 0) == 0) {
-            opts.sweep.jsonDir =
-                arg.substr(std::strlen("--json-dir="));
-        } else if (arg == "--no-cache") {
-            opts.sweep.cacheEnabled = false;
-        } else if (arg == "--server") {
-            opts.sweep.serverSocket = next();
-        } else if (arg.rfind("--server=", 0) == 0) {
-            opts.sweep.serverSocket =
-                arg.substr(std::strlen("--server="));
-        } else if (arg == "--cache-dir") {
-            opts.sweep.cacheDir = next();
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            opts.sweep.cacheDir =
-                arg.substr(std::strlen("--cache-dir="));
-        } else if (arg == "--trace-id") {
-            opts.sweep.traceId = next();
-        } else if (arg.rfind("--trace-id=", 0) == 0) {
-            opts.sweep.traceId =
-                arg.substr(std::strlen("--trace-id="));
-        } else if (arg == "--cache-max-bytes") {
-            opts.sweep.cacheMaxBytes =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
-            opts.sweep.cacheMaxBytes = std::strtoull(
-                arg.c_str() + std::strlen("--cache-max-bytes="),
-                nullptr, 10);
-        } else if (arg == "--trace-out") {
-            opts.sweep.traceDir = next();
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opts.sweep.traceDir =
-                arg.substr(std::strlen("--trace-out="));
-        } else if (arg == "--sample-interval") {
-            opts.sweep.sampleInterval =
-                static_cast<Cycles>(std::atoll(next()));
-        } else if (arg.rfind("--sample-interval=", 0) == 0) {
-            opts.sweep.sampleInterval = static_cast<Cycles>(std::atoll(
-                arg.c_str() + std::strlen("--sample-interval=")));
-        } else if (arg == "--audit-log") {
-            opts.sweep.auditDir = next();
-        } else if (arg.rfind("--audit-log=", 0) == 0) {
-            opts.sweep.auditDir =
-                arg.substr(std::strlen("--audit-log="));
-        } else if (arg == "--flight-out") {
-            opts.sweep.flightDir = next();
-        } else if (arg.rfind("--flight-out=", 0) == 0) {
-            opts.sweep.flightDir =
-                arg.substr(std::strlen("--flight-out="));
-        } else if (arg == "--latency-json") {
-            opts.sweep.latencyDir = next();
-        } else if (arg.rfind("--latency-json=", 0) == 0) {
-            opts.sweep.latencyDir =
-                arg.substr(std::strlen("--latency-json="));
-        } else if (arg == "--prof-out") {
-            opts.sweep.profDir = next();
-        } else if (arg.rfind("--prof-out=", 0) == 0) {
-            opts.sweep.profDir =
-                arg.substr(std::strlen("--prof-out="));
-        } else if (arg == "--prof-folded") {
-            opts.sweep.foldedDir = next();
-        } else if (arg.rfind("--prof-folded=", 0) == 0) {
-            opts.sweep.foldedDir =
-                arg.substr(std::strlen("--prof-folded="));
-        } else if (arg == "--kernel" || arg.rfind("--kernel=", 0) == 0) {
-            const std::string name =
-                arg == "--kernel"
-                    ? std::string(next())
-                    : arg.substr(std::strlen("--kernel="));
-            if (!sim::simKernelFromName(name, opts.kernel)) {
-                std::cerr << "unknown --kernel '" << name
-                          << "'; choices: "
-                          << sim::simKernelChoices() << "\n";
-                std::exit(2);
-            }
-        } else if (arg == "--topology") {
-            opts.topology = next();
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            opts.topology = arg.substr(std::strlen("--topology="));
-        } else if (arg == "--dump-topology" ||
-                   arg.rfind("--dump-topology=", 0) == 0) {
-            opts.dumpTopology = true;
-            if (arg.rfind("--dump-topology=", 0) == 0) {
-                opts.dumpTopologyMode =
-                    arg.substr(std::strlen("--dump-topology="));
-                bool known = false;
-                for (const std::string &n :
-                     system::Topology::builtinNames())
-                    known = known || n == opts.dumpTopologyMode;
-                if (!known) {
-                    std::cerr << "unknown --dump-topology mode '"
-                              << opts.dumpTopologyMode
-                              << "'; choices:";
-                    for (const std::string &n :
-                         system::Topology::builtinNames())
-                        std::cerr << " " << n;
-                    std::cerr << "\n";
-                    std::exit(2);
-                }
-            }
-        } else if (arg == "--topn") {
-            opts.sweep.topN =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg.rfind("--topn=", 0) == 0) {
-            opts.sweep.topN = static_cast<unsigned>(
-                std::atoi(arg.c_str() + std::strlen("--topn=")));
-        } else if (arg == "--debug-flags") {
-            const std::string list = next();
-            if (list == "?") {
-                trace::DebugFlag::listFlags(std::cout);
-                std::exit(0);
-            }
-            trace::DebugFlag::applyList(list);
-        } else if (arg.rfind("--debug-flags=", 0) == 0) {
-            const std::string list =
-                arg.substr(std::strlen("--debug-flags="));
-            if (list == "?") {
-                trace::DebugFlag::listFlags(std::cout);
-                std::exit(0);
-            }
-            trace::DebugFlag::applyList(list);
-        } else if (arg == "--quiet" || arg == "-q") {
-            opts.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
+        if (arg == "--help" || arg == "-h") {
             printUsage(argv[0]);
             std::exit(0);
-        } else {
+        }
+        const BenchFlag *flag = nullptr;
+        bool inline_value = false;
+        for (const BenchFlag &f : benchFlags()) {
+            if (arg == f.name || (f.alias && arg == f.alias)) {
+                flag = &f;
+                break;
+            }
+            const std::string prefix = std::string(f.name) + "=";
+            if (f.value != BenchFlag::Value::none &&
+                arg.rfind(prefix, 0) == 0) {
+                flag = &f;
+                inline_value = true;
+                break;
+            }
+        }
+        if (!flag) {
             std::cerr << "unknown option '" << arg << "'\n";
             printUsage(argv[0]);
             std::exit(2);
         }
+        std::string value;
+        bool has_value = true;
+        if (inline_value) {
+            value = arg.substr(arg.find('=') + 1);
+        } else if (flag->value == BenchFlag::Value::required) {
+            if (i + 1 >= argc) {
+                std::cerr << arg << " needs an argument\n";
+                std::exit(2);
+            }
+            value = argv[++i];
+        } else {
+            has_value = false;
+        }
+        flag->set(opts, has_value ? &value : nullptr);
     }
     opts.sweep.progress = opts.quiet ? nullptr : &std::cerr;
     detail::cliTopologyFile = opts.topology;
-    detail::cliKernel = opts.kernel;
     if (!opts.topology.empty() && !opts.dumpTopology) {
         // Fail at the command line, not mid-sweep: a missing or
         // malformed file is an argument error, not a simulation one.

@@ -129,10 +129,7 @@ makeRunner(int argc, char **argv)
  * Honours the harness-wide --topology flag: when one was parsed, every
  * accelerator-mode config (and therefore every RunRequest) elaborates
  * that file. CPU-only modes have no platform to shape, so harnesses
- * that mix cpu and accel points keep working under --topology. The
- * --kernel flag is folded in uniformly (a CPU-only run has no event
- * queue or checker to speed up, but the request labels and hashes stay
- * consistent across the sweep).
+ * that mix cpu and accel points keep working under --topology.
  */
 inline system::SocConfig
 modeConfig(system::SystemMode mode, std::uint64_t seed = 1)
@@ -140,7 +137,6 @@ modeConfig(system::SystemMode mode, std::uint64_t seed = 1)
     return system::SocConfigBuilder()
         .mode(mode)
         .seed(seed)
-        .simKernel(detail::cliKernel)
         .topologyFile(system::modeUsesAccel(mode) &&
                               (!detail::cliTopologyNeedsChecker ||
                                system::modeUsesCapChecker(mode))

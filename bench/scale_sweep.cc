@@ -11,7 +11,7 @@
  *
  * Usage: scale_sweep [--jobs N] [--json-dir DIR] [--no-cache]
  *                    [--quiet] [--quick] [--out FILE]
- *                    [--topo-dir DIR] [--kernel ref|fast|compare]
+ *                    [--topo-dir DIR]
  *
  * --out writes a BENCH_scale.json document: one record per sweep
  * point with simulated cycles, DMA beats, exception counts and the
@@ -152,7 +152,6 @@ main(int argc, char **argv)
                     .mode(scheme.mode)
                     .seed(1)
                     .numInstances(accels)
-                    .simKernel(opts.kernel)
                     .topologyFile(path)
                     .build();
             points.push_back(Point{&scheme, accels});

@@ -12,7 +12,16 @@
 #     run-<hash>.prof.json whose schema is capcheck.prof.v1, whose
 #     per-domain selfNanos sum exactly to its wallNanos (the "other"
 #     domain closes the books), whose shares sum to ~1, and a folded
-#     stacks file whose total matches.
+#     stacks file whose total matches. Attribution must also be
+#     nearly complete: summed over the grid, "other" (host time no
+#     scope claims) may hold at most 5 % of the summed run wall
+#     time. It measures ~0.6 % with the
+#     calloc-backed TaggedMemory against ~20 % when every run
+#     zero-filled its 64 MiB up front (quick grid, --jobs 1, 4-vCPU
+#     host), so that class of unattributed fixed cost cannot return
+#     unnoticed. (Cheap single points still
+#     show a large "other" share, so the gate is grid-wide, not
+#     per run.)
 #  3. Reader tools: `capstat prof report` renders the profiles and
 #     `capstat prof merge` + self-`diff` at tolerance 0 passes — the
 #     merged document is a valid baseline format.
@@ -108,7 +117,12 @@ echo "prof_check: [2/4] profile shape and exact books"
 python3 - "$work/on-j1/prof" "$work/on-j1/folded" <<'EOF'
 import glob, json, os, sys
 
+# Largest share of the grid's summed run wall time that may go
+# unattributed ("other").
+MAX_OTHER = 0.05
+
 prof_dir, folded_dir = sys.argv[1], sys.argv[2]
+grid_wall = grid_other = 0
 profs = sorted(glob.glob(os.path.join(prof_dir, "run-*.prof.json")))
 assert profs, "no run-*.prof.json written"
 for path in profs:
@@ -116,11 +130,12 @@ for path in profs:
         doc = json.load(f)
     assert doc["schema"] == "capcheck.prof.v1", path
     assert doc["label"], path
-    assert doc["kernel"], path
     wall = doc["wallNanos"]
     assert wall > 0, path
     domains = doc["domains"]
     assert domains[-1]["domain"] == "other", path
+    grid_wall += wall
+    grid_other += domains[-1]["selfNanos"]
     self_sum = sum(d["selfNanos"] for d in domains)
     assert self_sum == wall, f"{path}: domain self {self_sum} != wall {wall}"
     share_sum = sum(d["share"] for d in domains)
@@ -141,6 +156,12 @@ for path in profs:
     assert folded_sum == wall, \
         f"{folded}: folded total {folded_sum} != wall {wall}"
 print(f"{len(profs)} profiles validated (self-times close the books)")
+other_share = grid_other / grid_wall
+print(f"unattributed ('other') host time: {100 * other_share:.2f} % "
+      f"of {grid_wall / 1e6:.0f} ms summed run wall "
+      f"(max {100 * MAX_OTHER:.0f} %)")
+assert other_share <= MAX_OTHER, \
+    f"'other' holds {100 * other_share:.2f} % of the grid's run wall time"
 EOF
 
 echo "prof_check: [3/4] capstat prof report / merge / diff"

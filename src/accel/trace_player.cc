@@ -15,15 +15,14 @@ TracePlayer::TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
                          const workloads::KernelSpec &spec,
                          InstanceTrace trace,
                          std::vector<BufferMapping> buffers, TaskId task,
-                         PortId port, AddressingMode addressing,
-                         bool fast_replay)
+                         PortId port, AddressingMode addressing)
     : TickingObject(eq, std::move(name), parent_stats,
                     Event::requestPrio),
       spec(spec), trace(std::move(trace)), buffers(std::move(buffers)),
       taskId(task), port(port),
       memSidePort(*this, "mem_side",
                   static_cast<ResponseHandler &>(*this)),
-      addressing(addressing), fastReplay(fast_replay),
+      addressing(addressing),
       beatsIssued(stats, "beats", "DMA beats issued"),
       deniedResponses(stats, "denied", "beats denied by protection")
 {
@@ -116,8 +115,7 @@ TracePlayer::handleResponse(const MemResponse &resp)
     // crossbar slot, and a response alone cannot unblock the next
     // issue — only the grant that frees the slot can (and its retry
     // wakes us). Skipping the wake here drops one no-op tick per
-    // in-flight beat in fast replay; the reference never arms it, so
-    // its every-cycle ticking is untouched.
+    // in-flight beat.
     if (!awaitRetry)
         activate(1);
 }
@@ -125,28 +123,27 @@ TracePlayer::handleResponse(const MemResponse &resp)
 void
 TracePlayer::handleRetry()
 {
-    // Fast replay sleeps between issues; the crossbar's grant just
+    // The player sleeps between issues; the crossbar's grant just
     // freed our slot, so tick again later this same cycle (the grant
-    // runs at arbitratePrio, our tick at requestPrio — the cycle the
-    // reference player's poll would issue on). Only honoured while
-    // awaitRetry is armed, i.e. while the reference would be polling:
-    // a retry arriving while both players sleep on a response-driven
-    // precondition must not wake us, because the reference reactivates
-    // one cycle after the response and a same-cycle grant would let
-    // the fast player issue a cycle early. The reference player's
-    // handleRetry is the base no-op.
-    if (fastReplay && awaitRetry)
+    // runs at arbitratePrio, our tick at requestPrio — the cycle a
+    // per-cycle poll would issue on). Only honoured while awaitRetry
+    // is armed, i.e. where a polling player would be polling: a retry
+    // arriving while the player sleeps on a response-driven
+    // precondition must not wake us, because the response reactivates
+    // the player one cycle later and a same-cycle grant would issue a
+    // cycle early.
+    if (awaitRetry)
         activate(0);
 }
 
 bool
 TracePlayer::pollSleep()
 {
-    // The reference keeps ticking every cycle from here (the ticks do
-    // no work until the slot state changes); fast replay sleeps and
-    // lets the grant retry re-arm the tick on the issuing cycle.
-    awaitRetry = fastReplay;
-    return !fastReplay;
+    // A polling player would keep ticking every cycle from here (the
+    // ticks do no work until the slot state changes); sleep instead
+    // and let the grant retry re-arm the tick on the issuing cycle.
+    awaitRetry = true;
+    return false;
 }
 
 void
@@ -207,11 +204,10 @@ TracePlayer::tick()
         if (issue(beat.cmd, beat.obj, beat.off, beat.size)) {
             ++streamIndex;
             if (outstanding >= streamCredits) {
-                // This beat saturated the credit window. The reference
-                // hits the credit check on its next tick and falls into
-                // response-driven sleep; fast replay must take that
-                // same tick rather than arm the retry wake, because a
-                // grant landing on the same cycle as the
+                // This beat saturated the credit window. Take the next
+                // tick, which hits the credit check and falls into
+                // response-driven sleep, rather than arm the retry
+                // wake: a grant landing on the same cycle as the
                 // credit-freeing response would otherwise pull the
                 // next issue one cycle early (grants fire at
                 // arbitratePrio, after the response has already
@@ -249,21 +245,21 @@ TracePlayer::tick()
                 ++opIndex;
                 if (outstanding >= spec.timing.maxOutstanding) {
                     // Credit-saturating issue: take one more tick so
-                    // we land in the same response-driven sleep as
-                    // the reference (see the stream-phase comment for
-                    // the same-cycle grant/response hazard).
+                    // we land in response-driven sleep (see the
+                    // stream-phase comment for the same-cycle
+                    // grant/response hazard).
                     return true;
                 }
                 if (opIndex >= trace.ops.size() ||
                     trace.ops[opIndex].kind != TraceOp::Kind::access) {
                     // A delay, barrier or the phase transition
-                    // follows: the reference clocks it off the next
-                    // cycle's tick, so both players must take it.
+                    // follows: it is clocked off the next cycle's
+                    // tick.
                     return true;
                 }
-                // Next op is another beat: the reference polls until
-                // the slot frees; fast replay sleeps until the grant
-                // retry, which lands on the same issuing cycle.
+                // Next op is another beat: sleep until the grant
+                // retry, which lands on the cycle a poll would issue
+                // on.
                 return pollSleep();
             }
             return pollSleep();

@@ -51,22 +51,19 @@ class TracePlayer : public TickingObject, public ResponseHandler
     static constexpr unsigned streamCredits = 16;
 
     /**
-     * @param fast_replay Select the "player.retry" fast kernel
-     *        (sim/kernels registry): instead of busy-polling the
-     *        interconnect every cycle for a free slot, the player
-     *        sleeps after each issue attempt and is woken by the
-     *        crossbar's grant retry. A grant fires at arbitratePrio
-     *        and the woken tick runs at requestPrio of the same cycle
-     *        — exactly the cycle the reference poll would issue on —
-     *        so every request leaves on the same cycle as the
-     *        reference player's.
+     * Replay is retry-driven: instead of busy-polling the
+     * interconnect every cycle for a free slot, the player sleeps
+     * after an issue attempt and is woken by the crossbar's grant
+     * retry. A grant fires at arbitratePrio and the woken tick runs
+     * at requestPrio of the same cycle — exactly the cycle a
+     * per-cycle poll would issue on — so every request leaves on the
+     * cycle a polling player's would.
      */
     TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
                 std::string name, const workloads::KernelSpec &spec,
                 InstanceTrace trace,
                 std::vector<BufferMapping> buffers, TaskId task,
-                PortId port, AddressingMode addressing,
-                bool fast_replay = false);
+                PortId port, AddressingMode addressing);
 
     /**
      * Interconnect-facing master port; bind to an accel_side slot of
@@ -131,8 +128,8 @@ class TracePlayer : public TickingObject, public ResponseHandler
     void buildStreams();
     bool issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
                std::uint32_t size);
-    /** tick() epilogue on the poll paths: where the reference player
-     *  keeps ticking, fast replay sleeps and arms the retry wake. */
+    /** tick() epilogue on the poll paths: where a polling player
+     *  would keep ticking, sleep and arm the retry wake. */
     bool pollSleep();
     void finish();
 
@@ -143,7 +140,6 @@ class TracePlayer : public TickingObject, public ResponseHandler
     PortId port;
     RequestPort memSidePort;
     AddressingMode addressing;
-    const bool fastReplay;
 
     Phase phase = Phase::idle;
     std::vector<StreamBeat> inBeats;
@@ -152,16 +148,15 @@ class TracePlayer : public TickingObject, public ResponseHandler
     std::size_t opIndex = 0;
     unsigned outstanding = 0;
     /**
-     * Fast replay only: armed when the player sleeps on a path where
-     * the reference implementation would keep polling (an issue
-     * attempt that did not saturate the credit window). Only then may
-     * a grant retry wake the tick. Retries arriving while the player
-     * sleeps on a response-driven precondition (credits, drain,
-     * barrier) must be ignored: the reference reactivates one cycle
-     * after the response, and a same-cycle retry wake would issue a
-     * cycle early. An issue that fills the window keeps ticking for
-     * one more cycle instead of arming, so it lands in the same
-     * response-driven sleep the reference falls into.
+     * Armed when the player sleeps on a path where a polling player
+     * would keep ticking (an issue attempt that did not saturate the
+     * credit window). Only then may a grant retry wake the tick.
+     * Retries arriving while the player sleeps on a response-driven
+     * precondition (credits, drain, barrier) must be ignored: the
+     * response reactivates the player one cycle later, and a
+     * same-cycle retry wake would issue a cycle early. An issue that
+     * fills the window keeps ticking for one more cycle instead of
+     * arming, so it lands in that response-driven sleep.
      */
     bool awaitRetry = false;
     Cycles busyUntil = 0;

@@ -2,28 +2,20 @@
 
 #include "base/invariant.hh"
 #include "base/logging.hh"
-#include "capchecker/pair_index.hh"
 #include "obs/prof.hh"
 
 namespace capcheck::capchecker
 {
 
-CapCache::CapCache(unsigned entries, Cycles walk_cycles,
-                   bool fast_index)
-    : lines(entries), _walkCycles(walk_cycles)
+CapCache::CapCache(unsigned entries, Cycles walk_cycles)
+    : lines(entries), _walkCycles(walk_cycles), index(entries),
+      lruPrev(entries, npos), lruNext(entries, npos)
 {
     if (entries == 0)
         fatal("CapCache needs at least one entry");
-    if (fast_index) {
-        index = std::make_unique<PairIndex>(entries);
-        lruPrev.assign(entries, npos);
-        lruNext.assign(entries, npos);
-        for (unsigned i = 0; i < entries; ++i)
-            freeLines.insert(i);
-    }
+    for (unsigned i = 0; i < entries; ++i)
+        freeLines.insert(i);
 }
-
-CapCache::~CapCache() = default;
 
 void
 CapCache::fill(Line &line, TaskId task, ObjectId object)
@@ -39,49 +31,20 @@ CapCache::access(TaskId task, ObjectId object)
 {
     PROF_SCOPE("capcheck", "cache.walk");
     ++useClock;
-    const Cycles walk = index ? accessIndexed(task, object)
-                              : accessScan(task, object);
-    if (paranoidChecks)
-        checkLruSanity();
-    return walk;
-}
-
-Cycles
-CapCache::accessScan(TaskId task, ObjectId object)
-{
-    Line *victim = &lines.front();
-    for (Line &line : lines) {
-        if (line.valid && line.task == task && line.object == object) {
-            line.lastUse = useClock;
-            ++_hits;
-            return 0;
-        }
-        if (!line.valid ||
-            (victim->valid && line.lastUse < victim->lastUse))
-            victim = &line;
-    }
-
-    ++_misses;
-    fill(*victim, task, object);
-    return _walkCycles;
-}
-
-Cycles
-CapCache::accessIndexed(TaskId task, ObjectId object)
-{
-    if (const auto slot = index->find(task, object)) {
+    if (const auto slot = index.find(task, object)) {
         lines[*slot].lastUse = useClock;
         lruDetach(*slot);
         lruAppend(*slot);
         ++_hits;
+        if (paranoidChecks)
+            checkLruSanity();
         return 0;
     }
 
     ++_misses;
     unsigned victim;
     if (!freeLines.empty()) {
-        // The reference scan lets every invalid line overwrite the
-        // victim candidate, so it picks the *last* invalid line.
+        // Fill the *last* invalid line (see freeLines).
         const auto last = std::prev(freeLines.end());
         victim = *last;
         freeLines.erase(last);
@@ -89,12 +52,14 @@ CapCache::accessIndexed(TaskId task, ObjectId object)
         victim = lruHead;
         INVARIANT(victim != npos, "CapCache: no victim with no free "
                                   "lines and an empty LRU list");
-        index->erase(lines[victim].task, lines[victim].object);
+        index.erase(lines[victim].task, lines[victim].object);
         lruDetach(victim);
     }
     fill(lines[victim], task, object);
-    index->insert(task, object, victim);
+    index.insert(task, object, victim);
     lruAppend(victim);
+    if (paranoidChecks)
+        checkLruSanity();
     return _walkCycles;
 }
 
@@ -150,19 +115,16 @@ CapCache::checkLruSanity() const
                       a.task, a.object);
         }
     }
-    if (!index)
-        return;
-    // Fast-kernel mirrors: every valid line is indexed and threaded on
-    // the LRU list in ascending lastUse order; every invalid line is a
-    // free line.
+    // Mirrors: every valid line is indexed and threaded on the LRU
+    // list in ascending lastUse order; every invalid line is a free
+    // line.
     std::size_t valid = 0;
     for (unsigned i = 0; i < lines.size(); ++i) {
         if (lines[i].valid) {
             ++valid;
-            const auto slot = index->find(lines[i].task,
-                                          lines[i].object);
+            const auto slot = index.find(lines[i].task, lines[i].object);
             INVARIANT(slot && *slot == i,
-                      "CapCache: fast index out of sync for line %u", i);
+                      "CapCache: index out of sync for line %u", i);
             INVARIANT(freeLines.count(i) == 0,
                       "CapCache: valid line %u in the free set", i);
         } else {
@@ -172,9 +134,9 @@ CapCache::checkLruSanity() const
                       i);
         }
     }
-    INVARIANT(index->size() == valid,
-              "CapCache: fast index holds %zu keys for %zu valid lines",
-              index->size(), valid);
+    INVARIANT(index.size() == valid,
+              "CapCache: index holds %zu keys for %zu valid lines",
+              index.size(), valid);
     std::size_t chained = 0;
     std::uint64_t last_stamp = 0;
     for (unsigned i = lruHead; i != npos; i = lruNext[i]) {
@@ -199,11 +161,9 @@ CapCache::invalidateTask(TaskId task)
     for (unsigned i = 0; i < lines.size(); ++i) {
         Line &line = lines[i];
         if (line.valid && line.task == task) {
-            if (index) {
-                index->erase(line.task, line.object);
-                lruDetach(i);
-                freeLines.insert(i);
-            }
+            index.erase(line.task, line.object);
+            lruDetach(i);
+            freeLines.insert(i);
             line = Line{};
         }
     }
@@ -216,8 +176,8 @@ CapCache::flush()
 {
     for (unsigned i = 0; i < lines.size(); ++i) {
         Line &line = lines[i];
-        if (index && line.valid) {
-            index->erase(line.task, line.object);
+        if (line.valid) {
+            index.erase(line.task, line.object);
             lruDetach(i);
             freeLines.insert(i);
         }

@@ -7,28 +7,26 @@
  * a capability". A miss costs a table walk; task eviction shoots the
  * task's cached entries down.
  *
- * Fully associative, LRU replacement, keyed by (task, object). The
- * reference implementation computes hit and victim in one scan per
- * access; the "capcache.index" fast kernel (sim/kernels registry)
- * resolves hits through a (task, object) hash and victims through an
- * intrusive LRU list plus a free-line set, with bit-identical
- * replacement decisions (gated by the kernel comparator).
+ * Fully associative, LRU replacement, keyed by (task, object). Hits
+ * resolve through a (task, object) hash and victims through an
+ * intrusive LRU list plus a free-line set, making exactly the
+ * hit/victim decisions of one scan over every line per access
+ * (tests/fuzz/fast_index_fuzz_test.cc runs that scan in lockstep as
+ * its reference model).
  */
 
 #ifndef CAPCHECK_CAPCHECKER_CAP_CACHE_HH
 #define CAPCHECK_CAPCHECKER_CAP_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "base/types.hh"
+#include "capchecker/pair_index.hh"
 
 namespace capcheck::capchecker
 {
-
-class PairIndex;
 
 class CapCache
 {
@@ -37,14 +35,8 @@ class CapCache
      * @param entries cache capacity.
      * @param walk_cycles latency of fetching one capability from the
      *        in-memory table on a miss (two 64-bit reads + tag).
-     * @param fast_index enable the "capcache.index" fast kernel.
      */
-    explicit CapCache(unsigned entries, Cycles walk_cycles = 60,
-                      bool fast_index = false);
-    ~CapCache();
-
-    CapCache(const CapCache &) = delete;
-    CapCache &operator=(const CapCache &) = delete;
+    explicit CapCache(unsigned entries, Cycles walk_cycles = 60);
 
     unsigned capacity() const { return static_cast<unsigned>(lines.size()); }
     Cycles walkCycles() const { return _walkCycles; }
@@ -77,11 +69,6 @@ class CapCache
     /** No list neighbour / list empty. */
     static constexpr unsigned npos = ~0u;
 
-    /** Reference scan: the hit line or the replacement victim. */
-    Cycles accessScan(TaskId task, ObjectId object);
-    /** Fast kernel: hash hit, O(1) LRU victim. */
-    Cycles accessIndexed(TaskId task, ObjectId object);
-
     /** @{ Intrusive LRU list over line indices, least-recent first.
      *  Stamps strictly increase, so appending on every touch keeps the
      *  list sorted by lastUse. */
@@ -92,8 +79,8 @@ class CapCache
     void fill(Line &line, TaskId task, ObjectId object);
 
     /** Deep check: LRU stamps unique, within the use clock, no
-     *  duplicate (task, object) lines, and the fast-kernel structures
-     *  (when on) mirror the lines. Run under CAPCHECK_PARANOID. */
+     *  duplicate (task, object) lines, and the index, free set and LRU
+     *  list mirror the lines. Run under CAPCHECK_PARANOID. */
     void checkLruSanity() const;
 
     std::vector<Line> lines;
@@ -102,10 +89,11 @@ class CapCache
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 
-    /** @{ Fast-kernel state; engaged iff index is non-null. */
-    std::unique_ptr<PairIndex> index;
-    /** Invalid line indices; the reference scan victimizes the *last*
-     *  invalid line, i.e. the largest index. */
+    /** @{ Lookup state mirroring the lines. */
+    PairIndex index;
+    /** Invalid line indices. A scan that lets every invalid line
+     *  overwrite the victim candidate picks the *last* invalid line,
+     *  so misses fill the largest free index. */
     std::set<unsigned> freeLines;
     std::vector<unsigned> lruPrev;
     std::vector<unsigned> lruNext;

@@ -2,35 +2,23 @@
 
 #include "base/invariant.hh"
 #include "base/logging.hh"
-#include "capchecker/pair_index.hh"
 #include "obs/prof.hh"
 
 namespace capcheck::capchecker
 {
 
-CapTable::CapTable(unsigned num_entries, bool fast_index)
-    : entries(num_entries)
+CapTable::CapTable(unsigned num_entries)
+    : entries(num_entries), index(num_entries)
 {
     if (num_entries == 0)
         fatal("CapTable needs at least one entry");
-    if (fast_index)
-        index = std::make_unique<PairIndex>(num_entries);
 }
-
-CapTable::~CapTable() = default;
 
 CapTable::Entry *
 CapTable::find(TaskId task, ObjectId object)
 {
-    if (index) {
-        if (const auto slot = index->find(task, object))
-            return &entries[*slot];
-        return nullptr;
-    }
-    for (Entry &entry : entries) {
-        if (entry.valid && entry.task == task && entry.object == object)
-            return &entry;
-    }
+    if (const auto slot = index.find(task, object))
+        return &entries[*slot];
     return nullptr;
 }
 
@@ -65,8 +53,7 @@ CapTable::install(TaskId task, ObjectId object,
         entry.decoded = cheri::Capability::fromCompressed(
             entry.tag, entry.pesbt, entry.cursor);
         ++liveCount;
-        if (index)
-            index->insert(task, object, i);
+        index.insert(task, object, i);
         if (paranoidChecks)
             checkConservation();
         return i;
@@ -98,8 +85,7 @@ CapTable::evictTask(TaskId task)
     unsigned freed = 0;
     for (Entry &entry : entries) {
         if (entry.valid && entry.task == task) {
-            if (index)
-                index->erase(entry.task, entry.object);
+            index.erase(entry.task, entry.object);
             entry = Entry{};
             ++freed;
         }
@@ -123,21 +109,17 @@ CapTable::checkConservation() const
     INVARIANT(valid == liveCount,
               "CapTable: liveCount %zu but %zu valid entries", liveCount,
               valid);
-    if (index) {
-        INVARIANT(index->size() == liveCount,
-                  "CapTable: fast index holds %zu keys for %zu live "
-                  "entries",
-                  index->size(), liveCount);
-        for (unsigned i = 0; i < entries.size(); ++i) {
-            if (!entries[i].valid)
-                continue;
-            const auto slot =
-                index->find(entries[i].task, entries[i].object);
-            INVARIANT(slot && *slot == i,
-                      "CapTable: fast index out of sync for entry %u "
-                      "(task %u, object %u)",
-                      i, entries[i].task, entries[i].object);
-        }
+    INVARIANT(index.size() == liveCount,
+              "CapTable: index holds %zu keys for %zu live entries",
+              index.size(), liveCount);
+    for (unsigned i = 0; i < entries.size(); ++i) {
+        if (!entries[i].valid)
+            continue;
+        const auto slot = index.find(entries[i].task, entries[i].object);
+        INVARIANT(slot && *slot == i,
+                  "CapTable: index out of sync for entry %u "
+                  "(task %u, object %u)",
+                  i, entries[i].task, entries[i].object);
     }
 }
 

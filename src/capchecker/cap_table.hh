@@ -7,28 +7,26 @@
  * another task's capabilities are evicted. Each entry carries an
  * exception bit so software can trace which pointer faulted.
  *
- * Lookups model a fully associative CAM, so the reference
- * implementation scans every entry. With the "captable.index" fast
- * kernel enabled (sim/kernels registry) the same lookups go through an
- * open-addressed (task, object) hash instead — pure host-side
- * bookkeeping with identical results, gated by the kernel comparator.
+ * Lookups model a fully associative CAM. The simulator resolves them
+ * through an open-addressed (task, object) hash over the entry array —
+ * pure host-side bookkeeping that finds exactly the entry a scan of
+ * every entry would (tests/fuzz/fast_index_fuzz_test.cc keeps the
+ * scan as its reference model).
  */
 
 #ifndef CAPCHECK_CAPCHECKER_CAP_TABLE_HH
 #define CAPCHECK_CAPCHECKER_CAP_TABLE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "base/types.hh"
+#include "capchecker/pair_index.hh"
 #include "cheri/capability.hh"
 
 namespace capcheck::capchecker
 {
-
-class PairIndex;
 
 class CapTable
 {
@@ -47,14 +45,7 @@ class CapTable
         cheri::Capability decoded;
     };
 
-    /** @param fast_index route lookups through the (task, object)
-     *        hash of the "captable.index" fast kernel. */
-    explicit CapTable(unsigned num_entries = 256,
-                      bool fast_index = false);
-    ~CapTable();
-
-    CapTable(const CapTable &) = delete;
-    CapTable &operator=(const CapTable &) = delete;
+    explicit CapTable(unsigned num_entries = 256);
 
     unsigned capacity() const { return static_cast<unsigned>(entries.size()); }
     std::size_t used() const { return liveCount; }
@@ -94,14 +85,14 @@ class CapTable
     Entry *find(TaskId task, ObjectId object);
 
     /** Deep conservation check: liveCount equals the number of valid
-     *  entries and the fast index (when on) mirrors them exactly. Run
-     *  under CAPCHECK_PARANOID. */
+     *  entries and the index mirrors them exactly. Run under
+     *  CAPCHECK_PARANOID. */
     void checkConservation() const;
 
     std::vector<Entry> entries;
     std::size_t liveCount = 0;
-    /** Non-null iff the fast kernel is selected for this table. */
-    std::unique_ptr<PairIndex> index;
+    /** (task, object) -> entry index of every valid entry. */
+    PairIndex index;
 };
 
 } // namespace capcheck::capchecker

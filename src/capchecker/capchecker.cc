@@ -33,12 +33,11 @@ CapChecker::CapChecker() : CapChecker(Params{})
 }
 
 CapChecker::CapChecker(const Params &params)
-    : params(params), table(params.tableEntries, params.fastIndex)
+    : params(params), table(params.tableEntries)
 {
     if (params.cacheEntries > 0) {
         cache = std::make_unique<CapCache>(params.cacheEntries,
-                                           params.cacheWalkCycles,
-                                           params.fastIndex);
+                                           params.cacheWalkCycles);
     }
 }
 

@@ -111,13 +111,6 @@ class CapChecker : public protect::ProtectionChecker
         unsigned cacheEntries = 0;
         /** Table-walk latency on a capability-cache miss. */
         Cycles cacheWalkCycles = 60;
-        /**
-         * Route table and cache lookups through the fast-kernel hash
-         * indexes ("captable.index" / "capcache.index" in the
-         * sim/kernels registry). Result-identical to the reference
-         * scans; selected by SocConfig::simKernel == fast.
-         */
-        bool fastIndex = false;
     };
 
     CapChecker();

@@ -1,11 +1,10 @@
 /**
  * @file
- * Open-addressed (task, object) -> slot-index hash used by the fast
- * simulation kernels of CapTable and CapCache (sim/kernels registry,
- * "captable.index" / "capcache.index"). The reference implementations
- * scan every entry per lookup; this index makes the same lookups O(1)
- * without changing any observable result — it is pure bookkeeping on
- * the host side and holds no simulated state of its own.
+ * Open-addressed (task, object) -> slot-index hash behind CapTable and
+ * CapCache lookups. It answers in O(1) what a scan of every entry
+ * would, without changing any observable result — it is pure
+ * bookkeeping on the host side and holds no simulated state of its
+ * own.
  *
  * Linear probing with tombstones; the table is sized to a power of
  * two at >= 2x the expected entry count so probe chains stay short.

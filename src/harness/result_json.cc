@@ -27,8 +27,6 @@ writeConfigJson(json::JsonWriter &w, const system::SocConfig &cfg)
     w.key("seed").value(std::uint64_t{cfg.seed});
     if (!cfg.topologyFile.empty())
         w.key("topologyFile").value(cfg.topologyFile);
-    if (cfg.simKernel != sim::SimKernel::ref)
-        w.key("simKernel").value(sim::simKernelName(cfg.simKernel));
     w.endObject();
 }
 
@@ -225,8 +223,6 @@ writeRequestWireJson(json::JsonWriter &w, const RunRequest &request)
     w.key("seed").value(std::uint64_t{cfg.seed});
     if (!cfg.topologyFile.empty())
         w.key("topologyFile").value(cfg.topologyFile);
-    if (cfg.simKernel != sim::SimKernel::ref)
-        w.key("simKernel").value(sim::simKernelName(cfg.simKernel));
     writeCostsJson(w, cfg);
     w.endObject();
     w.endObject();
@@ -284,14 +280,6 @@ requestFromWireJson(const json::JsonValue &v, std::string *error)
         sc.collectStats = c.boolean("collectStats");
         sc.seed = c.u64("seed");
         sc.topologyFile = c.optStr("topologyFile");
-        // Absent = ref (the field is only written when it differs).
-        const std::string kernel = c.optStr("simKernel");
-        if (!kernel.empty() &&
-            !sim::simKernelFromName(kernel, sc.simKernel) &&
-            err.empty()) {
-            err = "field 'simKernel': unknown kernel '" + kernel +
-                  "' (choices: " + sim::simKernelChoices() + ")";
-        }
 
         const json::JsonValue *cpu = cfg->get("cpuCosts");
         if (!cpu || !cpu->isObject()) {

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "harness/kernel_compare.hh"
 
 namespace capcheck::harness
 {
@@ -92,14 +91,6 @@ hashConfig(FieldHasher &h, const system::SocConfig &cfg)
         h.str("topology");
         h.str(cfg.topologyFile);
     }
-
-    // Same stability rule for the simulation kernel: ref (the default,
-    // and the only choice before the kernel registry existed) leaves
-    // the hash untouched.
-    if (cfg.simKernel != sim::SimKernel::ref) {
-        h.str("kernel");
-        h.str(sim::simKernelName(cfg.simKernel));
-    }
 }
 
 } // namespace
@@ -164,9 +155,6 @@ RunRequest::label() const
             " seed=" + std::to_string(config.seed);
     if (!config.topologyFile.empty())
         name += " topology=" + config.topologyFile;
-    if (config.simKernel != sim::SimKernel::ref)
-        name += " kernel=" +
-                std::string(sim::simKernelName(config.simKernel));
     return name;
 }
 
@@ -181,8 +169,6 @@ RunRequest::execute(const obs::ObsOptions &obs_opts) const
 {
     if (benchmarks.empty())
         fatal("RunRequest: no benchmark named");
-    if (config.simKernel == sim::SimKernel::compare)
-        return executeComparing(*this, obs_opts);
     system::SocSystem soc(config);
     soc.setObsOptions(obs_opts);
     if (isMixed())

@@ -13,7 +13,6 @@
 
 #include "base/logging.hh"
 #include "obs/prof.hh"
-#include "sim/kernels/registry.hh"
 #include "system/soc_config_builder.hh"
 
 namespace capcheck::harness
@@ -325,12 +324,10 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         if (!job.profile)
             continue;
         const obs::ObsOptions oo = obsOptionsFor(opts, *job.request);
-        const char *kernel =
-            sim::simKernelName(job.request->config.simKernel);
         if (!oo.profileFile.empty()) {
             std::ofstream os(oo.profileFile);
             if (os)
-                os << job.profile->json(job.request->label(), kernel);
+                os << job.profile->json(job.request->label());
             else
                 warn("cannot write '%s'", oo.profileFile.c_str());
         }

@@ -76,9 +76,8 @@ AxiInterconnect::grantBeat(MasterSlot &slot)
     _grantProbe.notify(*slot.pending);
     slot.pending.reset();
     // The slot is free again: wake the master in case it is waiting to
-    // issue its next beat instead of polling every cycle. The reference
-    // players poll (their handleRetry is a no-op), so this is free for
-    // them; the "player.retry" fast kernel relies on it.
+    // issue its next beat instead of polling every cycle (the trace
+    // player relies on it; a polling master ignores it).
     slot.port->sendRetry();
 }
 

@@ -88,9 +88,8 @@ class ResponseHandler
     /**
      * A downstream slot that refused (or may have refused) a request
      * earlier has freed up this cycle. Purely advisory — a master that
-     * polls every cycle (the reference trace player) can ignore it; the
-     * "player.retry" fast kernel sleeps between issues and uses this to
-     * wake. Spurious calls must be harmless.
+     * polls every cycle can ignore it; the trace player sleeps between
+     * issues and uses this to wake. Spurious calls must be harmless.
      */
     virtual void handleRetry() {}
 };

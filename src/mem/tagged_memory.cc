@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "base/bitfield.hh"
 #include "base/invariant.hh"
 #include "base/logging.hh"
 
@@ -10,11 +9,16 @@ namespace capcheck
 {
 
 TaggedMemory::TaggedMemory(std::uint64_t size_bytes)
-    : data(size_bytes, 0), tags(divCeil(size_bytes, capGranule), false)
+    : bytes(size_bytes)
 {
     if (size_bytes == 0 || size_bytes % capGranule != 0)
         fatal("TaggedMemory size must be a non-zero multiple of %llu",
               static_cast<unsigned long long>(capGranule));
+    data.reset(static_cast<std::uint8_t *>(std::calloc(size_bytes, 1)));
+    if (!data)
+        fatal("TaggedMemory: cannot allocate %llu bytes",
+              static_cast<unsigned long long>(size_bytes));
+    tags.assign(size_bytes / capGranule, false);
 }
 
 void
@@ -29,7 +33,7 @@ void
 TaggedMemory::write(Addr addr, const void *src, std::uint64_t len)
 {
     checkRange(addr, len);
-    std::memcpy(data.data() + addr, src, len);
+    std::memcpy(data.get() + addr, src, len);
     clearTags(addr, len);
     if (paranoidChecks && len > 0) {
         // Postcondition of the tag discipline: a data write can never
@@ -51,7 +55,7 @@ TaggedMemory::writeRawDma(Addr addr, const void *src, std::uint64_t len)
               static_cast<unsigned long long>(addr),
               static_cast<unsigned long long>(len));
     checkRange(addr, len);
-    std::memcpy(data.data() + addr, src, len);
+    std::memcpy(data.get() + addr, src, len);
 }
 
 void
@@ -65,8 +69,8 @@ TaggedMemory::writeCap(Addr addr, const cheri::Capability &cap)
     std::uint64_t pesbt;
     std::uint64_t cursor;
     cap.compress(pesbt, cursor);
-    std::memcpy(data.data() + addr, &cursor, 8);
-    std::memcpy(data.data() + addr + 8, &pesbt, 8);
+    std::memcpy(data.get() + addr, &cursor, 8);
+    std::memcpy(data.get() + addr + 8, &pesbt, 8);
     tags[addr / capGranule] = cap.tag();
 }
 
@@ -80,8 +84,8 @@ TaggedMemory::readCap(Addr addr) const
 
     std::uint64_t cursor;
     std::uint64_t pesbt;
-    std::memcpy(&cursor, data.data() + addr, 8);
-    std::memcpy(&pesbt, data.data() + addr + 8, 8);
+    std::memcpy(&cursor, data.get() + addr, 8);
+    std::memcpy(&pesbt, data.get() + addr + 8, 8);
     return cheri::Capability::fromCompressed(tags[addr / capGranule],
                                              pesbt, cursor);
 }
@@ -118,7 +122,7 @@ void
 TaggedMemory::scrub(Addr addr, std::uint64_t len)
 {
     checkRange(addr, len);
-    std::memset(data.data() + addr, 0, len);
+    std::memset(data.get() + addr, 0, len);
     clearTags(addr, len);
 }
 

@@ -6,13 +6,22 @@
  * callers: any data write clears the tags of every granule it touches;
  * only the dedicated capability-store path can set a tag, and only when
  * storing an aligned, valid capability.
+ *
+ * The data array is calloc-backed. For the default 64 MiB memory glibc
+ * serves the allocation from fresh anonymous mmap pages, which the
+ * kernel hands out already zeroed and only materializes on first
+ * touch, so a run pays for the pages it uses rather than for an
+ * up-front zero-fill of the whole address space.
  */
 
 #ifndef CAPCHECK_MEM_TAGGED_MEMORY_HH
 #define CAPCHECK_MEM_TAGGED_MEMORY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -29,7 +38,28 @@ class TaggedMemory
 
     explicit TaggedMemory(std::uint64_t size_bytes);
 
-    std::uint64_t size() const { return data.size(); }
+    /** Moves transfer the storage; the moved-from memory is left
+     *  empty (size 0), so any later access is a range panic. */
+    TaggedMemory(TaggedMemory &&other) noexcept
+        : data(std::move(other.data)),
+          bytes(std::exchange(other.bytes, 0)),
+          tags(std::move(other.tags)), dmaTagBarrier(other.dmaTagBarrier)
+    {
+        other.tags.clear();
+    }
+
+    TaggedMemory &
+    operator=(TaggedMemory &&other) noexcept
+    {
+        data = std::move(other.data);
+        bytes = std::exchange(other.bytes, 0);
+        tags = std::move(other.tags);
+        other.tags.clear();
+        dmaTagBarrier = other.dmaTagBarrier;
+        return *this;
+    }
+
+    std::uint64_t size() const { return bytes; }
 
     /** @{ Data access. Writes clear every overlapping granule tag.
      *  read() is inline: it sits on the trace-generation and CPU-model
@@ -41,7 +71,7 @@ class TaggedMemory
     read(Addr addr, void *dst, std::uint64_t len) const
     {
         checkRange(addr, len);
-        std::memcpy(dst, data.data() + addr, len);
+        std::memcpy(dst, data.get() + addr, len);
     }
 
     /**
@@ -111,12 +141,18 @@ class TaggedMemory
     void
     checkRange(Addr addr, std::uint64_t len) const
     {
-        if (addr + len > data.size() || addr + len < addr)
+        if (addr + len > bytes || addr + len < addr)
             rangeError(addr, len);
     }
     [[noreturn]] void rangeError(Addr addr, std::uint64_t len) const;
 
-    std::vector<std::uint8_t> data;
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<std::uint8_t[], FreeDeleter> data;
+    std::uint64_t bytes;
     std::vector<bool> tags;
     bool dmaTagBarrier = false;
 };

@@ -219,15 +219,13 @@ RunProfile::domainTotals() const
 }
 
 std::string
-RunProfile::json(const std::string &label,
-                 const std::string &kernel) const
+RunProfile::json(const std::string &label) const
 {
     std::ostringstream os;
     json::JsonWriter w(os);
     w.beginObject();
     w.key("schema").value("capcheck.prof.v1");
     w.key("label").value(label);
-    w.key("kernel").value(kernel);
     w.key("wallNanos").value(wall);
     w.key("domains").beginArray();
     for (const DomainTotals &dom : domainTotals()) {

@@ -4,8 +4,8 @@
  *
  * The obs stack attributes *simulated* time (ProbePoints, flights,
  * spans); this module attributes *host* wall-clock, so the "profile
- * the core, then add fast kernels" loop has an instrument. Scopes are
- * declared with PROF_SCOPE(domain, name) and cost one thread-local
+ * the core, then optimize the hot site" loop has an instrument. Scopes
+ * are declared with PROF_SCOPE(domain, name) and cost one thread-local
  * load plus a predictable branch when profiling is disabled — the
  * steady_clock is only read while a ProfileSession is active on the
  * current thread. Configuring with -DCAPCHECK_PROF=OFF compiles the
@@ -120,12 +120,11 @@ class RunProfile
 
     /**
      * Deterministic-shape profile document (fixed key order, sorted
-     * domains/sites): {schema, label, kernel, wallNanos, domains:[
+     * domains/sites): {schema, label, wallNanos, domains:[
      * {domain, selfNanos, totalNanos, calls, share}...], sites:[...]}.
      * share is selfNanos/wallNanos.
      */
-    std::string json(const std::string &label,
-                     const std::string &kernel) const;
+    std::string json(const std::string &label) const;
 
     /**
      * Brendan Gregg folded stacks ("d.a;d.b selfNanos" lines, sorted),

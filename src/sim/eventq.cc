@@ -48,8 +48,6 @@ Event::profSite() const
 std::size_t
 EventQueue::storedEntries() const
 {
-    if (impl == Impl::heap)
-        return heap.size();
     std::size_t total = overflow.size();
     for (const std::vector<Entry> &bucket : ring)
         total += bucket.size();
@@ -72,10 +70,7 @@ EventQueue::schedule(Event *event, Cycles when)
     event->_sequence = nextSequence++;
     event->_scheduled = true;
     const Entry entry{when, event->priority(), event->_sequence, event};
-    if (impl == Impl::heap) {
-        heap.push_back(entry);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-    } else if (when - _curCycle < ringSize) {
+    if (when - _curCycle < ringSize) {
         std::vector<Entry> &bucket = ring[when & (ringSize - 1)];
         bucket.push_back(entry);
         std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
@@ -89,10 +84,7 @@ EventQueue::schedule(Event *event, Cycles when)
                        std::greater<>{});
     }
     ++live;
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + staleCount,
                        "live-count conservation after schedule");
 }
 
@@ -102,47 +94,38 @@ EventQueue::deschedule(Event *event)
     if (!event->_scheduled)
         panic("descheduling non-scheduled event: %s",
               event->description().c_str());
-    // Lazy deletion. Reference heap: remember the cancelled sequence
-    // number; the stored entry is dropped when it surfaces — or
-    // wholesale by compaction once stale entries outnumber live ones.
-    // Bucketed: the entry's location is known from its cycle, so
-    // tombstone it in place (null the Event pointer) instead of
-    // paying a hash set on every later pop. Either way the Event is
-    // never dereferenced through the stale entry, so the owner is
-    // free to destroy a descheduled event immediately.
-    if (impl == Impl::heap) {
-        cancelled.insert(event->_sequence);
-    } else {
-        const auto tombstone = [event](std::vector<Entry> &entries) {
-            for (Entry &e : entries) {
-                if (e.sequence == event->_sequence && e.event) {
-                    e.event = nullptr;
-                    return true;
-                }
+    // Lazy deletion: the entry's location is known from its cycle, so
+    // tombstone it in place (null the Event pointer); it is dropped
+    // when it surfaces, or wholesale by compaction once stale entries
+    // outnumber live ones. The Event is never dereferenced through the
+    // stale entry, so the owner is free to destroy a descheduled event
+    // immediately.
+    const auto tombstone = [event](std::vector<Entry> &entries) {
+        for (Entry &e : entries) {
+            if (e.sequence == event->_sequence && e.event) {
+                e.event = nullptr;
+                return true;
             }
-            return false;
-        };
-        // In-window entries live in their cycle's bucket — but an
-        // entry scheduled while its cycle was beyond the window sits
-        // in overflow even after time approached, so fall through.
-        bool found = event->_when - _curCycle < ringSize &&
-                     tombstone(ring[event->_when & (ringSize - 1)]);
-        if (found) {
-            --ringLive;
-        } else {
-            found = tombstone(overflow);
         }
-        INVARIANT(found, "descheduled event not stored: %s",
-                  event->description().c_str());
-        ++staleCount;
+        return false;
+    };
+    // In-window entries live in their cycle's bucket — but an entry
+    // scheduled while its cycle was beyond the window sits in overflow
+    // even after time approached, so fall through.
+    bool found = event->_when - _curCycle < ringSize &&
+                 tombstone(ring[event->_when & (ringSize - 1)]);
+    if (found) {
+        --ringLive;
+    } else {
+        found = tombstone(overflow);
     }
+    INVARIANT(found, "descheduled event not stored: %s",
+              event->description().c_str());
+    ++staleCount;
     event->_scheduled = false;
     --live;
     maybeCompact();
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + staleCount,
                        "live-count conservation after deschedule");
 }
 
@@ -160,41 +143,25 @@ EventQueue::maybeCompact()
     // Amortized O(1): a compaction costs O(stored) but only fires once
     // stale entries exceed live ones, so the next trigger needs the
     // (now at most half-sized) storage to degrade by half again.
-    if (impl == Impl::heap) {
-        if (cancelled.size() <= live)
-            return;
-        const auto stale = [this](const Entry &entry) {
-            return cancelled.count(entry.sequence) != 0;
-        };
-        heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
-                   heap.end());
-        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-        cancelled.clear();
-    } else {
-        if (staleCount <= live)
-            return;
-        const auto dead = [](const Entry &entry) {
-            return entry.event == nullptr;
-        };
-        for (std::size_t pos = 0; pos < ringSize; ++pos) {
-            std::vector<Entry> &bucket = ring[pos];
-            if (bucket.empty())
-                continue;
-            bucket.erase(
-                std::remove_if(bucket.begin(), bucket.end(), dead),
-                bucket.end());
-            std::make_heap(bucket.begin(), bucket.end(),
-                           std::greater<>{});
-            if (bucket.empty())
-                clearOccupied(pos);
-        }
-        overflow.erase(
-            std::remove_if(overflow.begin(), overflow.end(), dead),
-            overflow.end());
-        std::make_heap(overflow.begin(), overflow.end(),
-                       std::greater<>{});
-        staleCount = 0;
+    if (staleCount <= live)
+        return;
+    const auto dead = [](const Entry &entry) {
+        return entry.event == nullptr;
+    };
+    for (std::size_t pos = 0; pos < ringSize; ++pos) {
+        std::vector<Entry> &bucket = ring[pos];
+        if (bucket.empty())
+            continue;
+        bucket.erase(std::remove_if(bucket.begin(), bucket.end(), dead),
+                     bucket.end());
+        std::make_heap(bucket.begin(), bucket.end(), std::greater<>{});
+        if (bucket.empty())
+            clearOccupied(pos);
     }
+    overflow.erase(std::remove_if(overflow.begin(), overflow.end(), dead),
+                   overflow.end());
+    std::make_heap(overflow.begin(), overflow.end(), std::greater<>{});
+    staleCount = 0;
     INVARIANT(storedEntries() == live,
               "compaction lost events: %zu stored, %zu live",
               storedEntries(), live);
@@ -203,19 +170,6 @@ EventQueue::maybeCompact()
 bool
 EventQueue::purgeStale()
 {
-    if (impl == Impl::heap) {
-        while (!heap.empty()) {
-            const auto it = cancelled.find(heap.front().sequence);
-            if (it == cancelled.end())
-                return true;
-            cancelled.erase(it);
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            heap.pop_back();
-        }
-        INVARIANT(live == 0, "empty heap with %zu live events", live);
-        return false;
-    }
-
     // Overflow: pop surfaced tombstones so the top is live.
     while (!overflow.empty() && overflow.front().event == nullptr) {
         std::pop_heap(overflow.begin(), overflow.end(),
@@ -285,15 +239,13 @@ EventQueue::frontInRing() const
     // Both candidates are live (purgeStale cleared surfaced
     // tombstones); the full (when, priority, sequence) order decides,
     // so a ring entry and an overflow entry landing on the same cycle
-    // still interleave exactly like the reference heap.
+    // still interleave exactly like one heap over every entry.
     return overflow.front() > ring[ringCursor & (ringSize - 1)].front();
 }
 
 const EventQueue::Entry &
 EventQueue::front() const
 {
-    if (impl == Impl::heap)
-        return heap.front();
     return frontInRing() ? ring[ringCursor & (ringSize - 1)].front()
                          : overflow.front();
 }
@@ -302,10 +254,7 @@ void
 EventQueue::serviceOne()
 {
     const Entry entry = front();
-    if (impl == Impl::heap) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-        heap.pop_back();
-    } else if (frontInRing()) {
+    if (frontInRing()) {
         const std::size_t pos = ringCursor & (ringSize - 1);
         std::vector<Entry> &bucket = ring[pos];
         std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
@@ -335,10 +284,7 @@ EventQueue::serviceOne()
     }
     event->_scheduled = false;
     --live;
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + staleCount,
                        "live-count conservation after pop");
     // Event-dispatch boundary: when a profile session is active on
     // this thread, attribute the dispatch to the event's site. The

@@ -8,17 +8,16 @@
  * which keeps the simulation deterministic regardless of container
  * internals.
  *
- * Two storage implementations share that contract (and therefore
- * produce identical event orderings): the reference binary heap over
- * all entries, and the "eventq.bucketed" fast kernel (sim/kernels
- * registry) — a calendar queue: a power-of-two ring of per-cycle
+ * Storage is a calendar queue: a power-of-two ring of per-cycle
  * buckets (each a small (priority, sequence) heap) for events within
  * the ring window, plus a min-heap for the rare far-future events.
  * Near-term scheduling is a bounded push into a reused vector, with
- * no balanced-tree nodes or hashing on the hot path. Both
- * implementations lazily delete descheduled entries and compact their
- * storage when stale entries outnumber live ones, so reschedule-heavy
- * components can no longer grow the queue without bound.
+ * no balanced-tree nodes or hashing on the hot path. It dispatches in
+ * exactly the order of one binary heap over every (cycle, priority,
+ * sequence) entry — tests/sim/eventq_stress_test.cc drives such a
+ * heap as its reference model. Descheduled entries are deleted lazily
+ * and storage is compacted when stale entries outnumber live ones, so
+ * reschedule-heavy components cannot grow the queue without bound.
  */
 
 #ifndef CAPCHECK_SIM_EVENTQ_HH
@@ -28,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "base/probe.hh"
@@ -124,20 +122,7 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    /** Storage implementation (identical observable behaviour). */
-    enum class Impl
-    {
-        /** Reference: one binary heap over every pending entry. */
-        heap,
-        /** Fast kernel "eventq.bucketed": per-cycle buckets. */
-        bucketed,
-    };
-
-    explicit EventQueue(Impl impl = Impl::heap) : impl(impl)
-    {
-        if (impl == Impl::bucketed)
-            ring.resize(ringSize);
-    }
+    EventQueue() : ring(ringSize) {}
 
     /** run() limit meaning "no horizon": drain and stop at the last
      *  processed event's cycle. */
@@ -213,8 +198,8 @@ class EventQueue
     const Entry &front() const;
     /** Drop stale entries wholesale once they outnumber live ones. */
     void maybeCompact();
-    /** Bucketed only: true when the next entry to fire comes from the
-     *  ring rather than the overflow heap. Call after purgeStale(). */
+    /** True when the next entry to fire comes from the ring rather
+     *  than the overflow heap. Call after purgeStale(). */
     bool frontInRing() const;
     /** First occupied ring position at or cyclically after @p pos;
      *  ringSize when the whole ring is empty. */
@@ -228,20 +213,15 @@ class EventQueue
         occupied[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
     }
 
-    /** Reference storage: a min-heap (std::greater order) kept with
-     *  the <algorithm> heap primitives so compaction can filter it in
-     *  place. */
-    std::vector<Entry> heap;
-
     /**
-     * Bucketed storage, a calendar queue. Events within ringSize
-     * cycles of schedule time go into ring[when % ringSize], a small
-     * min-heap of one cycle's entries ordered by (priority,
-     * sequence); within the window, distinct cycles can never collide
-     * on a bucket. Everything further out lands in the overflow
-     * min-heap (ordered like the reference heap) and is popped from
-     * there when it becomes the global front — by then the ring holds
-     * nothing earlier, so overflow entries never migrate.
+     * The calendar queue. Events within ringSize cycles of schedule
+     * time go into ring[when % ringSize], a small min-heap of one
+     * cycle's entries ordered by (priority, sequence); within the
+     * window, distinct cycles can never collide on a bucket.
+     * Everything further out lands in the overflow min-heap, in full
+     * (cycle, priority, sequence) order, and is popped from there when
+     * it becomes the global front — by then the ring holds nothing
+     * earlier, so overflow entries never migrate.
      */
     static constexpr std::size_t ringSize = 1024;
     std::vector<std::vector<Entry>> ring;
@@ -261,21 +241,14 @@ class EventQueue
     Cycles ringCursor = 0;
     /** Live (non-tombstone) entries currently in the ring. */
     std::size_t ringLive = 0;
-    /** Tombstoned entries still stored in ring + overflow. */
-    std::size_t staleCount = 0;
-
     /**
-     * Reference implementation's lazy deletion: sequence numbers of
-     * descheduled entries still sitting in the heap. Stale entries are
-     * identified by this set alone — their Event pointers are never
-     * dereferenced, so the owner may destroy a descheduled event at
-     * any time. (The bucketed implementation instead tombstones the
-     * stored entry in place — deschedule can find it directly from
-     * the event's cycle — which keeps hashing off the hot path; a
-     * tombstone's Event pointer is nulled, never dereferenced.)
+     * Tombstoned entries still stored in ring + overflow. Deschedule
+     * finds the stored entry directly from the event's cycle and nulls
+     * its Event pointer in place, which keeps hashing off the hot
+     * path; a tombstone is never dereferenced, so the owner may
+     * destroy a descheduled event at any time.
      */
-    std::unordered_set<std::uint64_t> cancelled;
-    Impl impl;
+    std::size_t staleCount = 0;
     Cycles _curCycle = 0;
     std::uint64_t nextSequence = 0;
     std::size_t live = 0;

@@ -319,8 +319,6 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
             params.cap.cacheWalkCycles =
                 getU64(node.params, "cacheWalkCycles",
                        cfg.capCacheWalkCycles, node.name);
-            params.cap.fastIndex =
-                cfg.simKernel == sim::SimKernel::fast;
             params.banks =
                 getUnsigned(node.params, "banks",
                             num_tasks ? num_tasks : 1, node.name);

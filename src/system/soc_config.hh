@@ -13,7 +13,6 @@
 #include "capchecker/capchecker.hh"
 #include "cpu/cpu_model.hh"
 #include "driver/driver.hh"
-#include "sim/kernels/registry.hh"
 
 namespace capcheck::system
 {
@@ -80,14 +79,6 @@ struct SocConfig
      * the mode.
      */
     std::string topologyFile;
-
-    /**
-     * Host-side simulation kernel (sim/kernels registry). @c ref and
-     * @c fast must produce bit-identical results and artefacts; @c
-     * compare is resolved by the harness layer (which runs both and
-     * diffs) and must never reach SocSystem.
-     */
-    sim::SimKernel simKernel = sim::SimKernel::ref;
 
     CpuCostParams cpuCosts;
     driver::DriverCostParams driverCosts;

@@ -252,13 +252,6 @@ SocConfigBuilder::topologyFile(std::string path)
     return *this;
 }
 
-SocConfigBuilder &
-SocConfigBuilder::simKernel(sim::SimKernel k)
-{
-    cfg.simKernel = k;
-    return *this;
-}
-
 SocConfig
 SocConfigBuilder::build() const
 {

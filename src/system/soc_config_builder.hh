@@ -68,8 +68,6 @@ class SocConfigBuilder
     SocConfigBuilder &seed(std::uint64_t s);
     /** Topology JSON file; "" restores the builtin for the mode. */
     SocConfigBuilder &topologyFile(std::string path);
-    /** Simulation kernel (sim/kernels registry). */
-    SocConfigBuilder &simKernel(sim::SimKernel k);
 
     /** The configuration as accumulated so far, unvalidated. */
     const SocConfig &peek() const { return cfg; }

@@ -50,12 +50,6 @@ makeAppTask(cheri::CapTree &tree, std::uint64_t mem_bytes)
 
 SocSystem::SocSystem(const SocConfig &config) : cfg(config)
 {
-    // The compare pseudo-kernel is a harness-layer construct (run ref
-    // and fast, diff the artefacts); by the time a system is built the
-    // choice must have been resolved to one concrete kernel.
-    if (cfg.simKernel == sim::SimKernel::compare)
-        fatal("SocSystem: simKernel 'compare' must be resolved by the "
-              "harness; a system runs 'ref' or 'fast'");
 }
 
 Topology
@@ -181,9 +175,7 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
     cheri::CapTree tree;
     const cheri::CapNodeId app = makeAppTask(tree, cfg.memBytes);
 
-    EventQueue eq(cfg.simKernel == sim::SimKernel::fast
-                      ? EventQueue::Impl::bucketed
-                      : EventQueue::Impl::heap);
+    EventQueue eq;
     stats::StatGroup stat_root("soc");
 
     // Declared before the components so it outlives them: probe
@@ -383,8 +375,7 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
                 eq, &stat_root,
                 plan[t].benchmark + "#" + std::to_string(t),
                 accel.spec(), tracer.take(), task.handle.buffers, t,
-                /*port=*/t, addressing,
-                /*fast_replay=*/cfg.simKernel == sim::SimKernel::fast);
+                /*port=*/t, addressing);
             const Platform::TaskAttach &attach = platform.attachOf(t);
             bindPorts(task.player->memSide(),
                       attach.xbar->accelSide(attach.slot));

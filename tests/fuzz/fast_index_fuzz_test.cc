@@ -1,24 +1,29 @@
 /**
  * @file
- * Model-based fuzzers for the fast-kernel lookup structures
- * (sim/kernels registry, "captable.index" / "capcache.index"). Three
+ * Model-based fuzzers for the hash-indexed lookup structures of the
+ * CapChecker (PairIndex, CapTable, CapCache). Their reference models
+ * are the associative scans the hardware performs — kept here, beside
+ * std::map / std::unordered_map models, as test oracles. Three
  * harnesses:
  *
  *  - PairIndex against a std::unordered_map, with a deliberately tiny
  *    key space so tombstone churn forces compaction rebuilds;
- *  - the fast-indexed CapTable against the same std::map reference
- *    model the scanning table is fuzzed against;
- *  - a fast-indexed CapCache run in lockstep with a reference scanning
- *    CapCache on one operation stream — every access must return the
- *    same latency (i.e. make the identical hit/victim decision).
+ *  - CapTable against a std::map model of its contents and a scanning
+ *    table that predicts the exact entry index of every install and
+ *    lookup;
+ *  - CapCache run in lockstep with a scanning LRU cache on one
+ *    operation stream — every access must return the same latency
+ *    (i.e. make the identical hit/victim decision).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -129,17 +134,72 @@ randomCap(Rng &rng)
 }
 
 /**
- * The fast-indexed table against the scanning table's reference model.
- * Same workload shape as CapTableFuzz.MatchesReferenceModel so the two
- * implementations are exercised over the same distribution.
+ * Reference CAM: which entry index a fully associative table scan
+ * matches or allocates. A re-install overwrites the matching entry in
+ * place; a new key takes the first invalid entry.
+ */
+class ScanTable
+{
+  public:
+    explicit ScanTable(unsigned entries) : slots(entries) {}
+
+    std::optional<unsigned>
+    lookup(TaskId task, ObjectId object) const
+    {
+        for (unsigned i = 0; i < slots.size(); ++i) {
+            if (slots[i].valid && slots[i].task == task &&
+                slots[i].object == object)
+                return i;
+        }
+        return std::nullopt;
+    }
+
+    std::optional<unsigned>
+    install(TaskId task, ObjectId object)
+    {
+        if (const auto hit = lookup(task, object))
+            return hit;
+        for (unsigned i = 0; i < slots.size(); ++i) {
+            if (!slots[i].valid) {
+                slots[i] = Slot{true, task, object};
+                return i;
+            }
+        }
+        return std::nullopt;
+    }
+
+    void
+    evictTask(TaskId task)
+    {
+        for (Slot &slot : slots) {
+            if (slot.valid && slot.task == task)
+                slot = Slot{};
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        bool valid = false;
+        TaskId task = invalidTaskId;
+        ObjectId object = invalidObjectId;
+    };
+    std::vector<Slot> slots;
+};
+
+/**
+ * The indexed table against a std::map model of its contents and the
+ * scanning CAM's entry placement. Same workload shape as
+ * CapTableFuzz.MatchesReferenceModel.
  */
 TEST(CapTableFastIndexFuzz, MatchesReferenceModel)
 {
     Rng rng(fuzz::seed() ^ 0xfa57cab1e);
     const std::uint64_t iters = fuzz::iterations();
 
-    CapTable table(tableSize, /*fast_index=*/true);
+    CapTable table(tableSize);
     std::map<Key, RefEntry> model;
+    ScanTable scan(tableSize);
 
     for (std::uint64_t i = 0; i < iters; ++i) {
         const TaskId task = static_cast<TaskId>(rng.nextBounded(numTasks));
@@ -154,6 +214,8 @@ TEST(CapTableFastIndexFuzz, MatchesReferenceModel)
           case 3: { // install
             const cheri::Capability cap = randomCap(rng);
             const auto idx = table.install(task, object, cap);
+            ASSERT_EQ(idx, scan.install(task, object))
+                << "iteration " << i << ": entry placement diverged";
             const bool have = model.count(key) != 0;
             if (!have && model.size() == tableSize) {
                 ASSERT_FALSE(idx.has_value()) << "iteration " << i;
@@ -166,6 +228,7 @@ TEST(CapTableFastIndexFuzz, MatchesReferenceModel)
           case 4:
           case 5: { // evict one task
             const unsigned freed = table.evictTask(task);
+            scan.evictTask(task);
             unsigned expect = 0;
             for (auto it = model.begin(); it != model.end();) {
                 if (it->first.first == task) {
@@ -201,10 +264,14 @@ TEST(CapTableFastIndexFuzz, MatchesReferenceModel)
             static_cast<ObjectId>(rng.nextBounded(numObjects));
         const CapTable::Entry *entry = table.lookup(qt, qo);
         const auto ref = model.find({qt, qo});
+        const auto slot = scan.lookup(qt, qo);
         if (ref == model.end()) {
             ASSERT_EQ(entry, nullptr) << "iteration " << i;
+            ASSERT_FALSE(slot.has_value()) << "iteration " << i;
         } else {
             ASSERT_NE(entry, nullptr) << "iteration " << i;
+            ASSERT_TRUE(slot.has_value()) << "iteration " << i;
+            ASSERT_EQ(entry, &table.at(*slot)) << "iteration " << i;
             ASSERT_TRUE(entry->valid);
             ASSERT_EQ(entry->task, qt);
             ASSERT_EQ(entry->object, qo);
@@ -217,7 +284,75 @@ TEST(CapTableFastIndexFuzz, MatchesReferenceModel)
 }
 
 /**
- * Differential fuzz: the fast-indexed cache must make bit-identical
+ * Reference capability cache: one scan over every line per access
+ * computes the hit and the LRU victim (the last invalid line, else the
+ * least recently used one).
+ */
+class ScanCache
+{
+  public:
+    ScanCache(unsigned entries, Cycles walk) : lines(entries), walk(walk)
+    {
+    }
+
+    Cycles
+    access(TaskId task, ObjectId object)
+    {
+        ++useClock;
+        Line *victim = &lines.front();
+        for (Line &line : lines) {
+            if (line.valid && line.task == task &&
+                line.object == object) {
+                line.lastUse = useClock;
+                ++_hits;
+                return 0;
+            }
+            if (!line.valid ||
+                (victim->valid && line.lastUse < victim->lastUse))
+                victim = &line;
+        }
+        ++_misses;
+        *victim = Line{true, task, object, useClock};
+        return walk;
+    }
+
+    void
+    invalidateTask(TaskId task)
+    {
+        for (Line &line : lines) {
+            if (line.valid && line.task == task)
+                line = Line{};
+        }
+    }
+
+    void
+    flush()
+    {
+        for (Line &line : lines)
+            line = Line{};
+        useClock = 0;
+    }
+
+    std::uint64_t hits() const { return _hits; }
+    std::uint64_t misses() const { return _misses; }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        TaskId task = invalidTaskId;
+        ObjectId object = invalidObjectId;
+        std::uint64_t lastUse = 0;
+    };
+    std::vector<Line> lines;
+    Cycles walk;
+    std::uint64_t useClock = 0;
+    std::uint64_t _hits = 0;
+    std::uint64_t _misses = 0;
+};
+
+/**
+ * Differential fuzz: the indexed cache must make bit-identical
  * hit/victim decisions to the reference scan on any operation stream.
  * A hit and a miss are distinguishable through access()'s return value
  * and the hit/miss counters; identical victims are forced into the
@@ -232,8 +367,8 @@ TEST(CapCacheFastIndexFuzz, MatchesScanDecisions)
 
     constexpr unsigned entries = 8;
     constexpr Cycles walk = 60;
-    CapCache ref(entries, walk, /*fast_index=*/false);
-    CapCache fast(entries, walk, /*fast_index=*/true);
+    ScanCache ref(entries, walk);
+    CapCache fast(entries, walk);
 
     for (std::uint64_t i = 0; i < iters; ++i) {
         const TaskId task = static_cast<TaskId>(rng.nextBounded(numTasks));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "base/logging.hh"
 #include "mem/tagged_memory.hh"
 
@@ -114,6 +117,69 @@ TEST(TaggedMemory, OutOfRangePanics)
     EXPECT_THROW(mem.writeValue<std::uint64_t>(4092, 0), SimError);
     std::uint8_t byte;
     EXPECT_THROW(mem.read(4096, &byte, 1), SimError);
+}
+
+TEST(TaggedMemory, FreshDefaultSizeMemoryIsZero)
+{
+    // The SocConfig default: 64 MiB, far more than most runs touch.
+    constexpr std::uint64_t bytes = 64ull << 20;
+    TaggedMemory mem(bytes);
+    EXPECT_EQ(mem.size(), bytes);
+    EXPECT_EQ(mem.countTags(), 0u);
+    for (const Addr addr : {Addr{0}, Addr{bytes / 2}, Addr{bytes - 1}})
+        EXPECT_EQ(mem.readValue<std::uint8_t>(addr), 0u) << addr;
+    EXPECT_EQ(mem.readValue<std::uint64_t>(bytes - 8), 0u);
+    EXPECT_FALSE(mem.tagAt(bytes - 1));
+
+    std::uint8_t byte;
+    EXPECT_THROW(mem.read(bytes, &byte, 1), SimError);
+    EXPECT_THROW(mem.writeValue<std::uint16_t>(bytes - 1, 0), SimError);
+}
+
+TEST(TaggedMemory, ReusedHeapMemoryStartsZeroed)
+{
+    // Small memories come from recycled heap chunks rather than fresh
+    // pages: a fresh memory must still read zero where a freed one
+    // left data behind.
+    constexpr std::uint64_t bytes = 4096;
+    for (int round = 0; round < 4; ++round) {
+        TaggedMemory mem(bytes);
+        for (Addr a = 0; a < bytes; a += 8) {
+            ASSERT_EQ(mem.readValue<std::uint64_t>(a), 0u)
+                << "round " << round << " addr " << a;
+        }
+        ASSERT_EQ(mem.countTags(), 0u);
+        for (Addr a = 0; a < bytes; a += 8)
+            mem.writeValue<std::uint64_t>(a, ~std::uint64_t{0});
+        mem.writeCap(0x40, Capability::root().setBounds(0, 16));
+    }
+}
+
+TEST(TaggedMemory, MoveKeepsContentsAndEmptiesSource)
+{
+    TaggedMemory src(4096);
+    src.writeValue<std::uint32_t>(0x200, 0xc0ffee);
+    src.writeCap(0x100, Capability::root().setBounds(0x40, 0x80));
+
+    TaggedMemory moved(std::move(src));
+    EXPECT_EQ(moved.size(), 4096u);
+    EXPECT_EQ(moved.readValue<std::uint32_t>(0x200), 0xc0ffeeu);
+    EXPECT_TRUE(moved.tagAt(0x100));
+    EXPECT_EQ(moved.readCap(0x100).base(), 0x40u);
+    EXPECT_EQ(moved.countTags(), 1u);
+    // The moved-from memory is empty: accesses panic, never fault.
+    EXPECT_EQ(src.size(), 0u); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(src.countTags(), 0u);
+    std::uint8_t byte;
+    EXPECT_THROW(src.read(0, &byte, 1), SimError);
+
+    TaggedMemory assigned(16);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.size(), 4096u);
+    EXPECT_EQ(assigned.readValue<std::uint32_t>(0x200), 0xc0ffeeu);
+    EXPECT_TRUE(assigned.tagAt(0x100));
+    EXPECT_EQ(moved.size(), 0u); // NOLINT(bugprone-use-after-move)
+    EXPECT_THROW(moved.read(0, &byte, 1), SimError);
 }
 
 TEST(TaggedMemory, SizeMustBeGranuleAligned)

@@ -243,14 +243,13 @@ TEST(Prof, JsonHasTheDocumentedShape)
         spin();
     }
 
-    const std::string text = profile.json("kmp tasks=4", "fast");
+    const std::string text = profile.json("kmp tasks=4");
     std::string err;
     const auto doc = json::parseJson(text, &err);
     ASSERT_TRUE(doc.has_value()) << err;
     ASSERT_TRUE(doc->isObject());
     EXPECT_EQ(doc->get("schema")->asString(), "capcheck.prof.v1");
     EXPECT_EQ(doc->get("label")->asString(), "kmp tasks=4");
-    EXPECT_EQ(doc->get("kernel")->asString(), "fast");
     EXPECT_GT(doc->get("wallNanos")->asNumber(), 0.0);
 
     const json::JsonValue *domains = doc->get("domains");
@@ -277,7 +276,7 @@ TEST(Prof, JsonHasTheDocumentedShape)
     EXPECT_TRUE(found);
 
     // Deterministic shape: rendering twice yields identical bytes.
-    EXPECT_EQ(text, profile.json("kmp tasks=4", "fast"));
+    EXPECT_EQ(text, profile.json("kmp tasks=4"));
 }
 
 TEST(Prof, ProfScopeMacroCompilesInAnyBlock)

@@ -1,12 +1,12 @@
 /**
  * @file
- * The event queue's lazy-deletion housekeeping and the bucketed fast
- * kernel. Historically reschedule() stranded one cancelled entry per
- * call with nothing ever reclaiming them mid-run, so reschedule-heavy
- * components grew the heap without bound; compaction now bounds the
- * stored entries by the live count. The bucketed implementation must
- * replay the exact (when, priority, sequence) order of the reference
- * heap.
+ * The event queue's lazy-deletion housekeeping and its calendar
+ * (bucketed) storage. Historically reschedule() stranded one cancelled
+ * entry per call with nothing ever reclaiming them mid-run, so
+ * reschedule-heavy components grew the queue without bound;
+ * compaction now bounds the stored entries by the live count. The
+ * bucketed queue must replay the exact (when, priority, sequence)
+ * order of the reference heap (heap_eventq.hh).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "heap_eventq.hh"
 #include "sim/eventq.hh"
 
 namespace capcheck
@@ -21,43 +22,51 @@ namespace capcheck
 namespace
 {
 
+/** Reschedule churn on @p Queue must keep storage within the
+ *  compaction bound. */
+template <class Queue, class Ev>
+void
+checkChurnBounded()
+{
+    Queue q;
+    std::vector<std::unique_ptr<Ev>> events;
+    for (int i = 0; i < 8; ++i) {
+        events.push_back(std::make_unique<Ev>([] {}));
+        q.schedule(events.back().get(), 100 + i);
+    }
+
+    for (int i = 0; i < 20000; ++i) {
+        Ev *ev = events[i % events.size()].get();
+        q.reschedule(ev, 100 + (i * 13) % 50);
+        ASSERT_EQ(q.pending(), events.size());
+        // The documented compaction bound; without it the queue would
+        // hold ~20000 stale entries by the end of the loop.
+        ASSERT_LE(q.storedEntries(), 2 * q.pending() + 1)
+            << "iteration " << i;
+    }
+
+    for (auto &ev : events)
+        q.deschedule(ev.get());
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_LE(q.storedEntries(), 1u);
+}
+
 TEST(EventQueueCompaction, RescheduleChurnIsBounded)
 {
-    for (const auto impl :
-         {EventQueue::Impl::heap, EventQueue::Impl::bucketed}) {
-        EventQueue q(impl);
-        std::vector<std::unique_ptr<LambdaEvent>> events;
-        for (int i = 0; i < 8; ++i) {
-            events.push_back(std::make_unique<LambdaEvent>([] {}));
-            q.schedule(events.back().get(), 100 + i);
-        }
-
-        for (int i = 0; i < 20000; ++i) {
-            LambdaEvent *ev = events[i % events.size()].get();
-            q.reschedule(ev, 100 + (i * 13) % 50);
-            ASSERT_EQ(q.pending(), events.size());
-            // The documented compaction bound; without it the heap
-            // would hold ~20000 stale entries by the end of the loop.
-            ASSERT_LE(q.storedEntries(), 2 * q.pending() + 1)
-                << "iteration " << i;
-        }
-
-        for (auto &ev : events)
-            q.deschedule(ev.get());
-        EXPECT_EQ(q.pending(), 0u);
-        EXPECT_LE(q.storedEntries(), 1u);
-    }
+    checkChurnBounded<EventQueue, LambdaEvent>();
+    checkChurnBounded<test::HeapEventQueue, test::HeapEvent>();
 }
 
 /** Drive one scripted scenario and return the firing order. */
+template <class Queue, class Ev>
 std::vector<int>
-runScenario(EventQueue::Impl impl, Cycles *end_cycle)
+runScenario(Cycles *end_cycle)
 {
-    EventQueue q(impl);
+    Queue q;
     std::vector<int> order;
-    std::vector<std::unique_ptr<LambdaEvent>> events;
+    std::vector<std::unique_ptr<Ev>> events;
     const auto add = [&](int id, int prio) {
-        events.push_back(std::make_unique<LambdaEvent>(
+        events.push_back(std::make_unique<Ev>(
             [&order, id] { order.push_back(id); }, prio));
         return events.back().get();
     };
@@ -71,16 +80,16 @@ runScenario(EventQueue::Impl impl, Cycles *end_cycle)
     q.schedule(add(4, Event::defaultPrio), 20);
 
     // Cancelled and rescheduled entries must be skipped.
-    LambdaEvent *moved = add(5, Event::checkPrio);
+    Ev *moved = add(5, Event::checkPrio);
     q.schedule(moved, 10);
     q.reschedule(moved, 15);
-    LambdaEvent *dropped = add(6, Event::defaultPrio);
+    Ev *dropped = add(6, Event::defaultPrio);
     q.schedule(dropped, 12);
     q.deschedule(dropped);
 
     // An event that schedules more work while running.
-    LambdaEvent *tail = add(7, Event::defaultPrio);
-    events.push_back(std::make_unique<LambdaEvent>(
+    Ev *tail = add(7, Event::defaultPrio);
+    events.push_back(std::make_unique<Ev>(
         [&q, &order, tail] {
             order.push_back(8);
             q.schedule(tail, q.curCycle() + 3);
@@ -97,9 +106,9 @@ TEST(EventQueueCompaction, BucketedMatchesHeapOrder)
     Cycles heap_end = 0;
     Cycles bucketed_end = 0;
     const std::vector<int> heap_order =
-        runScenario(EventQueue::Impl::heap, &heap_end);
+        runScenario<test::HeapEventQueue, test::HeapEvent>(&heap_end);
     const std::vector<int> bucketed_order =
-        runScenario(EventQueue::Impl::bucketed, &bucketed_end);
+        runScenario<EventQueue, LambdaEvent>(&bucketed_end);
 
     EXPECT_EQ(heap_order,
               (std::vector<int>{3, 1, 0, 2, 5, 8, 7, 4}));
@@ -111,7 +120,7 @@ TEST(EventQueueCompaction, BucketedMatchesHeapOrder)
 
 TEST(EventQueueCompaction, BucketedStepAndEmptyBehave)
 {
-    EventQueue q(EventQueue::Impl::bucketed);
+    EventQueue q;
     std::vector<int> order;
     LambdaEvent a([&order] { order.push_back(1); });
     LambdaEvent b([&order] { order.push_back(2); });

@@ -59,7 +59,7 @@ class CapstatProfTest : public ::testing::Test
         double used = 0;
         std::ostringstream os;
         os << "{\"schema\": \"capcheck.prof.v1\", \"label\": \""
-           << label << "\", \"kernel\": \"ref\", \"wallNanos\": "
+           << label << "\", \"wallNanos\": "
            << wall << ", \"domains\": [";
         for (const auto &[name, share] : shares) {
             os << "{\"domain\": \"" << name << "\", \"selfNanos\": "
@@ -93,7 +93,6 @@ TEST_F(CapstatProfTest, LoadsSingleRunArtefacts)
         report));
     ASSERT_EQ(report.runs.size(), 1u);
     EXPECT_EQ(report.runs[0].label, "run-a");
-    EXPECT_EQ(report.runs[0].kernel, "ref");
     EXPECT_EQ(report.runs[0].wallNanos, 1000000000ull);
     EXPECT_DOUBLE_EQ(report.runs[0].domainShare("capcheck"), 0.4);
     EXPECT_TRUE(std::isnan(report.runs[0].domainShare("absent")));
@@ -284,15 +283,14 @@ TEST_F(CapstatProfTest, RealProfilerOutputLoads)
     const std::string path = dir / "real.prof.json";
     {
         std::ofstream os(path);
-        os << profile.json("kmp tasks=4 kernel=fast", "fast");
+        os << profile.json("kmp tasks=4");
     }
     ProfReport report;
     std::string error;
     ASSERT_TRUE(loadProfDocument(path, report, &error)) << error;
     ASSERT_EQ(report.runs.size(), 1u);
     const ProfRun &run = report.runs[0];
-    EXPECT_EQ(run.label, "kmp tasks=4 kernel=fast");
-    EXPECT_EQ(run.kernel, "fast");
+    EXPECT_EQ(run.label, "kmp tasks=4");
     EXPECT_EQ(run.wallNanos, profile.wallNanos());
     // Self-diffing a profile is always a PASS at tolerance 0.
     ProfDiffOptions opts;

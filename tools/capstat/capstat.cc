@@ -7,8 +7,6 @@
  *   capstat diff    BASELINE CURRENT          compare; exit 1 on
  *                   [--tolerance PCT]         p50/p95/p99 regression
  *                   [--metric PATH]...
- *                   [--strip-label KEY]...    drop " KEY=..." from run
- *                                             labels on both sides
  *   capstat top     FLIGHTS.json [-n N]       slowest-requests table
  *   capstat live    SOCKET [--interval MS]    live capcheckd dashboard
  *                   [--count N | --once]      (queue/cache/span table)
@@ -53,7 +51,6 @@ usage(std::ostream &os)
     os << "usage: capstat report LATENCY.json...\n"
           "       capstat merge -o OUT.json LATENCY.json...\n"
           "       capstat diff [--tolerance PCT] [--metric PATH]...\n"
-          "                    [--strip-label KEY]...\n"
           "                    BASELINE.json CURRENT.json...\n"
           "       capstat top FLIGHTS.json [-n N]\n"
           "       capstat live SOCKET [--interval MS] [--count N]\n"
@@ -133,7 +130,6 @@ cmdDiff(const std::vector<std::string> &args)
 {
     DiffOptions opts;
     std::vector<std::string> metrics;
-    std::vector<std::string> stripKeys;
     std::vector<std::string> paths;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--tolerance") {
@@ -150,13 +146,6 @@ cmdDiff(const std::vector<std::string> &args)
         } else if (args[i].rfind("--metric=", 0) == 0) {
             metrics.push_back(
                 args[i].substr(std::strlen("--metric=")));
-        } else if (args[i] == "--strip-label") {
-            if (i + 1 >= args.size())
-                return fail("--strip-label needs a label field key");
-            stripKeys.push_back(args[++i]);
-        } else if (args[i].rfind("--strip-label=", 0) == 0) {
-            stripKeys.push_back(
-                args[i].substr(std::strlen("--strip-label=")));
         } else {
             paths.push_back(args[i]);
         }
@@ -174,13 +163,6 @@ cmdDiff(const std::vector<std::string> &args)
     LatencyReport current;
     if (!loadAll({paths.begin() + 1, paths.end()}, current))
         return 2;
-
-    // Strip deliberate label axes (e.g. "kernel") from both sides so
-    // runs that differ only in that axis diff against each other.
-    for (const std::string &key : stripKeys) {
-        stripLabelField(baseline, key);
-        stripLabelField(current, key);
-    }
 
     return printDiff(std::cout, diffReports(baseline, current, opts),
                      opts)

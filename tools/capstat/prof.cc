@@ -65,8 +65,8 @@ insertRun(ProfReport &report, ProfRun run)
               });
 }
 
-/** Parse one run object ({"label","kernel","wallNanos","domains",
- *  "sites"}); false when the required members are malformed. */
+/** Parse one run object ({"label","wallNanos","domains","sites"});
+ *  false when the required members are malformed. */
 bool
 parseRun(const json::JsonValue &v, const std::string &path,
          ProfRun &run)
@@ -76,7 +76,6 @@ parseRun(const json::JsonValue &v, const std::string &path,
     if (!label || !label->isString() || !domains || !domains->isArray())
         return false;
     run.label = label->asString();
-    run.kernel = strMember(v, "kernel");
     run.wallNanos = u64Member(v, "wallNanos");
     run.source = path;
     for (const json::JsonValue &d : domains->elements()) {
@@ -208,7 +207,6 @@ mergedProfJson(const ProfReport &report)
     for (const ProfRun &run : report.runs) {
         w.beginObject();
         w.key("label").value(run.label);
-        w.key("kernel").value(run.kernel);
         w.key("wallNanos").value(run.wallNanos);
         w.key("domains").beginArray();
         for (const ProfDomain &d : run.domains) {
@@ -343,10 +341,8 @@ printProfReport(std::ostream &os, const ProfReport &report,
                 unsigned top_sites)
 {
     for (const ProfRun &run : report.runs) {
-        os << "run: " << run.label;
-        if (!run.kernel.empty())
-            os << " (kernel " << run.kernel << ")";
-        os << ", wall " << fmtMillis(run.wallNanos) << "ms\n";
+        os << "run: " << run.label << ", wall "
+           << fmtMillis(run.wallNanos) << "ms\n";
 
         TextTable domains(
             {"domain", "selfMs", "share", "totalMs", "calls"});

@@ -49,7 +49,6 @@ struct ProfSite
 struct ProfRun
 {
     std::string label;
-    std::string kernel;
     std::uint64_t wallNanos = 0;
     std::vector<ProfDomain> domains;
     std::vector<ProfSite> sites;
@@ -74,8 +73,8 @@ struct ProfReport
 
 /**
  * Load @p path into @p report. Accepts either a single-run profile
- * (schema capcheck.prof.v1: {"label", "kernel", "wallNanos",
- * "domains", "sites"}) or a merged report ({"runs": [...]}). Runs
+ * (schema capcheck.prof.v1: {"label", "wallNanos", "domains",
+ * "sites"}) or a merged report ({"runs": [...]}). Runs
  * merge into the existing report; a duplicate label overwrites the
  * earlier entry (last file wins).
  * @return false with a one-line @p error on parse/shape problems.

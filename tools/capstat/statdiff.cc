@@ -141,25 +141,6 @@ LatencyReport::find(const std::string &label) const
     return nullptr;
 }
 
-void
-stripLabelField(LatencyReport &report, const std::string &key)
-{
-    const std::string needle = " " + key + "=";
-    std::vector<RunMetrics> stripped;
-    stripped.swap(report.runs);
-    for (RunMetrics &run : stripped) {
-        const auto at = run.label.find(needle);
-        if (at != std::string::npos) {
-            const auto end =
-                run.label.find(' ', at + needle.size());
-            run.label.erase(at, end == std::string::npos
-                                    ? std::string::npos
-                                    : end - at);
-        }
-        insertRun(report, std::move(run));
-    }
-}
-
 bool
 loadLatencyDocument(const std::string &path, LatencyReport &report,
                     std::string *error)

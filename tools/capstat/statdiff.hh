@@ -111,17 +111,6 @@ struct DiffResult
     bool regression() const;
 };
 
-/**
- * Remove every " KEY=<token>" field from the run labels in @p report
- * (run labels are space-separated "key=value" fields after the
- * benchmark name). Lets CI diff reports whose labels differ only in a
- * deliberate axis — e.g. strip "kernel" to compare a `--kernel fast`
- * sweep against the reference baseline with --tolerance 0. Labels
- * colliding after the strip overwrite earlier ones (last wins), and
- * the report is re-sorted.
- */
-void stripLabelField(LatencyReport &report, const std::string &key);
-
 /** Compare @p current against @p baseline label-by-label. */
 DiffResult diffReports(const LatencyReport &baseline,
                        const LatencyReport &current,
