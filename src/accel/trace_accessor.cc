@@ -13,6 +13,28 @@ TraceAccessor::TraceAccessor(TaggedMemory &mem,
     if (this->buffers.size() != spec.buffers.size())
         fatal("TraceAccessor: mapping count mismatch for %s",
               spec.name.c_str());
+    std::vector<Window> windows;
+    for (ObjectId obj = 0; obj < this->buffers.size(); ++obj) {
+        const BufferMapping &buf = this->buffers[obj];
+        const Range whole{0, buf.size};
+        windows.push_back(
+            {mem.window(buf.base, buf.size), whole, whole,
+             spec.buffer(obj).placement ==
+                 workloads::BufferPlacement::external});
+    }
+    setWindows(std::move(windows));
+}
+
+TraceAccessor::~TraceAccessor()
+{
+    // Nothing reads an untaken trace, but its logged stores still owe
+    // their tag clears. Recording one of its beats can fail (an
+    // oversized beat); that panic has already reported itself and a
+    // destructor must not throw it on.
+    try {
+        drain();
+    } catch (const SimError &) {
+    }
 }
 
 Addr
@@ -49,19 +71,39 @@ TraceAccessor::recordAccess(MemCmd cmd, ObjectId obj, std::uint64_t off,
 }
 
 void
-TraceAccessor::load(ObjectId obj, std::uint64_t off, void *dst,
-                    std::uint32_t size)
+TraceAccessor::unwindowed(Event::Kind, ObjectId obj, std::uint64_t off,
+                          void *, const void *, std::uint32_t size)
 {
-    mem.read(resolve(obj, off, size), dst, size);
-    recordAccess(MemCmd::read, obj, off, size);
+    resolve(obj, off, size);
+    panic("accel window refused an in-buffer access: %s obj=%u "
+          "off=%llu size=%u",
+          spec.name.c_str(), obj, static_cast<unsigned long long>(off),
+          size);
 }
 
 void
-TraceAccessor::store(ObjectId obj, std::uint64_t off, const void *src,
-                     std::uint32_t size)
+TraceAccessor::consume(const Event *events, std::size_t n)
 {
-    mem.write(resolve(obj, off, size), src, size);
-    recordAccess(MemCmd::write, obj, off, size);
+    for (const Event *e = events; e != events + n; ++e) {
+        pendingOps += e->intOps + e->fpOps;
+        switch (e->kind) {
+          case Event::Kind::load:
+            recordAccess(MemCmd::read, e->obj, e->off, e->size);
+            break;
+          case Event::Kind::store:
+            mem.dataWritten(buffers[e->obj].base + e->off, e->size);
+            recordAccess(MemCmd::write, e->obj, e->off, e->size);
+            break;
+          case Event::Kind::barrier:
+            flushDelay();
+            if (trace.ops.empty() ||
+                trace.ops.back().kind != TraceOp::Kind::barrier)
+                trace.ops.push_back(TraceOp::barrier());
+            break; // consecutive barriers coalesce
+          case Event::Kind::compute:
+            break;
+        }
+    }
 }
 
 void
@@ -69,13 +111,17 @@ TraceAccessor::copy(ObjectId dst_obj, std::uint64_t dst_off,
                     ObjectId src_obj, std::uint64_t src_off,
                     std::uint64_t len)
 {
+    drain();
+
     // Functional move.
     std::vector<std::uint8_t> tmp(len);
-    mem.read(resolve(src_obj, src_off, 0), tmp.data(), len);
+    const Addr src = resolve(src_obj, src_off, 0);
+    const Addr dst = resolve(dst_obj, dst_off, 0);
     if (src_off + len > buffers[src_obj].size ||
         dst_off + len > buffers[dst_obj].size)
         panic("accel copy out of buffer");
-    mem.write(resolve(dst_obj, dst_off, 0), tmp.data(), len);
+    mem.read(src, tmp.data(), len);
+    mem.write(dst, tmp.data(), len);
 
     // Timing: BRAM-to-BRAM moves are a wide on-chip copy; external
     // endpoints cost one beat per 8 bytes.
@@ -97,31 +143,10 @@ TraceAccessor::copy(ObjectId dst_obj, std::uint64_t dst_off,
         pendingOps += len / 16 + 1; // wide local copy
 }
 
-void
-TraceAccessor::computeInt(std::uint64_t n)
-{
-    pendingOps += n;
-}
-
-void
-TraceAccessor::computeFp(std::uint64_t n)
-{
-    pendingOps += n;
-}
-
-void
-TraceAccessor::barrier()
-{
-    flushDelay();
-    if (!trace.ops.empty() &&
-        trace.ops.back().kind == TraceOp::Kind::barrier)
-        return; // coalesce
-    trace.ops.push_back(TraceOp::barrier());
-}
-
 InstanceTrace
 TraceAccessor::take()
 {
+    drain();
     flushDelay();
     return std::move(trace);
 }

@@ -11,15 +11,17 @@ namespace capcheck
 CacheModel::CacheModel(std::uint64_t size_bytes, std::uint64_t line_bytes,
                        unsigned ways)
     : lineSize(line_bytes), offsetBits(floorLog2(line_bytes)),
-      numWays(ways),
-      numSets(ways ? size_bytes / line_bytes / ways : 0),
-      ways(numSets * ways)
+      numWays(ways)
 {
+    const std::uint64_t num_sets =
+        ways ? size_bytes / line_bytes / ways : 0;
     if (!isPowerOf2(size_bytes) || !isPowerOf2(line_bytes) || ways == 0 ||
-        numSets == 0 || !isPowerOf2(numSets))
+        num_sets == 0 || !isPowerOf2(num_sets))
         fatal("CacheModel: bad geometry %llu/%llu/%u",
               static_cast<unsigned long long>(size_bytes),
               static_cast<unsigned long long>(line_bytes), ways);
+    setMask = num_sets - 1;
+    this->ways.resize(num_sets * ways);
 }
 
 void

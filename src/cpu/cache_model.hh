@@ -33,13 +33,14 @@ class CacheModel
      * @return true on hit; a miss fills the line (LRU victim).
      *
      * Inline: every simulated CPU load/store lands here, and the
-     * cross-TU call cost rivalled the way scan itself.
+     * cross-TU call cost rivalled the way scan itself. The set count
+     * is a power of two, so the set index is a mask, not a divide.
      */
     bool
     access(Addr addr)
     {
         const std::uint64_t line = addr >> offsetBits;
-        const std::uint64_t set = line % numSets;
+        const std::uint64_t set = line & setMask;
         Way *const begin = &ways[set * numWays];
         ++useClock;
 
@@ -79,7 +80,7 @@ class CacheModel
     std::uint64_t lineSize;
     unsigned offsetBits;
     unsigned numWays;
-    std::uint64_t numSets;
+    std::uint64_t setMask = 0; ///< set count - 1
     std::vector<Way> ways; ///< sets x ways, row-major
     std::uint64_t useClock = 0;
 

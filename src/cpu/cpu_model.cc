@@ -1,16 +1,67 @@
 #include "cpu/cpu_model.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace capcheck
 {
 
+namespace
+{
+
+using Range = workloads::MemoryAccessor::Range;
+
+/**
+ * The byte offsets of @p buf that @p cap authorizes for @p kind: empty
+ * unless the capability is tagged, unsealed and carries the permission,
+ * otherwise its bounds intersected with the buffer. An access lies in
+ * the result exactly when it lies in the buffer and checkAccess passes.
+ */
+Range
+capRange(const cheri::Capability &cap, cheri::AccessKind kind,
+         const BufferMapping &buf)
+{
+    const std::uint32_t need = cheri::requiredPerms(kind);
+    if (!cap.tag() || cap.sealed() || (cap.perms() & need) != need)
+        return {};
+    const u128 lo = std::max<u128>(cap.base(), buf.base);
+    const u128 hi = std::min<u128>(cap.top(), u128(buf.base) + buf.size);
+    if (lo > hi)
+        return {};
+    return {static_cast<std::uint64_t>(lo - buf.base),
+            static_cast<std::uint64_t>(hi - buf.base)};
+}
+
+} // namespace
+
 CpuAccessor::CpuAccessor(TaggedMemory &mem,
                          std::vector<BufferMapping> buffers,
                          bool cheri_enabled, const CpuCostParams &params)
     : mem(mem), buffers(std::move(buffers)), cheri(cheri_enabled),
-      params(params)
+      params(params),
+      tagFetchCountdown(cheri_enabled ? params.cheriTagMissInterval : 0)
 {
+    std::vector<Window> windows;
+    for (const BufferMapping &buf : this->buffers) {
+        Window w;
+        w.host = mem.window(buf.base, buf.size);
+        if (cheri) {
+            w.load = capRange(buf.cap, cheri::AccessKind::load, buf);
+            w.store = capRange(buf.cap, cheri::AccessKind::store, buf);
+        } else {
+            w.load = w.store = Range{0, buf.size};
+        }
+        windows.push_back(w);
+    }
+    setWindows(std::move(windows));
+}
+
+CpuAccessor::~CpuAccessor()
+{
+    // Cannot throw: consume() only counts, and its tag clears cover
+    // ranges mem.window() already checked.
+    drain();
 }
 
 Addr
@@ -39,38 +90,51 @@ CpuAccessor::resolve(ObjectId obj, std::uint64_t off, std::uint32_t size,
 }
 
 void
+CpuAccessor::unwindowed(Event::Kind kind, ObjectId obj, std::uint64_t off,
+                        void *, const void *, std::uint32_t size)
+{
+    resolve(obj, off, size, kind == Event::Kind::store);
+    panic("cpu window refused an access its checks allow: obj=%u "
+          "off=%llu size=%u",
+          obj, static_cast<unsigned long long>(off), size);
+}
+
+inline void
 CpuAccessor::chargeAccess(Addr addr, bool is_store)
 {
     if (cache.access(addr)) {
         _cycles += is_store ? params.storeHit : params.loadHit;
     } else {
         _cycles += params.missPenalty;
-        ++missCount;
-        if (cheri && params.cheriTagMissInterval &&
-            missCount % params.cheriTagMissInterval == 0) {
+        if (tagFetchCountdown != 0 && --tagFetchCountdown == 0) {
             _cycles += 1; // tag fetch alongside the line fill
+            tagFetchCountdown = params.cheriTagMissInterval;
         }
     }
 }
 
 void
-CpuAccessor::load(ObjectId obj, std::uint64_t off, void *dst,
-                  std::uint32_t size)
+CpuAccessor::consume(const Event *events, std::size_t n)
 {
-    const Addr addr = resolve(obj, off, size, false);
-    mem.read(addr, dst, size);
-    chargeAccess(addr, false);
-    ++_loads;
-}
-
-void
-CpuAccessor::store(ObjectId obj, std::uint64_t off, const void *src,
-                   std::uint32_t size)
-{
-    const Addr addr = resolve(obj, off, size, true);
-    mem.write(addr, src, size);
-    chargeAccess(addr, true);
-    ++_stores;
+    for (const Event *e = events; e != events + n; ++e) {
+        _cycles += e->intOps * params.intOp + e->fpOps * params.fpOp;
+        switch (e->kind) {
+          case Event::Kind::load:
+            chargeAccess(buffers[e->obj].base + e->off, false);
+            ++_loads;
+            break;
+          case Event::Kind::store: {
+            const Addr addr = buffers[e->obj].base + e->off;
+            mem.dataWritten(addr, e->size);
+            chargeAccess(addr, true);
+            ++_stores;
+            break;
+          }
+          case Event::Kind::barrier:
+          case Event::Kind::compute:
+            break;
+        }
+    }
 }
 
 void
@@ -78,6 +142,8 @@ CpuAccessor::copy(ObjectId dst_obj, std::uint64_t dst_off,
                   ObjectId src_obj, std::uint64_t src_off,
                   std::uint64_t len)
 {
+    drain();
+
     // Functional move.
     std::vector<std::uint8_t> tmp(len);
     const Addr src = resolve(src_obj, src_off, 0, false);
@@ -100,18 +166,6 @@ CpuAccessor::copy(ObjectId dst_obj, std::uint64_t dst_off,
     }
     _loads += iters;
     _stores += iters;
-}
-
-void
-CpuAccessor::computeInt(std::uint64_t n)
-{
-    _cycles += n * params.intOp;
-}
-
-void
-CpuAccessor::computeFp(std::uint64_t n)
-{
-    _cycles += n * params.fpOp;
 }
 
 void

@@ -52,7 +52,12 @@ struct BufferMapping
 
 /**
  * MemoryAccessor envelope that executes a kernel functionally against
- * TaggedMemory while accumulating CPU cycles.
+ * TaggedMemory while accumulating CPU cycles. Each buffer's windows
+ * are the buffer itself, intersected under CHERI with what its
+ * capability authorizes for that kind of access (tag, seal,
+ * permissions, bounds), so the inline range check gives the verdict
+ * Capability::checkAccess would. The cache model, counters and tag
+ * clears run when the access log drains.
  */
 class CpuAccessor : public workloads::MemoryAccessor
 {
@@ -63,30 +68,32 @@ class CpuAccessor : public workloads::MemoryAccessor
     CpuAccessor(TaggedMemory &mem, std::vector<BufferMapping> buffers,
                 bool cheri_enabled,
                 const CpuCostParams &params = CpuCostParams{});
+    ~CpuAccessor() override;
 
-    void load(ObjectId obj, std::uint64_t off, void *dst,
-              std::uint32_t size) override;
-    void store(ObjectId obj, std::uint64_t off, const void *src,
-               std::uint32_t size) override;
     void copy(ObjectId dst_obj, std::uint64_t dst_off, ObjectId src_obj,
               std::uint64_t src_off, std::uint64_t len) override;
-    void computeInt(std::uint64_t n) override;
-    void computeFp(std::uint64_t n) override;
 
     /** Charge task-entry costs (capability setup under CHERI). */
     void chargeTaskSetup();
 
-    Cycles cycles() const { return _cycles; }
-    std::uint64_t loads() const { return _loads; }
-    std::uint64_t stores() const { return _stores; }
-    std::uint64_t cacheMisses() const { return cache.misses(); }
+    /** @{ Counters; reading one drains the access log first. */
+    Cycles cycles() { drain(); return _cycles; }
+    std::uint64_t loads() { drain(); return _loads; }
+    std::uint64_t stores() { drain(); return _stores; }
+    std::uint64_t cacheMisses() { drain(); return cache.misses(); }
+    /** @} */
     bool cheriEnabled() const { return cheri; }
     const CpuCostParams &costParams() const { return params; }
 
     /** Flush the cache (between sequential tasks on the same core). */
-    void flushCache() { cache.flush(); }
+    void flushCache() { drain(); cache.flush(); }
 
   private:
+    void consume(const Event *events, std::size_t n) override;
+    void unwindowed(Event::Kind kind, ObjectId obj, std::uint64_t off,
+                    void *dst, const void *src,
+                    std::uint32_t size) override;
+
     Addr resolve(ObjectId obj, std::uint64_t off, std::uint32_t size,
                  bool is_store);
     void chargeAccess(Addr addr, bool is_store);
@@ -100,7 +107,8 @@ class CpuAccessor : public workloads::MemoryAccessor
     Cycles _cycles = 0;
     std::uint64_t _loads = 0;
     std::uint64_t _stores = 0;
-    std::uint64_t missCount = 0;
+    /** Misses left until the next CHERI tag-fetch charge (0: never). */
+    unsigned tagFetchCountdown;
 };
 
 } // namespace capcheck

@@ -17,7 +17,7 @@ namespace capcheck
 {
 
 /** Memory command. */
-enum class MemCmd
+enum class MemCmd : std::uint8_t
 {
     read,
     write,

@@ -33,17 +33,23 @@ void
 TaggedMemory::write(Addr addr, const void *src, std::uint64_t len)
 {
     checkRange(addr, len);
-    std::memcpy(data.get() + addr, src, len);
-    clearTags(addr, len);
-    if (paranoidChecks && len > 0) {
-        // Postcondition of the tag discipline: a data write can never
-        // leave a valid capability tag over the bytes it touched.
-        const std::uint64_t first = addr / capGranule;
-        const std::uint64_t last = (addr + len - 1) / capGranule;
-        for (std::uint64_t g = first; g <= last; ++g)
-            INVARIANT(!tags[g], "data write left granule %llu tagged",
-                      static_cast<unsigned long long>(g));
-    }
+    if (len != 0) // an empty copy's buffer may be null
+        std::memcpy(data.get() + addr, src, len);
+    dataWritten(addr, len);
+}
+
+void
+TaggedMemory::checkUntagged(Addr addr, std::uint64_t len) const
+{
+    // Postcondition of the tag discipline: a data write can never
+    // leave a valid capability tag over the bytes it touched.
+    if (len == 0)
+        return;
+    const std::uint64_t first = addr / capGranule;
+    const std::uint64_t last = (addr + len - 1) / capGranule;
+    for (std::uint64_t g = first; g <= last; ++g)
+        INVARIANT(!tags[g], "data write left granule %llu tagged",
+                  static_cast<unsigned long long>(g));
 }
 
 void
@@ -95,18 +101,6 @@ TaggedMemory::tagAt(Addr addr) const
 {
     checkRange(addr, 1);
     return tags[addr / capGranule];
-}
-
-void
-TaggedMemory::clearTags(Addr addr, std::uint64_t len)
-{
-    if (len == 0)
-        return;
-    checkRange(addr, len);
-    const std::uint64_t first = addr / capGranule;
-    const std::uint64_t last = (addr + len - 1) / capGranule;
-    for (std::uint64_t g = first; g <= last; ++g)
-        tags[g] = false;
 }
 
 std::uint64_t

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/invariant.hh"
 #include "base/types.hh"
 #include "cheri/capability.hh"
 
@@ -71,7 +72,8 @@ class TaggedMemory
     read(Addr addr, void *dst, std::uint64_t len) const
     {
         checkRange(addr, len);
-        std::memcpy(dst, data.get() + addr, len);
+        if (len != 0) // an empty copy's buffer may be null
+            std::memcpy(dst, data.get() + addr, len);
     }
 
     /**
@@ -82,6 +84,31 @@ class TaggedMemory
      * Only the CapChecker's interposed path uses tag-clearing writes.
      */
     void writeRawDma(Addr addr, const void *src, std::uint64_t len);
+
+    /**
+     * Host pointer to the bytes [addr, addr+len), range-checked once
+     * here instead of per access. Bytes stored through it keep their
+     * granule tags until the writer reports them with dataWritten().
+     */
+    std::uint8_t *
+    window(Addr addr, std::uint64_t len)
+    {
+        checkRange(addr, len);
+        return data.get() + addr;
+    }
+
+    /**
+     * Record a data write of [addr, addr+len) made through a window():
+     * clears every overlapping granule tag, as write() does. Inline:
+     * every store a kernel makes is reported here.
+     */
+    void
+    dataWritten(Addr addr, std::uint64_t len)
+    {
+        clearTags(addr, len);
+        if (paranoidChecks)
+            checkUntagged(addr, len);
+    }
 
     template <typename T>
     void
@@ -117,7 +144,16 @@ class TaggedMemory
     bool tagAt(Addr addr) const;
 
     /** Clear the tags of all granules overlapping [addr, addr+len). */
-    void clearTags(Addr addr, std::uint64_t len);
+    void
+    clearTags(Addr addr, std::uint64_t len)
+    {
+        if (len == 0)
+            return;
+        checkRange(addr, len);
+        const std::uint64_t last = (addr + len - 1) / capGranule;
+        for (std::uint64_t g = addr / capGranule; g <= last; ++g)
+            tags[g] = false;
+    }
 
     /** Count of set tags over the whole memory (for audits/tests). */
     std::uint64_t countTags() const;
@@ -145,6 +181,9 @@ class TaggedMemory
             rangeError(addr, len);
     }
     [[noreturn]] void rangeError(Addr addr, std::uint64_t len) const;
+
+    /** Paranoid postcondition of a data write: no tag left set. */
+    void checkUntagged(Addr addr, std::uint64_t len) const;
 
     struct FreeDeleter
     {

@@ -40,13 +40,6 @@ registry()
 
 } // namespace
 
-#ifndef CAPCHECK_PROF_OFF
-namespace detail
-{
-thread_local RunProfile *tlsProfile = nullptr;
-} // namespace detail
-#endif
-
 SiteId
 registerSite(const std::string &domain, const std::string &name)
 {

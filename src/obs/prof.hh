@@ -174,7 +174,10 @@ inline RunProfile *installCurrent(RunProfile *) { return nullptr; }
 
 namespace detail
 {
-extern thread_local RunProfile *tlsProfile;
+// Defined inline and constant-initialised so every access is a plain
+// TLS load: an extern thread_local goes through a TLS wrapper function
+// that GCC's UBSan reports as a null load in every profiled run.
+constinit inline thread_local RunProfile *tlsProfile = nullptr;
 } // namespace detail
 
 /** The profile receiving this thread's scopes, or nullptr. */

@@ -24,4 +24,31 @@ MemoryAccessor::copy(ObjectId dst_obj, std::uint64_t dst_off,
     }
 }
 
+void
+MemoryAccessor::drain()
+{
+    if (intOps != 0 || fpOps != 0)
+        record(Event::Kind::compute, invalidObjectId, 0, 0);
+    if (logged != 0)
+        flushLog();
+}
+
+void
+MemoryAccessor::flushLog()
+{
+    // Empty the log before consume() runs: should it panic, the events
+    // it was given are not handed to it a second time.
+    const std::size_t n = logged;
+    logged = 0;
+    consume(log.data(), n);
+}
+
+void
+MemoryAccessor::outside(Event::Kind kind, ObjectId obj, std::uint64_t off,
+                        void *dst, const void *src, std::uint32_t size)
+{
+    drain();
+    unwindowed(kind, obj, off, dst, src, size);
+}
+
 } // namespace capcheck::workloads

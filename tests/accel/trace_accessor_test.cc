@@ -151,5 +151,59 @@ TEST_F(TraceAccessorTest, MappingCountMismatchIsFatal)
                  SimError);
 }
 
+TEST_F(TraceAccessorTest, WindowStoresClearCapabilityTagsOnceTaken)
+{
+    // Streamed stores produce no beat but still owe their tag clears.
+    const cheri::Capability cap =
+        cheri::Capability::root().setBounds(0x1000, 64);
+    mem.writeCap(0x2010, cap);
+    mem.writeCap(0x3020, cap);
+    const std::uint64_t tags = mem.countTags();
+    acc.st<std::uint64_t>(1, 2, 7); // external, granule 0x2010
+    acc.st<std::uint8_t>(2, 0x2f, 1); // streamed, granule 0x3020
+    const InstanceTrace trace = acc.take();
+    EXPECT_EQ(trace.accessBeats(), 1u);
+    EXPECT_FALSE(mem.tagAt(0x2010));
+    EXPECT_FALSE(mem.tagAt(0x3020));
+    EXPECT_EQ(mem.countTags(), tags - 2);
+}
+
+TEST_F(TraceAccessorTest, DestructionDrainsPendingTagClears)
+{
+    mem.writeCap(0x2000, cheri::Capability::root().setBounds(0x2000, 16));
+    {
+        TraceAccessor other(mem, spec, makeMappings());
+        other.st<std::uint8_t>(1, 0, 1);
+    }
+    EXPECT_FALSE(mem.tagAt(0x2000));
+    EXPECT_EQ(mem.countTags(), 0u);
+}
+
+TEST(TraceOpTest, PackedIntoSixteenBytes)
+{
+    EXPECT_EQ(sizeof(TraceOp), 16u);
+    const TraceOp op = TraceOp::access(MemCmd::write, 3, ~0ull, 0xffff);
+    EXPECT_EQ(op.off, ~0ull); // offsets keep all 64 bits
+    EXPECT_EQ(op.size, 0xffffu);
+    EXPECT_EQ(TraceOp::delay(1ull << 40).cycles, 1ull << 40);
+}
+
+TEST(TraceOpTest, OversizedBeatPanicsInsteadOfTruncating)
+{
+    EXPECT_THROW(TraceOp::access(MemCmd::read, 0, 0, 0x10000), SimError);
+
+    // The same beat recorded by the envelope: a raw 64 KiB load on an
+    // external buffer fails when the log drains, not silently.
+    KernelSpec big;
+    big.name = "big";
+    big.buffers = {{"ext", 0x10000, BufferAccess::readOnly,
+                    BufferPlacement::external}};
+    TaggedMemory mem(1 << 18);
+    TraceAccessor acc(mem, big, {{0x1000, 0x10000, {}}});
+    std::vector<std::uint8_t> dst(0x10000);
+    acc.load(0, 0, dst.data(), 0x10000);
+    EXPECT_THROW(acc.take(), SimError);
+}
+
 } // namespace
 } // namespace capcheck::accel

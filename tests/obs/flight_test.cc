@@ -9,8 +9,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,11 +58,14 @@ response(PortId port, std::uint64_t id, bool ok = true)
     return resp;
 }
 
-/** Run @p fn at absolute cycle @p when. */
+/** Run @p fn at absolute cycle @p when. The queue does not own its
+ *  events, so they live here until the test binary exits. */
 void
 at(EventQueue &eq, Cycles when, std::function<void()> fn)
 {
-    eq.schedule(new LambdaEvent(std::move(fn)), when);
+    static std::vector<std::unique_ptr<LambdaEvent>> events;
+    events.push_back(std::make_unique<LambdaEvent>(std::move(fn)));
+    eq.schedule(events.back().get(), when);
 }
 
 std::string
