@@ -2,7 +2,7 @@
 # Gate for the host-time self-profiler (obs/prof, --prof-out):
 # profiling must observe without perturbing.
 #
-# Four stages:
+# Five stages:
 #  1. Byte identity: the quick grid runs with the profiler off and on
 #     (at --jobs 1 and --jobs N), and every simulated artefact —
 #     per-run result JSON and latency artefacts — must be
@@ -22,10 +22,18 @@
 #     unnoticed. (Cheap single points still
 #     show a large "other" share, so the gate is grid-wide, not
 #     per run.)
-#  3. Reader tools: `capstat prof report` renders the profiles and
+#  3. Dispatches per beat: the event dispatches of the quick grid
+#     (the calls of every sim site but the eventq.run scope, plus
+#     mem/memctrl.respond, the memory controller's response events)
+#     divided by its simulated DMA beats may not exceed
+#     MAX_DISPATCHES_PER_BEAT. Both counts are exact and
+#     machine-independent, so the ceiling is the measured value
+#     (3.5554): a wake path that brings back no-op player ticks, or a
+#     component that starts ticking per cycle, fails it.
+#  4. Reader tools: `capstat prof report` renders the profiles and
 #     `capstat prof merge` + self-`diff` at tolerance 0 passes — the
 #     merged document is a valid baseline format.
-#  4. Overhead ceiling: the profiled grid may be at most
+#  5. Overhead ceiling: the profiled grid may be at most
 #     PROF_MAX_OVERHEAD times slower than the unprofiled grid.
 #     Profiling reads the steady clock twice per dispatched event, so
 #     event-granularity attribution roughly doubles the hot loop
@@ -58,7 +66,7 @@ run_grid() {
     awk "BEGIN { printf \"%.3f\", ($t1 - $t0) / 1e9 }"
 }
 
-echo "prof_check: [1/4] byte identity, profiler off vs on"
+echo "prof_check: [1/5] byte identity, profiler off vs on"
 base_secs=$(run_grid off-j1 --jobs 1)
 prof_secs=$(run_grid on-j1 --jobs 1 \
     --prof-out "$work/on-j1/prof" --prof-folded "$work/on-j1/folded")
@@ -113,7 +121,7 @@ EOF
 done
 echo "prof_check: artefacts byte-identical across off/on, jobs 1/$jobs"
 
-echo "prof_check: [2/4] profile shape and exact books"
+echo "prof_check: [2/5] profile shape and exact books"
 python3 - "$work/on-j1/prof" "$work/on-j1/folded" <<'EOF'
 import glob, json, os, sys
 
@@ -164,7 +172,35 @@ assert other_share <= MAX_OTHER, \
     f"'other' holds {100 * other_share:.2f} % of the grid's run wall time"
 EOF
 
-echo "prof_check: [3/4] capstat prof report / merge / diff"
+echo "prof_check: [3/5] dispatches per DMA beat"
+python3 - "$work/on-j1/prof" "$work/on-j1/results" <<'EOF'
+import glob, json, os, sys
+
+# Exact count; raise only with a change that needs more dispatches.
+MAX_DISPATCHES_PER_BEAT = 3.5554
+
+prof_dir, results_dir = sys.argv[1], sys.argv[2]
+dispatches = 0
+for path in glob.glob(os.path.join(prof_dir, "run-*.prof.json")):
+    with open(path) as f:
+        for site in json.load(f)["sites"]:
+            name = f"{site['domain']}/{site['name']}"
+            if ((site["domain"] == "sim" and name != "sim/eventq.run")
+                    or name == "mem/memctrl.respond"):
+                dispatches += site["calls"]
+beats = 0
+for path in glob.glob(os.path.join(results_dir, "run-*.json")):
+    with open(path) as f:
+        beats += json.load(f)["result"]["dmaBeats"]
+assert beats > 0, "quick grid simulated no DMA beats"
+ratio = dispatches / beats
+print(f"{dispatches} dispatches / {beats} DMA beats = {ratio:.4f} "
+      f"(max {MAX_DISPATCHES_PER_BEAT})")
+assert ratio <= MAX_DISPATCHES_PER_BEAT, \
+    f"{ratio:.4f} dispatches per beat exceeds {MAX_DISPATCHES_PER_BEAT}"
+EOF
+
+echo "prof_check: [4/5] capstat prof report / merge / diff"
 "$build/tools/capstat" prof report --sites 3 \
     "$work"/on-j1/prof/run-*.prof.json > /dev/null
 "$build/tools/capstat" prof merge -o "$work/merged.prof.json" \
@@ -172,7 +208,7 @@ echo "prof_check: [3/4] capstat prof report / merge / diff"
 "$build/tools/capstat" prof diff --tolerance 0 \
     "$work/merged.prof.json" "$work/merged.prof.json"
 
-echo "prof_check: [4/4] overhead ceiling" \
+echo "prof_check: [5/5] overhead ceiling" \
      "(off ${base_secs}s, on ${prof_secs}s, max ${max_overhead}x)"
 awk "BEGIN { exit !($prof_secs <= $base_secs * $max_overhead) }" || {
     echo "prof_check: FAIL: profiled grid ${prof_secs}s exceeds" \

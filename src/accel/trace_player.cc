@@ -108,7 +108,7 @@ TracePlayer::handleResponse(const MemResponse &resp)
         _failed = true;
         CAPCHECK_DPRINTF(debug::accel, "%s: beat denied, aborting",
                          name().c_str());
-        activate(1);
+        wakeOnResponse(true);
         return;
     }
     // While the retry wake is armed the player is waiting on its
@@ -117,7 +117,24 @@ TracePlayer::handleResponse(const MemResponse &resp)
     // wakes us). Skipping the wake here drops one no-op tick per
     // in-flight beat.
     if (!awaitRetry)
-        activate(1);
+        wakeOnResponse(false);
+}
+
+void
+TracePlayer::wakeOnResponse(bool denied)
+{
+    // Where the last tick skipped its successor, a response on the
+    // skipped tick's cycle stands in for it: the polling player ran
+    // that tick after every response of the cycle, so tick on this
+    // very cycle (responses fire before requestPrio). Otherwise the
+    // response is seen on the next cycle's tick. A skipped tick that
+    // would only have started the delay now running (busyUntil lies
+    // ahead) is needed only by a denial, which it would have seen
+    // before the delay.
+    const bool on_skipped_tick =
+        skippedAfter != noCycle && curCycle() == skippedAfter + 1 &&
+        (denied || busyUntil <= curCycle());
+    activate(on_skipped_tick ? 0 : 1);
 }
 
 void
@@ -146,6 +163,21 @@ TracePlayer::pollSleep()
     return false;
 }
 
+bool
+TracePlayer::responseSleep()
+{
+    // A polling player would take one more tick, find the credit
+    // window full or the barrier waiting, and fall into
+    // response-driven sleep. Sleep now instead and let
+    // wakeOnResponse() stand in for that tick. The retry wake stays
+    // disarmed: a grant landing on the same cycle as the
+    // credit-freeing response would otherwise pull the next issue one
+    // cycle early (grants fire at arbitratePrio, after the response
+    // has already dropped `outstanding` below the cap).
+    skippedAfter = curCycle();
+    return false;
+}
+
 void
 TracePlayer::finish()
 {
@@ -161,9 +193,11 @@ bool
 TracePlayer::tick()
 {
     PROF_SCOPE("replay", "player.tick");
-    // Every return path below re-decides whether a grant retry may
-    // wake us; only pollSleep() arms it.
+    // Every return path below re-decides how the player may be
+    // woken: only pollSleep() arms the grant retry, and only the
+    // skipped-tick paths record skippedAfter.
     awaitRetry = false;
+    skippedAfter = noCycle;
 
     if (phase == Phase::idle || phase == Phase::done)
         return false;
@@ -203,17 +237,8 @@ TracePlayer::tick()
         const StreamBeat &beat = beats[streamIndex];
         if (issue(beat.cmd, beat.obj, beat.off, beat.size)) {
             ++streamIndex;
-            if (outstanding >= streamCredits) {
-                // This beat saturated the credit window. Take the next
-                // tick, which hits the credit check and falls into
-                // response-driven sleep, rather than arm the retry
-                // wake: a grant landing on the same cycle as the
-                // credit-freeing response would otherwise pull the
-                // next issue one cycle early (grants fire at
-                // arbitratePrio, after the response has already
-                // dropped `outstanding` below the cap).
-                return true;
-            }
+            if (outstanding >= streamCredits)
+                return responseSleep();
         }
         return pollSleep();
       }
@@ -238,31 +263,38 @@ TracePlayer::tick()
                 return false; // reactivated by responses
             ++opIndex;
             return true;
-          case TraceOp::Kind::access:
+          case TraceOp::Kind::access: {
             if (outstanding >= spec.timing.maxOutstanding)
                 return false;
-            if (issue(op.cmd, op.obj, op.off, op.size)) {
-                ++opIndex;
-                if (outstanding >= spec.timing.maxOutstanding) {
-                    // Credit-saturating issue: take one more tick so
-                    // we land in response-driven sleep (see the
-                    // stream-phase comment for the same-cycle
-                    // grant/response hazard).
-                    return true;
-                }
-                if (opIndex >= trace.ops.size() ||
-                    trace.ops[opIndex].kind != TraceOp::Kind::access) {
-                    // A delay, barrier or the phase transition
-                    // follows: it is clocked off the next cycle's
-                    // tick.
-                    return true;
-                }
-                // Next op is another beat: sleep until the grant
-                // retry, which lands on the cycle a poll would issue
-                // on.
+            if (!issue(op.cmd, op.obj, op.off, op.size))
                 return pollSleep();
+            ++opIndex;
+            const TraceOp *next =
+                opIndex < trace.ops.size() ? &trace.ops[opIndex] : nullptr;
+            if (next && next->kind == TraceOp::Kind::delay &&
+                next->cycles > 0) {
+                // The next cycle's tick would only start this delay:
+                // start it now, ending where that tick would have.
+                ++opIndex;
+                busyUntil = curCycle() + 1 + next->cycles;
+                activate(1 + next->cycles);
+                skippedAfter = curCycle();
+                return false;
             }
+            // A barrier waits at least on the beat just issued.
+            if (next && (next->kind == TraceOp::Kind::barrier ||
+                         (next->kind == TraceOp::Kind::access &&
+                          outstanding >= spec.timing.maxOutstanding)))
+                return responseSleep();
+            if (!next || next->kind != TraceOp::Kind::access) {
+                // A zero-cycle delay or the phase transition follows:
+                // it is clocked off the next cycle's tick.
+                return true;
+            }
+            // Next op is another beat: sleep until the grant retry,
+            // which lands on the cycle a poll would issue on.
             return pollSleep();
+          }
         }
         return true;
       }

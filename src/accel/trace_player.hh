@@ -131,6 +131,12 @@ class TracePlayer : public TickingObject, public ResponseHandler
     /** tick() epilogue on the poll paths: where a polling player
      *  would keep ticking, sleep and arm the retry wake. */
     bool pollSleep();
+    /** tick() epilogue after an issue whose next tick could only find
+     *  the credit window full or a barrier waiting: sleep until a
+     *  response. */
+    bool responseSleep();
+    /** Wake the tick for a response (or a denial) that just arrived. */
+    void wakeOnResponse(bool denied);
     void finish();
 
     const workloads::KernelSpec &spec;
@@ -154,11 +160,20 @@ class TracePlayer : public TickingObject, public ResponseHandler
      * Retries arriving while the player sleeps on a response-driven
      * precondition (credits, drain, barrier) must be ignored: the
      * response reactivates the player one cycle later, and a
-     * same-cycle retry wake would issue a cycle early. An issue that
-     * fills the window keeps ticking for one more cycle instead of
-     * arming, so it lands in that response-driven sleep.
+     * same-cycle retry wake would issue a cycle early.
      */
     bool awaitRetry = false;
+    /**
+     * Cycle of the last issuing tick that slept where a polling player
+     * would have taken one more tick on the next cycle: an issue that
+     * filled the credit window or is followed by a barrier, or one
+     * that started the delay op after it. A response arriving on the
+     * skipped tick's cycle wakes the player on that same cycle
+     * instead of the next (see wakeOnResponse()). noCycle when the
+     * last tick skipped nothing.
+     */
+    Cycles skippedAfter = noCycle;
+    static constexpr Cycles noCycle = ~Cycles{0};
     Cycles busyUntil = 0;
     bool _failed = false;
     Cycles _finishCycle = 0;

@@ -49,8 +49,10 @@ AxiInterconnect::offer(unsigned slot, const MemRequest &req)
     if (ms.pending)
         return false;
     ms.pending = req;
+    if (req.srcPort >= portToSlot.size())
+        portToSlot.resize(req.srcPort + 1, noSlot);
     portToSlot[req.srcPort] = slot;
-    ++offeredBeats;
+    ++pendingSlots;
     _offerProbe.notify(req);
     activate(1);
     return true;
@@ -59,26 +61,37 @@ AxiInterconnect::offer(unsigned slot, const MemRequest &req)
 void
 AxiInterconnect::handleResponse(const MemResponse &resp)
 {
-    const auto it = portToSlot.find(resp.srcPort);
-    if (it == portToSlot.end())
+    const unsigned slot = resp.srcPort < portToSlot.size()
+                              ? portToSlot[resp.srcPort]
+                              : noSlot;
+    if (slot == noSlot)
         panic("xbar: response for source port %u that never offered "
               "a beat here",
               resp.srcPort);
     _respondProbe.notify(resp);
-    masters.at(it->second).port->sendResponse(resp);
+    masters[slot].port->sendResponse(resp);
 }
 
 void
 AxiInterconnect::grantBeat(MasterSlot &slot)
 {
     ++grants;
-    ++grantedBeats;
+    --pendingSlots;
     _grantProbe.notify(*slot.pending);
     slot.pending.reset();
     // The slot is free again: wake the master in case it is waiting to
     // issue its next beat instead of polling every cycle (the trace
     // player relies on it; a polling master ignores it).
     slot.port->sendRetry();
+}
+
+unsigned
+AxiInterconnect::countPending() const
+{
+    unsigned held = 0;
+    for (const MasterSlot &slot : masters)
+        held += slot.pending.has_value();
+    return held;
 }
 
 void
@@ -139,18 +152,14 @@ AxiInterconnect::tick()
     }
 
     // Keep ticking while any master still holds a request.
-    unsigned still_pending = 0;
-    for (const MasterSlot &slot : masters)
-        still_pending += slot.pending.has_value();
-    PARANOID_INVARIANT(
-        offeredBeats == grantedBeats + still_pending,
-        "slot/grant conservation: offered=%llu granted=%llu pending=%u",
-        static_cast<unsigned long long>(offeredBeats),
-        static_cast<unsigned long long>(grantedBeats), still_pending);
+    PARANOID_INVARIANT(countPending() == pendingSlots,
+                       "slot conservation: %u slots hold a request, "
+                       "%u counted pending",
+                       countPending(), pendingSlots);
     PARANOID_INVARIANT(burstLeft < maxBurst,
                        "burst budget %u exceeds max burst %u", burstLeft,
                        maxBurst);
-    return still_pending > 0;
+    return pendingSlots > 0;
 }
 
 } // namespace capcheck

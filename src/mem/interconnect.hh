@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/probe.hh"
@@ -107,31 +106,34 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
 
     /** Sentinel: no master currently owns a burst. */
     static constexpr unsigned noOwner = ~0u;
+    /** Sentinel: the source port never offered a beat here. */
+    static constexpr unsigned noSlot = ~0u;
 
     void grantBeat(MasterSlot &slot);
     void resetBurst();
+    /** Slots holding a request, recounted (PARANOID checks). */
+    unsigned countPending() const;
 
     RequestPort memSidePort;
     std::vector<MasterSlot> masters;
 
     /**
-     * Source port id -> local slot, recorded at offer() time so
-     * responses route correctly even when this crossbar's slot indices
-     * differ from the masters' global port ids (multi-crossbar
-     * topologies).
+     * Local slot by source port id (noSlot where none), recorded at
+     * offer() time so responses route correctly even when this
+     * crossbar's slot indices differ from the masters' global port ids
+     * (multi-crossbar topologies). Port ids are small and dense, so a
+     * flat table grown on demand replaces a hash lookup per beat.
      */
-    std::unordered_map<PortId, unsigned> portToSlot;
+    std::vector<unsigned> portToSlot;
 
     unsigned rrNext = 0;
     unsigned maxBurst;
     unsigned burstLeft = 0;
     unsigned burstOwner = noOwner;
 
-    /** @{ Conservation bookkeeping: every offered beat is either still
-     *  pending in its slot or has been granted downstream. */
-    std::uint64_t offeredBeats = 0;
-    std::uint64_t grantedBeats = 0;
-    /** @} */
+    /** Slots holding a request: incremented by offer(), decremented
+     *  by a grant. */
+    unsigned pendingSlots = 0;
 
     stats::Scalar grants;
     stats::Scalar stallCycles;

@@ -45,15 +45,6 @@ Event::profSite() const
     return site;
 }
 
-std::size_t
-EventQueue::storedEntries() const
-{
-    std::size_t total = overflow.size();
-    for (const std::vector<Entry> &bucket : ring)
-        total += bucket.size();
-    return total;
-}
-
 void
 EventQueue::schedule(Event *event, Cycles when)
 {
@@ -69,23 +60,53 @@ EventQueue::schedule(Event *event, Cycles when)
     event->_when = when;
     event->_sequence = nextSequence++;
     event->_scheduled = true;
-    const Entry entry{when, event->priority(), event->_sequence, event};
     if (when - _curCycle < ringSize) {
-        std::vector<Entry> &bucket = ring[when & (ringSize - 1)];
-        bucket.push_back(entry);
-        std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
-        markOccupied(when & (ringSize - 1));
-        if (ringLive == 0 || when < ringCursor)
-            ringCursor = when;
-        ++ringLive;
+        linkRing(event);
     } else {
-        overflow.push_back(entry);
+        overflow.push_back(
+            Entry{when, event->priority(), event->_sequence, event});
         std::push_heap(overflow.begin(), overflow.end(),
                        std::greater<>{});
     }
     ++live;
-    PARANOID_INVARIANT(storedEntries() == live + staleCount,
+    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
                        "live-count conservation after schedule");
+}
+
+void
+EventQueue::linkRing(Event *event)
+{
+    const std::size_t pos = event->_when & (ringSize - 1);
+    Bucket &bucket = ring[pos];
+    // Walk back from the tail past the entries of higher priority.
+    // Equal-priority entries stay ahead: a fresh schedule carries the
+    // largest sequence yet, and an entry migrating from the overflow
+    // heap finds its bucket holding only the entries of its cycle that
+    // migrated just before it, in heap order.
+    Event *after = bucket.tail;
+    while (after && after->_priority > event->_priority)
+        after = after->_prev;
+    event->_prev = after;
+    event->_next = after ? after->_next : bucket.head;
+    (event->_next ? event->_next->_prev : bucket.tail) = event;
+    (after ? after->_next : bucket.head) = event;
+    markOccupied(pos);
+    if (ringLive == 0 || event->_when < ringCursor)
+        ringCursor = event->_when;
+    ++ringLive;
+}
+
+void
+EventQueue::unlinkRing(Event *event)
+{
+    const std::size_t pos = event->_when & (ringSize - 1);
+    Bucket &bucket = ring[pos];
+    (event->_prev ? event->_prev->_next : bucket.head) = event->_next;
+    (event->_next ? event->_next->_prev : bucket.tail) = event->_prev;
+    event->_prev = event->_next = nullptr;
+    if (!bucket.head)
+        clearOccupied(pos);
+    --ringLive;
 }
 
 void
@@ -94,38 +115,25 @@ EventQueue::deschedule(Event *event)
     if (!event->_scheduled)
         panic("descheduling non-scheduled event: %s",
               event->description().c_str());
-    // Lazy deletion: the entry's location is known from its cycle, so
-    // tombstone it in place (null the Event pointer); it is dropped
-    // when it surfaces, or wholesale by compaction once stale entries
-    // outnumber live ones. The Event is never dereferenced through the
-    // stale entry, so the owner is free to destroy a descheduled event
-    // immediately.
-    const auto tombstone = [event](std::vector<Entry> &entries) {
-        for (Entry &e : entries) {
-            if (e.sequence == event->_sequence && e.event) {
-                e.event = nullptr;
-                return true;
-            }
-        }
-        return false;
-    };
-    // In-window entries live in their cycle's bucket — but an entry
-    // scheduled while its cycle was beyond the window sits in overflow
-    // even after time approached, so fall through.
-    bool found = event->_when - _curCycle < ringSize &&
-                 tombstone(ring[event->_when & (ringSize - 1)]);
-    if (found) {
-        --ringLive;
+    if (event->_when - _curCycle < ringSize) {
+        unlinkRing(event);
     } else {
-        found = tombstone(overflow);
+        // Far-future entries are deleted lazily: null the Event
+        // pointer in place. The entry is dropped when it surfaces or
+        // by compaction, and never dereferenced, so the owner is free
+        // to destroy a descheduled event immediately.
+        const auto it = std::find_if(
+            overflow.begin(), overflow.end(),
+            [event](const Entry &entry) { return entry.event == event; });
+        INVARIANT(it != overflow.end(), "descheduled event not stored: %s",
+                  event->description().c_str());
+        it->event = nullptr;
+        ++staleCount;
     }
-    INVARIANT(found, "descheduled event not stored: %s",
-              event->description().c_str());
-    ++staleCount;
     event->_scheduled = false;
     --live;
     maybeCompact();
-    PARANOID_INVARIANT(storedEntries() == live + staleCount,
+    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
                        "live-count conservation after deschedule");
 }
 
@@ -140,76 +148,38 @@ EventQueue::reschedule(Event *event, Cycles when)
 void
 EventQueue::maybeCompact()
 {
-    // Amortized O(1): a compaction costs O(stored) but only fires once
-    // stale entries exceed live ones, so the next trigger needs the
-    // (now at most half-sized) storage to degrade by half again.
+    // Amortized O(1): a compaction costs O(overflow) but only fires
+    // once stale entries exceed live ones, so the next trigger needs
+    // the (now at most half-sized) storage to degrade by half again.
+    // Deschedules and dispatches both check, so the bound holds
+    // between any two queue operations.
     if (staleCount <= live)
         return;
-    const auto dead = [](const Entry &entry) {
-        return entry.event == nullptr;
-    };
-    for (std::size_t pos = 0; pos < ringSize; ++pos) {
-        std::vector<Entry> &bucket = ring[pos];
-        if (bucket.empty())
-            continue;
-        bucket.erase(std::remove_if(bucket.begin(), bucket.end(), dead),
-                     bucket.end());
-        std::make_heap(bucket.begin(), bucket.end(), std::greater<>{});
-        if (bucket.empty())
-            clearOccupied(pos);
-    }
-    overflow.erase(std::remove_if(overflow.begin(), overflow.end(), dead),
+    overflow.erase(std::remove_if(overflow.begin(), overflow.end(),
+                                  [](const Entry &entry) {
+                                      return entry.event == nullptr;
+                                  }),
                    overflow.end());
     std::make_heap(overflow.begin(), overflow.end(), std::greater<>{});
     staleCount = 0;
-    INVARIANT(storedEntries() == live,
-              "compaction lost events: %zu stored, %zu live",
-              storedEntries(), live);
 }
 
-bool
-EventQueue::purgeStale()
+std::size_t
+EventQueue::countRing() const
 {
-    // Overflow: pop surfaced tombstones so the top is live.
-    while (!overflow.empty() && overflow.front().event == nullptr) {
-        std::pop_heap(overflow.begin(), overflow.end(),
-                      std::greater<>{});
-        overflow.pop_back();
-        --staleCount;
-    }
-    // Ring: advance the cursor to the first bucket with a live entry,
-    // clearing surfaced tombstones along the way. The occupancy
-    // bitmap jumps straight to the next non-empty bucket, so sparse
-    // schedules do not pay a probe per empty cycle; the cursor is
-    // monotonic between schedule() resets.
-    if (ringLive > 0) {
-        if (ringCursor < _curCycle)
-            ringCursor = _curCycle;
-        for (;;) {
-            const std::size_t pos = ringCursor & (ringSize - 1);
-            std::vector<Entry> &bucket = ring[pos];
-            while (!bucket.empty() &&
-                   bucket.front().event == nullptr) {
-                std::pop_heap(bucket.begin(), bucket.end(),
-                              std::greater<>{});
-                bucket.pop_back();
-                --staleCount;
-            }
-            if (!bucket.empty())
-                break;
-            clearOccupied(pos);
-            const std::size_t next = nextOccupied(pos);
-            INVARIANT(next < ringSize,
-                      "ring scan found no live entry with %zu live",
-                      ringLive);
-            // Cyclic distance forward; every stored entry is within
-            // the window, so the position maps back to one cycle.
-            ringCursor += ((next - pos - 1) & (ringSize - 1)) + 1;
+    std::size_t count = 0;
+    for (const Bucket &bucket : ring) {
+        for (const Event *e = bucket.head; e; e = e->_next) {
+            ++count;
+            const Event *next = e->_next;
+            INVARIANT(!next || (next->_when == e->_when &&
+                                (next->_priority > e->_priority ||
+                                 (next->_priority == e->_priority &&
+                                  next->_sequence > e->_sequence))),
+                      "ring bucket out of (priority, sequence) order");
         }
     }
-    INVARIANT((ringLive > 0 || !overflow.empty()) == (live != 0),
-              "front bookkeeping out of sync with %zu live", live);
-    return live != 0;
+    return count;
 }
 
 std::size_t
@@ -229,62 +199,83 @@ EventQueue::nextOccupied(std::size_t pos) const
     return ringSize;
 }
 
-bool
-EventQueue::frontInRing() const
+Cycles
+EventQueue::frontCycle()
 {
-    if (ringLive == 0)
-        return false;
-    if (overflow.empty())
-        return true;
-    // Both candidates are live (purgeStale cleared surfaced
-    // tombstones); the full (when, priority, sequence) order decides,
-    // so a ring entry and an overflow entry landing on the same cycle
-    // still interleave exactly like one heap over every entry.
-    return overflow.front() > ring[ringCursor & (ringSize - 1)].front();
+    if (ringLive == 0) {
+        // Only far-future events remain: the overflow top, once the
+        // descheduled entries that surfaced there are popped.
+        INVARIANT(overflow.size() > staleCount,
+                  "front scan found no event with %zu pending", live);
+        while (overflow.front().event == nullptr) {
+            std::pop_heap(overflow.begin(), overflow.end(),
+                          std::greater<>{});
+            overflow.pop_back();
+            --staleCount;
+        }
+        return overflow.front().when;
+    }
+    // Every ring entry is due before every overflow entry. Advance the
+    // cursor to the first occupied bucket: the occupancy bitmap jumps
+    // straight there, so sparse schedules do not pay a probe per
+    // empty cycle.
+    if (ringCursor < _curCycle)
+        ringCursor = _curCycle;
+    const std::size_t pos = ringCursor & (ringSize - 1);
+    if (!ring[pos].head) {
+        const std::size_t next = nextOccupied(pos);
+        INVARIANT(next < ringSize,
+                  "ring scan found no entry with %zu linked", ringLive);
+        // Cyclic distance forward; every ring entry is within the
+        // window, so the position maps back to one cycle.
+        ringCursor += (next - pos) & (ringSize - 1);
+    }
+    return ringCursor;
 }
 
-const EventQueue::Entry &
-EventQueue::front() const
+void
+EventQueue::advanceTo(Cycles when)
 {
-    return frontInRing() ? ring[ringCursor & (ringSize - 1)].front()
-                         : overflow.front();
+    _curCycle = when;
+    // Overflow entries the window now covers move into the ring, in
+    // heap order, so every ring entry stays due before every overflow
+    // entry.
+    while (!overflow.empty() && overflow.front().when - when < ringSize) {
+        Event *event = overflow.front().event;
+        std::pop_heap(overflow.begin(), overflow.end(), std::greater<>{});
+        overflow.pop_back();
+        if (event)
+            linkRing(event);
+        else
+            --staleCount;
+    }
+    _cycleProbe.notify(when);
 }
 
 void
 EventQueue::serviceOne()
 {
-    const Entry entry = front();
-    if (frontInRing()) {
-        const std::size_t pos = ringCursor & (ringSize - 1);
-        std::vector<Entry> &bucket = ring[pos];
-        std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
-        bucket.pop_back();
-        if (bucket.empty())
-            clearOccupied(pos);
-        --ringLive;
+    Event *event;
+    if (ringLive > 0) {
+        event = ring[ringCursor & (ringSize - 1)].head;
+        unlinkRing(event);
     } else {
+        event = overflow.front().event;
         std::pop_heap(overflow.begin(), overflow.end(),
                       std::greater<>{});
         overflow.pop_back();
     }
-
-    Event *event = entry.event;
-    // purgeStale() ran just before us: the front entry must be live and
-    // current, so dereferencing the pointer is safe.
-    INVARIANT(event->_scheduled && event->_sequence == entry.sequence,
-              "stale entry survived purge");
-    INVARIANT(entry.when >= _curCycle,
+    INVARIANT(event->_scheduled && event->_when >= _curCycle,
               "event time not monotonic (%llu < %llu)",
-              static_cast<unsigned long long>(entry.when),
+              static_cast<unsigned long long>(event->_when),
               static_cast<unsigned long long>(_curCycle));
 
-    if (entry.when != _curCycle) {
-        _curCycle = entry.when;
-        _cycleProbe.notify(_curCycle);
-    }
     event->_scheduled = false;
     --live;
-    PARANOID_INVARIANT(storedEntries() == live + staleCount,
+    maybeCompact();
+    if (event->_when != _curCycle)
+        advanceTo(event->_when);
+    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
                        "live-count conservation after pop");
     // Event-dispatch boundary: when a profile session is active on
     // this thread, attribute the dispatch to the event's site. The
@@ -301,25 +292,23 @@ Cycles
 EventQueue::run(Cycles limit)
 {
     PROF_SCOPE("sim", "eventq.run");
-    while (purgeStale() && front().when <= limit)
+    while (live != 0 && frontCycle() <= limit)
         serviceOne();
     // The queue drained or the next event lies beyond the horizon:
     // with a finite limit, time still advances to the horizon (and the
     // cycle probe fires) so periodic observers see their final window.
-    if (limit != forever && _curCycle < limit) {
-        _curCycle = limit;
-        _cycleProbe.notify(_curCycle);
-    }
+    if (limit != forever && _curCycle < limit)
+        advanceTo(limit);
     return _curCycle;
 }
 
 void
 EventQueue::step()
 {
-    if (!purgeStale())
+    if (live == 0)
         return;
-    const Cycles cycle = front().when;
-    while (purgeStale() && front().when == cycle)
+    const Cycles cycle = frontCycle();
+    while (live != 0 && frontCycle() == cycle)
         serviceOne();
 }
 

@@ -9,15 +9,15 @@
  * internals.
  *
  * Storage is a calendar queue: a power-of-two ring of per-cycle
- * buckets (each a small (priority, sequence) heap) for events within
- * the ring window, plus a min-heap for the rare far-future events.
- * Near-term scheduling is a bounded push into a reused vector, with
- * no balanced-tree nodes or hashing on the hot path. It dispatches in
- * exactly the order of one binary heap over every (cycle, priority,
- * sequence) entry — tests/sim/eventq_stress_test.cc drives such a
- * heap as its reference model. Descheduled entries are deleted lazily
- * and storage is compacted when stale entries outnumber live ones, so
- * reschedule-heavy components cannot grow the queue without bound.
+ * buckets for events within the ring window, plus a min-heap for the
+ * rare far-future events. Each bucket is an intrusive doubly linked
+ * list through Event, kept sorted by (priority, sequence): a fresh
+ * schedule carries the largest sequence yet, so insertion walks back
+ * from the tail only past entries of higher priority, and deschedule
+ * unlinks in O(1). It dispatches in exactly the order of one binary
+ * heap over every (cycle, priority, sequence) entry —
+ * tests/sim/eventq_stress_test.cc drives such a heap as its reference
+ * model.
  */
 
 #ifndef CAPCHECK_SIM_EVENTQ_HH
@@ -62,9 +62,8 @@ class Event
      * Destroying an event that is still scheduled is a hard error —
      * the queue would be left holding a dangling pointer, so this
      * aborts (destructors cannot throw). Deschedule first. A
-     * descheduled event may be destroyed immediately: the queue tracks
-     * its stale entry by sequence number and never touches the event
-     * again.
+     * descheduled event may be destroyed immediately: the queue never
+     * touches it again.
      */
     virtual ~Event();
 
@@ -95,6 +94,9 @@ class Event
 
     Cycles _when = 0;
     std::uint64_t _sequence = 0;
+    /** Neighbours in the event's ring bucket; unused in overflow. */
+    Event *_prev = nullptr;
+    Event *_next = nullptr;
     int _priority;
     bool _scheduled = false;
 };
@@ -122,7 +124,12 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    EventQueue() : ring(ringSize) {}
+    /**
+     * Width of the calendar window in cycles: an event due fewer than
+     * ringSize cycles ahead of curCycle() sits in its cycle's ring
+     * bucket; anything later waits in the overflow heap.
+     */
+    static constexpr std::size_t ringSize = 1024;
 
     /** run() limit meaning "no horizon": drain and stop at the last
      *  processed event's cycle. */
@@ -140,18 +147,19 @@ class EventQueue
     /** Re-schedule an already scheduled event to a new time. */
     void reschedule(Event *event, Cycles when);
 
-    /** True when no live events remain (stale entries ignored). */
+    /** True when no events are pending. */
     bool empty() const { return live == 0; }
 
     /** Number of pending events. */
     std::size_t pending() const { return live; }
 
     /**
-     * Entries physically held (live + not-yet-purged stale). The
-     * compaction bound: storedEntries() never exceeds 2 * pending()
-     * + 1, however reschedule-heavy the workload.
+     * Entries physically held: the pending events plus descheduled
+     * overflow entries not yet purged. The compaction bound:
+     * storedEntries() never exceeds 2 * pending() + 1, however
+     * reschedule-heavy the workload.
      */
-    std::size_t storedEntries() const;
+    std::size_t storedEntries() const { return ringLive + overflow.size(); }
 
     /**
      * Run until the queue drains or @p limit cycles elapse. With a
@@ -173,6 +181,7 @@ class EventQueue
     probe::ProbePoint<Cycles> &cycleProbe() { return _cycleProbe; }
 
   private:
+    /** An overflow heap entry; a null event marks a descheduled one. */
     struct Entry
     {
         Cycles when;
@@ -191,16 +200,30 @@ class EventQueue
         }
     };
 
+    /** One cycle's ring entries, sorted by (priority, sequence). */
+    struct Bucket
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
+    };
+
+    /** Cycle of the earliest pending event; call only when !empty(). */
+    Cycles frontCycle();
+    /** Pop and dispatch the earliest pending event; call right after
+     *  frontCycle(). */
     void serviceOne();
-    bool purgeStale();
-    /** Earliest live entry; call only after purgeStale() returned
-     *  true. */
-    const Entry &front() const;
-    /** Drop stale entries wholesale once they outnumber live ones. */
+    /** Advance time to @p when, pull the overflow entries the window
+     *  now covers into the ring and notify the cycle probe. */
+    void advanceTo(Cycles when);
+    /** Sorted insert of a scheduled event into its cycle's bucket. */
+    void linkRing(Event *event);
+    void unlinkRing(Event *event);
+    /** Drop descheduled overflow entries wholesale once they
+     *  outnumber pending events. */
     void maybeCompact();
-    /** True when the next entry to fire comes from the ring rather
-     *  than the overflow heap. Call after purgeStale(). */
-    bool frontInRing() const;
+    /** Ring entries counted by walking the buckets, checking each
+     *  bucket's order on the way (PARANOID checks). */
+    std::size_t countRing() const;
     /** First occupied ring position at or cyclically after @p pos;
      *  ringSize when the whole ring is empty. */
     std::size_t nextOccupied(std::size_t pos) const;
@@ -214,24 +237,25 @@ class EventQueue
     }
 
     /**
-     * The calendar queue. Events within ringSize cycles of schedule
-     * time go into ring[when % ringSize], a small min-heap of one
-     * cycle's entries ordered by (priority, sequence); within the
-     * window, distinct cycles can never collide on a bucket.
+     * The calendar queue. ring[when % ringSize] holds the events due
+     * on cycle `when` for every `when` in [curCycle(), curCycle() +
+     * ringSize), so distinct cycles never collide on a bucket.
      * Everything further out lands in the overflow min-heap, in full
-     * (cycle, priority, sequence) order, and is popped from there when
-     * it becomes the global front — by then the ring holds nothing
-     * earlier, so overflow entries never migrate.
+     * (cycle, priority, sequence) order, and moves into the ring by
+     * the same sorted insert once time brings its cycle inside the
+     * window. Every ring entry is therefore due before every overflow
+     * entry, and an overflow entry was scheduled before any ring entry
+     * of its cycle (time only advances), so it carries the lower
+     * sequence and the sorted insert keeps the heap's exact order.
      */
-    static constexpr std::size_t ringSize = 1024;
-    std::vector<std::vector<Entry>> ring;
+    std::array<Bucket, ringSize> ring{};
     /**
      * Occupancy bitmap over the ring: bit (when % ringSize) is set
-     * while that bucket stores any entry (live or tombstone). The
-     * front scan uses it to jump to the next non-empty bucket with a
-     * count-trailing-zeros walk, so sparse schedules (delay-heavy
-     * workloads with events many cycles apart) cost O(1) per event
-     * instead of a bucket-by-bucket probe across the gap.
+     * while that bucket holds an event. The front scan uses it to jump
+     * to the next non-empty bucket with a count-trailing-zeros walk,
+     * so sparse schedules (delay-heavy workloads with events many
+     * cycles apart) cost O(1) per event instead of a bucket-by-bucket
+     * probe across the gap.
      */
     std::array<std::uint64_t, ringSize / 64> occupied{};
     std::vector<Entry> overflow;
@@ -239,14 +263,14 @@ class EventQueue
      *  front scan advances it monotonically and schedule() lowers it,
      *  so scans amortize to O(1) per cycle of simulated time. */
     Cycles ringCursor = 0;
-    /** Live (non-tombstone) entries currently in the ring. */
+    /** Events currently linked into the ring. */
     std::size_t ringLive = 0;
     /**
-     * Tombstoned entries still stored in ring + overflow. Deschedule
-     * finds the stored entry directly from the event's cycle and nulls
-     * its Event pointer in place, which keeps hashing off the hot
-     * path; a tombstone is never dereferenced, so the owner may
-     * destroy a descheduled event at any time.
+     * Descheduled entries still stored in the overflow heap.
+     * Deschedule nulls the entry's Event pointer in place; the entry
+     * is dropped when it surfaces or by compaction, and never
+     * dereferenced, so the owner may destroy a descheduled event at
+     * any time.
      */
     std::size_t staleCount = 0;
     Cycles _curCycle = 0;

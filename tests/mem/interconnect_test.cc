@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/logging.hh"
 #include "mem/interconnect.hh"
 #include "mem/mem_ctrl.hh"
 
@@ -85,6 +86,37 @@ TEST(Interconnect, SingleRequestRoundTrip)
     EXPECT_TRUE(bus.collector.responses[0].ok);
     // One cycle of arbitration + 10 cycles of memory latency.
     EXPECT_EQ(bus.eq.curCycle(), 11u);
+}
+
+TEST(Interconnect, ResponsesRouteBySourcePortNotSlot)
+{
+    // Global port ids differ from this crossbar's slot indices, as in
+    // a cascaded topology: each response must reach the slot its
+    // source port offered through.
+    EventQueue eq;
+    stats::StatGroup root("soc");
+    MemoryController memctrl(eq, &root, 3);
+    AxiInterconnect xbar(eq, &root, 2);
+    Collector slot0(eq, &root, 1);
+    Collector slot1(eq, &root, 1);
+    xbar.memSide().bind(memctrl.cpuSide());
+    slot0.ports[0]->bind(xbar.accelSide(0));
+    slot1.ports[0]->bind(xbar.accelSide(1));
+    EXPECT_TRUE(xbar.offer(1, makeReq(3, 1)));
+    EXPECT_TRUE(xbar.offer(0, makeReq(40, 2)));
+    eq.run();
+    ASSERT_EQ(slot0.responses.size(), 1u);
+    EXPECT_EQ(slot0.responses[0].srcPort, 40u);
+    ASSERT_EQ(slot1.responses.size(), 1u);
+    EXPECT_EQ(slot1.responses[0].srcPort, 3u);
+
+    // A response for a port that never offered a beat here, inside
+    // and beyond the port table, is a routing bug.
+    MemResponse stray;
+    stray.srcPort = 7;
+    EXPECT_THROW(xbar.handleResponse(stray), SimError);
+    stray.srcPort = 41;
+    EXPECT_THROW(xbar.handleResponse(stray), SimError);
 }
 
 TEST(Interconnect, OneBeatPerCycleSerializesMasters)
