@@ -23,9 +23,8 @@
 #     show a large "other" share, so the gate is grid-wide, not
 #     per run.)
 #  3. Dispatches per beat: the event dispatches of the quick grid
-#     (the calls of every sim site but the eventq.run scope, plus
-#     mem/memctrl.respond, the memory controller's response events)
-#     divided by its simulated DMA beats may not exceed
+#     (the calls of the counted sim/dispatch site) divided by its
+#     simulated DMA beats may not exceed
 #     MAX_DISPATCHES_PER_BEAT. Both counts are exact and
 #     machine-independent, so the ceiling is the measured value
 #     (3.5554): a wake path that brings back no-op player ticks, or a
@@ -33,47 +32,59 @@
 #  4. Reader tools: `capstat prof report` renders the profiles and
 #     `capstat prof merge` + self-`diff` at tolerance 0 passes — the
 #     merged document is a valid baseline format.
-#  5. Overhead ceiling: the profiled grid may be at most
-#     PROF_MAX_OVERHEAD times slower than the unprofiled grid.
-#     Profiling reads the steady clock twice per dispatched event, so
-#     event-granularity attribution roughly doubles the hot loop
-#     (~1.9x measured); the 2.5x default absorbs runner noise on top
-#     while still catching an accidentally quadratic profiler.
+#  5. Overhead ceiling: the full grid at --jobs JOBS, profiled, may
+#     take at most PROF_MAX_OVERHEAD times the wall time of the same
+#     grid unprofiled. Event dispatches are only counted; the clock
+#     is read by the component scopes (player tick, arbitration,
+#     memory delivery, checks) and the workload and harness scopes.
+#     That measures 2.4-2.7x on a shared 4-vCPU host, against
+#     3.3-3.5x when every dispatch is also timed around those scopes.
+#     The 3.0x default absorbs runner noise and fails if dispatches
+#     are timed again. Both runs write result JSON only: latency
+#     artefacts would add the same cost to both sides and dilute the
+#     ratio (with them, timed dispatches measure only 2.2x).
 #
 # usage: prof_check.sh BUILD_DIR
 set -euo pipefail
 
 build=${1:?usage: prof_check.sh BUILD_DIR}
 jobs=${JOBS:-4}
-max_overhead=${PROF_MAX_OVERHEAD:-2.5}
+max_overhead=${PROF_MAX_OVERHEAD:-3.0}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# run NAME [extra sweep_grid args...] -> wall seconds on stdout.
-# Runs the quick grid with result JSON + latency artefacts into
-# $work/NAME; caching is off so every run simulates.
+# run_grid NAME [sweep_grid args...] -> wall seconds on stdout.
+# Runs the grid with result JSON into $work/NAME; caching is off so
+# every run simulates.
 run_grid() {
     local name=$1
     shift
     local t0 t1
     mkdir -p "$work/$name"
     t0=$(date +%s%N)
-    "$build/bench/sweep_grid" --quick --quiet --no-cache \
-        --json-dir "$work/$name/results" \
-        --latency-json "$work/$name/latency" "$@" >&2
+    "$build/bench/sweep_grid" --quiet --no-cache \
+        --json-dir "$work/$name/results" "$@" >&2
     t1=$(date +%s%N)
     awk "BEGIN { printf \"%.3f\", ($t1 - $t0) / 1e9 }"
 }
 
+# quick_grid NAME [sweep_grid args...]: the quick grid, with latency
+# artefacts too.
+quick_grid() {
+    local name=$1
+    shift
+    run_grid "$name" --quick --latency-json "$work/$name/latency" \
+        "$@" > /dev/null
+}
+
 echo "prof_check: [1/5] byte identity, profiler off vs on"
-base_secs=$(run_grid off-j1 --jobs 1)
-prof_secs=$(run_grid on-j1 --jobs 1 \
-    --prof-out "$work/on-j1/prof" --prof-folded "$work/on-j1/folded")
-run_grid off-jN --jobs "$jobs" > /dev/null
-run_grid on-jN --jobs "$jobs" \
-    --prof-out "$work/on-jN/prof" \
-    --prof-folded "$work/on-jN/folded" > /dev/null
+quick_grid off-j1 --jobs 1
+quick_grid on-j1 --jobs 1 \
+    --prof-out "$work/on-j1/prof" --prof-folded "$work/on-j1/folded"
+quick_grid off-jN --jobs "$jobs"
+quick_grid on-jN --jobs "$jobs" \
+    --prof-out "$work/on-jN/prof" --prof-folded "$work/on-jN/folded"
 
 # Per-run result JSON and latency artefacts must match byte for byte.
 # The sweep manifest also carries host wall-clock measurements
@@ -184,9 +195,7 @@ dispatches = 0
 for path in glob.glob(os.path.join(prof_dir, "run-*.prof.json")):
     with open(path) as f:
         for site in json.load(f)["sites"]:
-            name = f"{site['domain']}/{site['name']}"
-            if ((site["domain"] == "sim" and name != "sim/eventq.run")
-                    or name == "mem/memctrl.respond"):
+            if (site["domain"], site["name"]) == ("sim", "dispatch"):
                 dispatches += site["calls"]
 beats = 0
 for path in glob.glob(os.path.join(results_dir, "run-*.json")):
@@ -208,8 +217,13 @@ echo "prof_check: [4/5] capstat prof report / merge / diff"
 "$build/tools/capstat" prof diff --tolerance 0 \
     "$work/merged.prof.json" "$work/merged.prof.json"
 
-echo "prof_check: [5/5] overhead ceiling" \
-     "(off ${base_secs}s, on ${prof_secs}s, max ${max_overhead}x)"
+echo "prof_check: [5/5] overhead ceiling, full grid at --jobs $jobs"
+base_secs=$(run_grid full-off --jobs "$jobs")
+prof_secs=$(run_grid full-on --jobs "$jobs" \
+    --prof-out "$work/full-on/prof" --prof-folded "$work/full-on/folded")
+echo "prof_check: off ${base_secs}s, on ${prof_secs}s" \
+     "($(awk "BEGIN { printf \"%.2f\", $prof_secs / $base_secs }")x," \
+     "max ${max_overhead}x)"
 awk "BEGIN { exit !($prof_secs <= $base_secs * $max_overhead) }" || {
     echo "prof_check: FAIL: profiled grid ${prof_secs}s exceeds" \
          "${max_overhead}x of unprofiled ${base_secs}s"

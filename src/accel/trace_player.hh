@@ -104,7 +104,6 @@ class TracePlayer : public TickingObject, public ResponseHandler
     void handleResponse(const MemResponse &resp) override;
     void handleRetry() override;
     bool tick() override;
-    const char *profKind() const override { return "player"; }
 
   private:
     enum class Phase

@@ -68,7 +68,6 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     void handleResponse(const MemResponse &resp) override;
 
     bool tick() override;
-    const char *profKind() const override { return "xbar"; }
 
     /** Total beats granted. */
     std::uint64_t beatsGranted() const

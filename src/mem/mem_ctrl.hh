@@ -69,14 +69,6 @@ class MemoryController : public SimObject, public TimingConsumer
         void process() override { owner.deliver(); }
         std::string description() const override { return "mem-respond"; }
 
-        prof::SiteId
-        profSite() const override
-        {
-            static const prof::SiteId site =
-                prof::registerSite("mem", "memctrl.respond");
-            return site;
-        }
-
       private:
         MemoryController &owner;
     };

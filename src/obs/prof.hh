@@ -8,15 +8,17 @@
  * are declared with PROF_SCOPE(domain, name) and cost one thread-local
  * load plus a predictable branch when profiling is disabled — the
  * steady_clock is only read while a ProfileSession is active on the
- * current thread. Configuring with -DCAPCHECK_PROF=OFF compiles the
- * scopes out entirely (current() becomes constexpr nullptr, so the
- * dispatch wrappers dead-code-eliminate).
+ * current thread.
  *
  * Attribution model: every scope site is registered once per process
  * under a (domain, name) key. A RunProfile accumulates per-site
  * {selfNanos, totalNanos, calls} — self excludes enclosed scopes,
  * total is wall time of outermost activations only (recursion safe) —
- * plus a call-stack trie for Brendan Gregg folded-stacks output.
+ * plus a call-stack trie for Brendan Gregg folded-stacks output. Each
+ * host interval is timed by exactly one scope: hot boundaries that only
+ * need a frequency (the event queue's sim/dispatch) are counted with
+ * RunProfile::count(), which reads no clock and opens no frame, so
+ * their host time stays with the enclosing scope.
  * Profiles are strictly single-threaded accumulation buffers: one per
  * worker/run, merged at run end, so --jobs N never contends on shared
  * counters. The rendered JSON closes the books exactly: an "other"
@@ -54,15 +56,11 @@ struct SiteInfo {
 /** Snapshot of the global site table, indexed by SiteId. */
 std::vector<SiteInfo> siteTable();
 
-/** True when the profiler is compiled in (CAPCHECK_PROF=ON). */
+/** Always true: the profiler has no compile-out build. */
 constexpr bool
 compiledIn()
 {
-#ifdef CAPCHECK_PROF_OFF
-    return false;
-#else
     return true;
-#endif
 }
 
 /**
@@ -96,6 +94,16 @@ class RunProfile
     /** Scope entry/exit; called by ScopeTimer only. */
     void enter(SiteId site);
     void exit();
+
+    /** Add one call to @p site without timing it: no clock read, no
+     *  stack frame, no trie node. Its self and total stay 0. */
+    void
+    count(SiteId site)
+    {
+        if (perSite.size() <= site)
+            perSite.resize(site + 1);
+        ++perSite[site].calls;
+    }
 
     /** Host nanoseconds spent inside ProfileSession windows. */
     std::uint64_t wallNanos() const { return wall; }
@@ -165,13 +173,6 @@ class RunProfile
     std::uint64_t wall = 0;
 };
 
-#ifdef CAPCHECK_PROF_OFF
-
-constexpr RunProfile *current() { return nullptr; }
-inline RunProfile *installCurrent(RunProfile *) { return nullptr; }
-
-#else
-
 namespace detail
 {
 // Defined inline and constant-initialised so every access is a plain
@@ -191,8 +192,6 @@ installCurrent(RunProfile *profile)
     detail::tlsProfile = profile;
     return prev;
 }
-
-#endif
 
 /**
  * RAII scope: attributes the enclosed host time to @p site on the
@@ -246,20 +245,15 @@ class ProfileSession
 /**
  * Declare a profiling scope covering the rest of the enclosing block.
  * The site is registered once (thread-safe magic static); the timer
- * is a TLS load + branch when no session is active, and nothing at
- * all under -DCAPCHECK_PROF=OFF.
+ * is a TLS load + branch when no session is active.
  */
-#ifdef CAPCHECK_PROF_OFF
-#define PROF_SCOPE(domain, name) ((void)0)
-#else
-#define CAPCHECK_PROF_CONCAT2(a, b) a##b
-#define CAPCHECK_PROF_CONCAT(a, b) CAPCHECK_PROF_CONCAT2(a, b)
+#define CAPCHECK_CONCAT2(a, b) a##b
+#define CAPCHECK_CONCAT(a, b) CAPCHECK_CONCAT2(a, b)
 #define PROF_SCOPE(domain, name)                                        \
-    static const ::capcheck::prof::SiteId CAPCHECK_PROF_CONCAT(         \
-        profSite_, __LINE__) =                                          \
+    static const ::capcheck::prof::SiteId CAPCHECK_CONCAT(              \
+        profScopeSite_, __LINE__) =                                     \
         ::capcheck::prof::registerSite(domain, name);                   \
-    const ::capcheck::prof::ScopeTimer CAPCHECK_PROF_CONCAT(            \
-        profScope_, __LINE__)(CAPCHECK_PROF_CONCAT(profSite_, __LINE__))
-#endif
+    const ::capcheck::prof::ScopeTimer CAPCHECK_CONCAT(                 \
+        profScope_, __LINE__)(CAPCHECK_CONCAT(profScopeSite_, __LINE__))
 
 #endif // CAPCHECK_OBS_PROF_HH

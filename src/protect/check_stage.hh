@@ -52,7 +52,6 @@ class CheckStage : public TickingObject, public TimingConsumer,
 
     bool tryAccept(const MemRequest &req) override;
     bool tick() override;
-    const char *profKind() const override { return "checkstage"; }
 
     /** ResponseHandler: pass memory responses through, upstream. */
     void handleResponse(const MemResponse &resp) override;

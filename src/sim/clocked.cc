@@ -71,14 +71,4 @@ TickingObject::TickEvent::description() const
     return "tick:" + owner.name();
 }
 
-prof::SiteId
-TickingObject::TickEvent::profSite() const
-{
-    if (site == prof::invalidSite) {
-        site = prof::registerSite(
-            "sim", std::string("tick.") + owner.profKind());
-    }
-    return site;
-}
-
 } // namespace capcheck

@@ -82,14 +82,6 @@ class TickingObject : public SimObject
 
     bool active() const { return tickEvent.scheduled(); }
 
-    /**
-     * Component kind for profiler attribution: tick dispatches land
-     * on the "sim"/"tick.<kind>" site. Stable short strings only
-     * ("player", "xbar", "checkstage"), not instance names — sites
-     * key (component kind, event kind), never individual objects.
-     */
-    virtual const char *profKind() const { return "ticking"; }
-
   private:
     class TickEvent : public Event
     {
@@ -101,14 +93,9 @@ class TickingObject : public SimObject
 
         void process() override;
         std::string description() const override;
-        prof::SiteId profSite() const override;
 
       private:
         TickingObject &owner;
-        /** Lazily registered "tick.<kind>" site; profKind() is not
-         *  virtual-dispatchable until the owner is fully constructed,
-         *  so registration happens on first profiled dispatch. */
-        mutable prof::SiteId site = prof::invalidSite;
     };
 
     TickEvent tickEvent;

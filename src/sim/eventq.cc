@@ -7,6 +7,7 @@
 
 #include "base/invariant.hh"
 #include "base/logging.hh"
+#include "obs/prof.hh"
 
 namespace capcheck
 {
@@ -35,14 +36,6 @@ Event::~Event()
                          description().c_str()));
         std::abort();
     }
-}
-
-prof::SiteId
-Event::profSite() const
-{
-    static const prof::SiteId site =
-        prof::registerSite("sim", "event.generic");
-    return site;
 }
 
 void
@@ -277,15 +270,16 @@ EventQueue::serviceOne()
         advanceTo(event->_when);
     PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
                        "live-count conservation after pop");
-    // Event-dispatch boundary: when a profile session is active on
-    // this thread, attribute the dispatch to the event's site. The
-    // disabled path stays a TLS load + branch with no clock reads.
-    if (prof::current() != nullptr) {
-        const prof::ScopeTimer scope(event->profSite());
-        event->process();
-    } else {
-        event->process();
+    // Event-dispatch boundary: a profile session counts the dispatch
+    // on sim/dispatch without timing it. The component scopes inside
+    // process() time their own work; the rest stays in eventq.run.
+    // The disabled path is a TLS load + branch.
+    if (prof::RunProfile *const profile = prof::current()) {
+        static const prof::SiteId dispatchSite =
+            prof::registerSite("sim", "dispatch");
+        profile->count(dispatchSite);
     }
+    event->process();
 }
 
 Cycles

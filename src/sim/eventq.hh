@@ -31,7 +31,6 @@
 
 #include "base/probe.hh"
 #include "base/types.hh"
-#include "obs/prof.hh"
 
 namespace capcheck
 {
@@ -74,16 +73,6 @@ class Event
 
     /** Human-readable event description, used in panic messages. */
     virtual std::string description() const { return "generic event"; }
-
-    /**
-     * Profiler site this event's dispatch is attributed to, keying
-     * the (component kind, event kind) pair. The default is a shared
-     * "sim"/"event.generic" site; components whose dispatch dominates
-     * override it (TickingObject ticks, memory responses). Only
-     * consulted while a profile session is active on the servicing
-     * thread, so overrides may lazily register and cache their site.
-     */
-    virtual prof::SiteId profSite() const;
 
     bool scheduled() const { return _scheduled; }
     Cycles when() const { return _when; }

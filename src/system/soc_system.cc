@@ -46,6 +46,31 @@ makeAppTask(cheri::CapTree &tree, std::uint64_t mem_bytes)
                        app_cap, "app");
 }
 
+/** What every run builds first: tagged memory, the heap above the
+ *  "OS" megabyte and the capability tree with the application task. */
+struct RunMemory
+{
+    RunMemory(std::uint64_t mem_bytes, std::uint64_t guard_bytes)
+        : mem(mem_bytes),
+          heap(heapBase, mem_bytes - heapBase, guard_bytes),
+          app(makeAppTask(tree, mem_bytes))
+    {
+    }
+
+    TaggedMemory mem;
+    RegionAllocator heap;
+    cheri::CapTree tree;
+    cheri::CapNodeId app;
+};
+
+/** Build a run's memory side under the setup/memory profiler site. */
+RunMemory
+makeRunMemory(std::uint64_t mem_bytes, std::uint64_t guard_bytes)
+{
+    PROF_SCOPE("setup", "memory");
+    return RunMemory(mem_bytes, guard_bytes);
+}
+
 } // namespace
 
 SocSystem::SocSystem(const SocConfig &config) : cfg(config)
@@ -92,10 +117,7 @@ SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
 {
     const bool cheri = modeUsesCheriCpu(cfg.mode);
 
-    TaggedMemory mem(cfg.memBytes);
-    RegionAllocator heap(heapBase, cfg.memBytes - heapBase);
-    cheri::CapTree tree;
-    const cheri::CapNodeId app = makeAppTask(tree, cfg.memBytes);
+    auto [mem, heap, tree, app] = makeRunMemory(cfg.memBytes, 0);
     const cheri::Capability authority = tree.capOf(app);
 
     RunResult result;
@@ -169,11 +191,8 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
     const bool with_checker = modeUsesCapChecker(cfg.mode);
 
     // --- Platform (Fig. 2) ---
-    TaggedMemory mem(cfg.memBytes);
-    RegionAllocator heap(heapBase, cfg.memBytes - heapBase,
-                         cfg.guardBytes);
-    cheri::CapTree tree;
-    const cheri::CapNodeId app = makeAppTask(tree, cfg.memBytes);
+    auto [mem, heap, tree, app] =
+        makeRunMemory(cfg.memBytes, cfg.guardBytes);
 
     EventQueue eq;
     stats::StatGroup stat_root("soc");
@@ -187,15 +206,17 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
             std::make_unique<obs::RunObserver>(obsOpts, eq, stat_root);
 
     // --- Elaborate the platform graph from the topology ---
-    const Topology topo = topology();
-    if (!topo.hasPlatform()) {
-        fatal("topology '%s' has no platform components but mode %s "
-              "uses accelerators",
-              topo.name.c_str(), systemModeName(cfg.mode));
-    }
-    const Elaborator elaborator(eq, &stat_root, cfg);
-    Platform platform =
-        elaborator.elaborate(topo, static_cast<unsigned>(plan.size()));
+    Platform platform = [&] {
+        PROF_SCOPE("setup", "elaborate");
+        const Topology topo = topology();
+        if (!topo.hasPlatform()) {
+            fatal("topology '%s' has no platform components but mode "
+                  "%s uses accelerators",
+                  topo.name.c_str(), systemModeName(cfg.mode));
+        }
+        return Elaborator(eq, &stat_root, cfg)
+            .elaborate(topo, static_cast<unsigned>(plan.size()));
+    }();
 
     // The checker the driver programs for a given task. Topology
     // protect nodes can also declare the iommu/iopmp schemes; the

@@ -3,8 +3,8 @@
  * Unit tests for the host-time self-profiler (obs/prof): site
  * registration idempotence, scope attribution (self vs total,
  * nesting, recursion), the exact-books "other" domain, merge
- * semantics for per-thread buffers, JSON/folded output shape, and
- * the disabled fast path.
+ * semantics for per-thread buffers, JSON/folded output shape, the
+ * disabled fast path, and counted (untimed) event dispatches.
  */
 
 #include <chrono>
@@ -16,6 +16,7 @@
 
 #include "base/json_value.hh"
 #include "obs/prof.hh"
+#include "sim/clocked.hh"
 
 using namespace capcheck;
 using prof::ProfileSession;
@@ -45,6 +46,28 @@ findSite(const std::vector<RunProfile::SiteTotals> &rows,
     }
     return nullptr;
 }
+
+/** Ticks a fixed number of times, each tick inside a timed scope. */
+class ScopedTicker : public TickingObject
+{
+  public:
+    ScopedTicker(EventQueue &eq, stats::StatGroup *stats, int count)
+        : TickingObject(eq, "ticker", stats), remaining(count)
+    {
+    }
+
+    bool
+    tick() override
+    {
+        PROF_SCOPE("t.count", "tick");
+        spin();
+        ++ticks;
+        return --remaining > 0;
+    }
+
+    int remaining;
+    std::uint64_t ticks = 0;
+};
 
 } // namespace
 
@@ -78,8 +101,6 @@ TEST(Prof, NoScopesRecordWithoutASession)
 
 TEST(Prof, SessionAttributesScopesAndWall)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId site = prof::registerSite("t.one", "work");
 
     RunProfile profile;
@@ -103,8 +124,6 @@ TEST(Prof, SessionAttributesScopesAndWall)
 
 TEST(Prof, NestedScopesSplitSelfFromTotal)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId outer = prof::registerSite("t.nest", "outer");
     const prof::SiteId inner = prof::registerSite("t.nest", "inner");
 
@@ -131,8 +150,6 @@ TEST(Prof, NestedScopesSplitSelfFromTotal)
 
 TEST(Prof, RecursionCountsTotalOnceButEveryCall)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId site = prof::registerSite("t.rec", "fib");
 
     RunProfile profile;
@@ -163,8 +180,6 @@ TEST(Prof, RecursionCountsTotalOnceButEveryCall)
 
 TEST(Prof, OtherDomainClosesTheBooks)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId site = prof::registerSite("t.books", "covered");
 
     RunProfile profile;
@@ -189,8 +204,6 @@ TEST(Prof, OtherDomainClosesTheBooks)
 
 TEST(Prof, MergeFoldsSitesStacksAndWall)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId site = prof::registerSite("t.merge", "work");
 
     // Two per-thread buffers, merged at "run end" like SweepRunner
@@ -232,8 +245,6 @@ TEST(Prof, MergeFoldsSitesStacksAndWall)
 
 TEST(Prof, JsonHasTheDocumentedShape)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     const prof::SiteId site = prof::registerSite("t.json", "work");
 
     RunProfile profile;
@@ -287,12 +298,56 @@ TEST(Prof, ProfScopeMacroCompilesInAnyBlock)
         PROF_SCOPE("t.macro", "block");
         spin();
     }
-    if (!prof::compiledIn()) {
-        EXPECT_TRUE(profile.siteTotals().empty());
-        return;
-    }
     const auto sites = profile.siteTotals();
     const auto *row = findSite(sites, "t.macro", "block");
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->calls, 1u);
+}
+
+TEST(Prof, DispatchesAreCountedNotTimed)
+{
+    EventQueue eq;
+    stats::StatGroup root("soc");
+    ScopedTicker ticker(eq, &root, 5);
+    std::uint64_t plainRuns = 0;
+    LambdaEvent plain([&] { ++plainRuns; });
+    ticker.activate(1);
+    eq.schedule(&plain, 3);
+
+    RunProfile profile;
+    {
+        const ProfileSession session(profile);
+        eq.run();
+    }
+    ASSERT_EQ(ticker.ticks, 5u);
+    ASSERT_EQ(plainRuns, 1u);
+
+    const auto sites = profile.siteTotals();
+    // One call per serviced event, and no time: the dispatch is
+    // counted, never timed.
+    const auto *dispatch = findSite(sites, "sim", "dispatch");
+    ASSERT_NE(dispatch, nullptr);
+    EXPECT_EQ(dispatch->calls, ticker.ticks + plainRuns);
+    EXPECT_EQ(dispatch->selfNanos, 0u);
+    EXPECT_EQ(dispatch->totalNanos, 0u);
+    // The component scope still times its own work, and the loop
+    // keeps the rest.
+    const auto *tick = findSite(sites, "t.count", "tick");
+    ASSERT_NE(tick, nullptr);
+    EXPECT_EQ(tick->calls, ticker.ticks);
+    const auto *run = findSite(sites, "sim", "eventq.run");
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->calls, 1u);
+
+    // No stack frame: the folded stacks nest the tick directly under
+    // the loop.
+    const std::string folded = profile.foldedText();
+    EXPECT_EQ(folded.find("sim.dispatch"), std::string::npos);
+    EXPECT_NE(folded.find("sim.eventq.run;t.count.tick "),
+              std::string::npos);
+
+    std::uint64_t selfSum = 0;
+    for (const auto &dom : profile.domainTotals())
+        selfSum += dom.selfNanos;
+    EXPECT_EQ(selfSum, profile.wallNanos());
 }

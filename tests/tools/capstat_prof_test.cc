@@ -268,8 +268,6 @@ TEST_F(CapstatProfTest, RejectsMalformedDocuments)
 
 TEST_F(CapstatProfTest, RealProfilerOutputLoads)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out";
     prof::RunProfile profile;
     {
         const prof::ProfileSession session(profile);
