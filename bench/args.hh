@@ -11,13 +11,15 @@
  *
  * Every flag is one row of benchFlags(): its spelling, whether it
  * takes a value, how the value lands in BenchOptions, and its --help
- * text. A flag that takes a value accepts both "--x V" and "--x=V".
+ * text. The observability artefact rows come from harness::obsSinks().
+ * A flag that takes a value accepts both "--x V" and "--x=V".
  */
 
 #ifndef CAPCHECK_BENCH_ARGS_HH
 #define CAPCHECK_BENCH_ARGS_HH
 
 #include <cstdlib>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -82,7 +84,7 @@ struct BenchFlag
     const char *metavar;
     Value value;
     /** Apply the flag; @p v is nullptr for a flag given without one. */
-    void (*set)(BenchOptions &opts, const std::string *v);
+    std::function<void(BenchOptions &opts, const std::string *v)> set;
     /** --help description, '\n' between lines. */
     const char *help;
 };
@@ -110,107 +112,93 @@ benchFlags()
 {
     using V = BenchFlag::Value;
     using S = harness::SweepOptions;
-    static const std::vector<BenchFlag> flags = {
-        {"--jobs", "-j", "N", V::required, sweepNumber<&S::jobs>,
-         "worker threads (default: all cores)"},
-        {"--json-dir", nullptr, "DIR", V::required, sweepText<&S::jsonDir>,
-         "write run-<hash>.json + manifest"},
-        {"--no-cache", nullptr, "", V::none,
-         [](BenchOptions &o, const std::string *) {
-             o.sweep.cacheEnabled = false;
-         },
-         "re-simulate repeated requests"},
-        {"--quiet", "-q", "", V::none,
-         [](BenchOptions &o, const std::string *) { o.quiet = true; },
-         "no per-run progress lines on stderr"},
-        {"--server", nullptr, "SOCK", V::required,
-         sweepText<&S::serverSocket>,
-         "submit to the capcheckd daemon at\n"
-         "this Unix socket instead of\n"
-         "simulating in-process (or set\n"
-         "CAPCHECK_SERVER)"},
-        {"--cache-dir", nullptr, "DIR", V::required, sweepText<&S::cacheDir>,
-         "disk-backed result cache shared\n"
-         "across runs and restarts (or set\n"
-         "CAPCHECK_CACHE_DIR)"},
-        {"--cache-max-bytes", nullptr, "N", V::required,
-         sweepNumber<&S::cacheMaxBytes>,
-         "LRU byte cap of the disk cache\n"
-         "(default 1 GiB, 0 = unbounded)"},
-        {"--trace-id", nullptr, "ID", V::required, sweepText<&S::traceId>,
-         "trace id sent with remote submits\n"
-         "so daemon-side spans and JSONL log\n"
-         "lines join against this run (or set\n"
-         "CAPCHECK_TRACE_ID)"},
-        {"--trace-out", nullptr, "DIR", V::required, sweepText<&S::traceDir>,
-         "write run-<hash>.trace.json Chrome\n"
-         "trace timelines (Perfetto-loadable)"},
-        {"--sample-interval", nullptr, "N", V::required,
-         sweepNumber<&S::sampleInterval>,
-         "snapshot stats every N cycles into\n"
-         "run-<hash>.samples.json"},
-        {"--audit-log", nullptr, "DIR", V::required, sweepText<&S::auditDir>,
-         "write run-<hash>.audit.jsonl\n"
-         "security audit logs"},
-        {"--flight-out", nullptr, "DIR", V::required,
-         sweepText<&S::flightDir>,
-         "write run-<hash>.flights.json tables\n"
-         "of the slowest DMA requests with\n"
-         "per-hop latency breakdowns"},
-        {"--latency-json", nullptr, "DIR", V::required,
-         sweepText<&S::latencyDir>,
-         "write run-<hash>.latency.json log2\n"
-         "latency histograms (p50/p95/p99) and\n"
-         "per-component cycle attribution"},
-        {"--topn", nullptr, "N", V::required, sweepNumber<&S::topN>,
-         "slowest flights kept per run (10)"},
-        {"--prof-out", nullptr, "DIR", V::required, sweepText<&S::profDir>,
-         "write run-<hash>.prof.json host-time\n"
-         "profiles (per-domain self/total nanos\n"
-         "and share-of-run; read with 'capstat\n"
-         "prof'). Host wall-clock: enabling it\n"
-         "never changes the simulated outputs.\n"
-         "In-process runs only (no --server)"},
-        {"--prof-folded", nullptr, "DIR", V::required,
-         sweepText<&S::foldedDir>,
-         "write run-<hash>.folded stacks for\n"
-         "flamegraph.pl / speedscope"},
-        {"--topology", nullptr, "FILE", V::required,
-         [](BenchOptions &o, const std::string *v) { o.topology = *v; },
-         "load the platform topology from a\n"
-         "JSON file instead of the builtin\n"
-         "shape for each mode"},
-        {"--dump-topology", nullptr, "", V::optional,
-         [](BenchOptions &o, const std::string *v) {
-             o.dumpTopology = true;
-             if (!v)
-                 return;
-             const auto &names = system::Topology::builtinNames();
-             bool known = false;
-             for (const std::string &n : names)
-                 known = known || n == *v;
-             if (!known) {
-                 std::cerr << "unknown --dump-topology mode '" << *v
-                           << "'; choices:";
+    static const std::vector<BenchFlag> flags = [] {
+        std::vector<BenchFlag> rows = {
+            {"--jobs", "-j", "N", V::required, sweepNumber<&S::jobs>,
+             "worker threads (default: all cores)"},
+            {"--json-dir", nullptr, "DIR", V::required, sweepText<&S::jsonDir>,
+             "write run-<hash>.json + manifest"},
+            {"--no-cache", nullptr, "", V::none,
+             [](BenchOptions &o, const std::string *) {
+                 o.sweep.cacheEnabled = false;
+             },
+             "re-simulate repeated requests"},
+            {"--quiet", "-q", "", V::none,
+             [](BenchOptions &o, const std::string *) { o.quiet = true; },
+             "no per-run progress lines on stderr"},
+            {"--server", nullptr, "SOCK", V::required,
+             sweepText<&S::serverSocket>,
+             "submit to the capcheckd daemon at\n"
+             "this Unix socket instead of\n"
+             "simulating in-process (or set\n"
+             "CAPCHECK_SERVER)"},
+            {"--cache-dir", nullptr, "DIR", V::required,
+             sweepText<&S::cacheDir>,
+             "disk-backed result cache shared\n"
+             "across runs and restarts (or set\n"
+             "CAPCHECK_CACHE_DIR)"},
+            {"--cache-max-bytes", nullptr, "N", V::required,
+             sweepNumber<&S::cacheMaxBytes>,
+             "LRU byte cap of the disk cache\n"
+             "(default 1 GiB, 0 = unbounded)"},
+            {"--trace-id", nullptr, "ID", V::required, sweepText<&S::traceId>,
+             "trace id sent with remote submits\n"
+             "so daemon-side spans and JSONL log\n"
+             "lines join against this run (or set\n"
+             "CAPCHECK_TRACE_ID)"},
+        };
+        // One row per observability artefact, from the sink table.
+        for (const harness::ObsSink &sink : harness::obsSinks()) {
+            rows.push_back({sink.flag, nullptr, sink.metavar, V::required,
+                            [&sink](BenchOptions &o, const std::string *v) {
+                                if (sink.dir)
+                                    o.sweep.*sink.dir = *v;
+                                else
+                                    sweepNumber<&S::sampleInterval>(o, v);
+                            },
+                            sink.help});
+        }
+        rows.insert(rows.end(), {
+            {"--topn", nullptr, "N", V::required, sweepNumber<&S::topN>,
+             "slowest flights kept per run (10)"},
+            {"--topology", nullptr, "FILE", V::required,
+             [](BenchOptions &o, const std::string *v) { o.topology = *v; },
+             "load the platform topology from a\n"
+             "JSON file instead of the builtin\n"
+             "shape for each mode"},
+            {"--dump-topology", nullptr, "", V::optional,
+             [](BenchOptions &o, const std::string *v) {
+                 o.dumpTopology = true;
+                 if (!v)
+                     return;
+                 const auto &names = system::Topology::builtinNames();
+                 bool known = false;
                  for (const std::string &n : names)
-                     std::cerr << " " << n;
-                 std::cerr << "\n";
-                 std::exit(2);
-             }
-             o.dumpTopologyMode = *v;
-         },
-         "print the (builtin or loaded)\n"
-         "topology as canonical JSON and exit"},
-        {"--debug-flags", nullptr, "LIST", V::required,
-         [](BenchOptions &, const std::string *v) {
-             if (*v == "?") {
-                 trace::DebugFlag::listFlags(std::cout);
-                 std::exit(0);
-             }
-             trace::DebugFlag::applyList(*v);
-         },
-         "enable debug flags (? lists them)"},
-    };
+                     known = known || n == *v;
+                 if (!known) {
+                     std::cerr << "unknown --dump-topology mode '" << *v
+                               << "'; choices:";
+                     for (const std::string &n : names)
+                         std::cerr << " " << n;
+                     std::cerr << "\n";
+                     std::exit(2);
+                 }
+                 o.dumpTopologyMode = *v;
+             },
+             "print the (builtin or loaded)\n"
+             "topology as canonical JSON and exit"},
+            {"--debug-flags", nullptr, "LIST", V::required,
+             [](BenchOptions &, const std::string *v) {
+                 if (*v == "?") {
+                     trace::DebugFlag::listFlags(std::cout);
+                     std::exit(0);
+                 }
+                 trace::DebugFlag::applyList(*v);
+             },
+             "enable debug flags (? lists them)"},
+        });
+        return rows;
+    }();
     return flags;
 }
 
@@ -299,6 +287,19 @@ parseOptions(int argc, char **argv)
             has_value = false;
         }
         flag->set(opts, has_value ? &value : nullptr);
+    }
+    if (!opts.sweep.serverSocket.empty()) {
+        // Fail at the command line rather than write nothing: the
+        // daemon does not produce these files.
+        for (const harness::ObsSink &sink : harness::obsSinks()) {
+            if (!sink.daemonWrites &&
+                !harness::obsDir(opts.sweep, sink).empty()) {
+                std::cerr << sink.flag << " needs an in-process run: "
+                          << "capcheckd does not write it (drop "
+                          << "--server / CAPCHECK_SERVER)\n";
+                std::exit(2);
+            }
+        }
     }
     opts.sweep.progress = opts.quiet ? nullptr : &std::cerr;
     detail::cliTopologyFile = opts.topology;

@@ -8,6 +8,7 @@
  * forging demonstration end to end.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <iostream>
 
@@ -64,9 +65,15 @@ writeAuditLog(SchemeKind kind, const std::string &dir)
         (lab.*attack)();
     }
 
+    // Named like the per-run audit logs, so their readers find these.
+    const auto &sinks = harness::obsSinks();
+    const auto audit = std::find_if(
+        sinks.begin(), sinks.end(), [](const harness::ObsSink &s) {
+            return s.file == &obs::ObsOptions::auditFile;
+        });
     const std::string file = dir + "/table3-" +
                              std::string(schemeName(kind)) +
-                             ".audit.jsonl";
+                             audit->suffix;
     log.writeFile(file);
     std::cout << "  " << file << ": " << log.size()
               << " violations recorded\n";

@@ -2,9 +2,12 @@
 # Gate the capcheckd service mode: the quick experiment grid run
 # through a live daemon must produce artefacts byte-identical to an
 # in-process run (capstat diff --tolerance 0 over merged latency
-# summaries, plus a literal byte compare of every run-<hash>.json),
-# and a daemon restarted on the same --cache-dir must serve the whole
-# batch from the disk cache without executing a single simulation.
+# summaries, plus a literal byte compare of every run-<hash>.json and
+# of every artefact the daemon writes: traces, samples, audit logs,
+# flight tables and latency summaries), a sink the daemon does not
+# write (--prof-out) must be refused with --server, and a daemon
+# restarted on the same --cache-dir must serve the whole batch from
+# the disk cache without executing a single simulation.
 #
 # The daemon runs with its telemetry on, and the gate also covers it:
 #  - `capstat live --once` must render a non-empty dashboard and write
@@ -84,18 +87,39 @@ stop_daemon() {
     DAEMON_PID=""
 }
 
+# sink_flags SIDE: every artefact flag the daemon honours, writing
+# into SIDE-* directories (samples land beside the traces).
+sink_flags() {
+    SINK_FLAGS=(--trace-out "$WORK/$1-trace" --audit-log "$WORK/$1-audit"
+        --flight-out "$WORK/$1-flight" --latency-json "$WORK/$1-lat"
+        --sample-interval 1000)
+}
+
 echo "== in-process baseline =="
+sink_flags local
 "$BUILD/bench/sweep_grid" --quick --quiet --jobs "$JOBS" \
-    --json-dir "$WORK/local" --latency-json "$WORK/local-lat" \
-    > /dev/null
+    --json-dir "$WORK/local" "${SINK_FLAGS[@]}" > /dev/null
 "$BUILD/tools/capstat" merge -o "$WORK/local.json" \
     "$WORK/local-lat"/*.latency.json > /dev/null
 
 echo "== same grid through capcheckd =="
 start_daemon grid
+sink_flags remote
 "$BUILD/bench/sweep_grid" --quick --quiet --jobs "$JOBS" \
-    --json-dir "$WORK/remote" --latency-json "$WORK/remote-lat" \
+    --json-dir "$WORK/remote" "${SINK_FLAGS[@]}" \
     --server "$SOCK" --trace-id service-check > /dev/null
+
+echo "== --prof-out with --server is refused =="
+status=0
+"$BUILD/bench/sweep_grid" --quick --quiet --server "$SOCK" \
+    --prof-out "$WORK/prof" > /dev/null 2> "$WORK/prof.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- "--prof-out" "$WORK/prof.err" ||
+    [ -e "$WORK/prof" ]; then
+    echo "service_check: --prof-out with --server exited $status" \
+        "(want 2, naming the flag, writing nothing):" >&2
+    cat "$WORK/prof.err" >&2
+    exit 1
+fi
 
 echo "== capstat live dashboard + service latency document =="
 "$BUILD/tools/capstat" live "$SOCK" --once \
@@ -154,8 +178,11 @@ print(f"conservation OK: {int(admitted)} requests, "
       f"{completes} spans sum exactly")
 EOF
 
-echo "== byte compare of run JSON =="
+echo "== byte compare of run JSON and every daemon-written artefact =="
 diff -r "$WORK/local" "$WORK/remote" --exclude='*.manifest.json'
+for sink in trace audit flight lat; do
+    diff -r "$WORK/local-$sink" "$WORK/remote-$sink"
+done
 
 echo "== capstat diff --tolerance 0 =="
 "$BUILD/tools/capstat" merge -o "$WORK/remote.json" \

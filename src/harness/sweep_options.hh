@@ -6,7 +6,9 @@
  * sweep service layer (remote daemon socket, disk-backed result
  * cache). Every consumer — SweepRunner, the capcheckd server, the
  * bench harness CLI — configures itself from this struct, so a flag
- * parsed once in bench/args.hh reaches all of them.
+ * parsed once in bench/args.hh reaches all of them. The observability
+ * artefacts are rows of one table, obsSinks(), which every consumer
+ * loops over.
  *
  * The fluent with*() setters make one-expression construction read
  * naturally in tests and tools:
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "base/types.hh"
 #include "obs/options.hh"
@@ -59,43 +62,24 @@ struct SweepOptions
      *  empty = no JSON output. Created on demand. */
     std::string jsonDir;
 
-    /** Directory for per-run Chrome traces
-     *  (run-<hash>.trace.json); empty = no tracing. Only fresh
-     *  simulations produce files — cache hits reuse the original
-     *  run's outputs, which are byte-identical by construction. */
+    /** @{ Per-run artefact directories, one per obsSinks() row (whose
+     *  help text says what each file holds); empty = off. Only fresh
+     *  simulations produce files: cache hits reuse the original run's
+     *  outputs, which are byte-identical by construction. prof and
+     *  folded are host wall-clock, so unlike the others they are
+     *  machine-dependent, but producing them never changes the
+     *  simulated outputs; only in-process sweeps write them. */
     std::string traceDir;
-
-    /** Cycles between per-run stat samples
-     *  (run-<hash>.samples.json, in traceDir or else jsonDir);
-     *  0 = sampling off. */
-    Cycles sampleInterval = 0;
-
-    /** Directory for per-run JSONL security audit logs
-     *  (run-<hash>.audit.jsonl); empty = no audit logs. */
     std::string auditDir;
-
-    /** Directory for per-run flight-recorder tables
-     *  (run-<hash>.flights.json: the topN slowest DMA requests
-     *  with per-hop breakdowns); empty = off. */
     std::string flightDir;
-
-    /** Directory for per-run latency-attribution summaries
-     *  (run-<hash>.latency.json: log2 latency histograms with
-     *  p50/p95/p99 plus per-hop cycle attribution); empty = off. */
     std::string latencyDir;
-
-    /** Directory for per-run host-time profiles
-     *  (run-<hash>.prof.json: per-domain/site self/total nanos and
-     *  share-of-run, from the PROF_SCOPE self-profiler); empty = off.
-     *  Host wall-clock, so unlike the artefacts above these files are
-     *  machine-dependent — but producing them never changes the
-     *  simulated outputs. In-process sweeps only. */
     std::string profDir;
-
-    /** Directory for per-run folded-stacks files (run-<hash>.folded,
-     *  Brendan Gregg format for flamegraph.pl/speedscope); empty =
-     *  off. In-process sweeps only. */
     std::string foldedDir;
+    /** @} */
+
+    /** Cycles between per-run stat samples, written beside the trace
+     *  or else beside the result JSON (see obsDir()); 0 = off. */
+    Cycles sampleInterval = 0;
 
     /** Slowest flights kept per run in the flight table. */
     unsigned topN = 10;
@@ -130,62 +114,12 @@ struct SweepOptions
 
     /** @{ Fluent setters. */
     SweepOptions &withJobs(unsigned v) { jobs = v; return *this; }
-    SweepOptions &withCache(bool v) { cacheEnabled = v; return *this; }
-    SweepOptions &
-    withProgress(std::ostream *v)
-    {
-        progress = v;
-        return *this;
-    }
     SweepOptions &
     withJsonDir(std::string v)
     {
         jsonDir = std::move(v);
         return *this;
     }
-    SweepOptions &
-    withTraceDir(std::string v)
-    {
-        traceDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withSampleInterval(Cycles v)
-    {
-        sampleInterval = v;
-        return *this;
-    }
-    SweepOptions &
-    withAuditDir(std::string v)
-    {
-        auditDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withFlightDir(std::string v)
-    {
-        flightDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withLatencyDir(std::string v)
-    {
-        latencyDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withProfDir(std::string v)
-    {
-        profDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withFoldedDir(std::string v)
-    {
-        foldedDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &withTopN(unsigned v) { topN = v; return *this; }
     SweepOptions &
     withServerSocket(std::string v)
     {
@@ -196,18 +130,6 @@ struct SweepOptions
     withCacheDir(std::string v)
     {
         cacheDir = std::move(v);
-        return *this;
-    }
-    SweepOptions &
-    withCacheMaxBytes(std::uint64_t v)
-    {
-        cacheMaxBytes = v;
-        return *this;
-    }
-    SweepOptions &
-    withTraceId(std::string v)
-    {
-        traceId = std::move(v);
         return *this;
     }
     /** @} */
@@ -224,6 +146,40 @@ struct SweepOptions
 };
 
 /**
+ * One per-run observability artefact, named once: where SweepOptions
+ * selects it, the ObsOptions file it lands in, and how it crosses the
+ * bench command line and the capcheckd wire. Every per-artefact site
+ * (obsOptionsFor, createObsDirs, the bench flags, the submit message)
+ * loops over obsSinks() instead of spelling each artefact out.
+ */
+struct ObsSink
+{
+    /** Directory member; nullptr for samples, which sampleInterval
+     *  selects instead (see obsDir()). */
+    std::string SweepOptions::*dir;
+    /** Member receiving <dir>/run-<hash><suffix>. */
+    std::string obs::ObsOptions::*file;
+    const char *suffix;
+    /** False for the host-time profiles: the daemon folds its
+     *  workers' profiles into its metrics instead of writing files. */
+    bool daemonWrites;
+    /** Member of a submit message's "options" object; nullptr for
+     *  the rows the daemon does not write. */
+    const char *wireKey;
+    /** Bench harness flag, its value placeholder, and its --help
+     *  text ('\n' between lines). */
+    const char *flag;
+    const char *metavar;
+    const char *help;
+};
+
+/** Every artefact, in --help order. */
+const std::vector<ObsSink> &obsSinks();
+
+/** The directory @p sink's files go to under @p opts; empty = off. */
+const std::string &obsDir(const SweepOptions &opts, const ObsSink &sink);
+
+/**
  * The per-run observability outputs @p opts selects for @p request:
  * every artefact path is keyed by the request's content hash, so the
  * same request produces the same file names whether it runs
@@ -231,6 +187,10 @@ struct SweepOptions
  */
 obs::ObsOptions obsOptionsFor(const SweepOptions &opts,
                               const RunRequest &request);
+
+/** Create every artefact directory @p opts selects, before any worker
+ *  writes into one; warns about each that cannot be created. */
+void createObsDirs(const SweepOptions &opts);
 
 } // namespace capcheck::harness
 

@@ -115,28 +115,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
             pendingJobs.push_back(j);
     }
 
-    // Observability output directories must exist before any worker
-    // tries to write into them.
-    {
-        namespace fs = std::filesystem;
-        std::error_code ec;
-        for (const std::string *dir : {&opts.traceDir, &opts.auditDir,
-                                       &opts.flightDir,
-                                       &opts.latencyDir, &opts.profDir,
-                                       &opts.foldedDir}) {
-            if (dir->empty())
-                continue;
-            fs::create_directories(*dir, ec);
-            if (ec) {
-                warn("sweep '%s': cannot create dir '%s': %s",
-                     sweep_name.c_str(), dir->c_str(),
-                     ec.message().c_str());
-            }
-        }
-        if (opts.sampleInterval > 0 && opts.traceDir.empty() &&
-            !opts.jsonDir.empty())
-            fs::create_directories(opts.jsonDir, ec);
-    }
+    createObsDirs(opts);
 
     std::mutex progress_mtx;
     std::atomic<std::size_t> next{0};
@@ -151,9 +130,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                 return;
             Job &job = jobs[pendingJobs[slot]];
 
-            const bool profiling =
-                !opts.profDir.empty() || !opts.foldedDir.empty();
-            if (profiling)
+            const obs::ObsOptions obsOpts =
+                obsOptionsFor(opts, *job.request);
+            if (obsOpts.profiling())
                 job.profile = std::make_unique<prof::RunProfile>();
 
             const auto t0 = std::chrono::steady_clock::now();
@@ -163,10 +142,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                 // profile session covers exactly this job, on this
                 // thread, so scopes hit a private buffer.
                 std::optional<prof::ProfileSession> session;
-                if (profiling)
+                if (job.profile)
                     session.emplace(*job.profile);
-                job.result = job.request->execute(
-                    obsOptionsFor(opts, *job.request));
+                job.result = job.request->execute(obsOpts);
             } catch (const SimError &e) {
                 job.error = e.what();
             }

@@ -142,9 +142,7 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
 
     try {
         sendFrame(conn.get(),
-                  encodeSubmit(batch, sweep_name,
-                               SubmitOptions::fromSweepOptions(opts),
-                               requests, opts.traceId),
+                  encodeSubmit(batch, sweep_name, opts, requests),
                   &meter);
         bool done = false;
         while (!done) {

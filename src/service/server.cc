@@ -124,9 +124,7 @@ struct Server::Batch
 {
     std::shared_ptr<Client> client;
     std::uint64_t id = 0;
-    SubmitOptions options;
-    /** options.toSweepOptions(): what obsOptionsFor() consumes. */
-    harness::SweepOptions execOpts;
+    harness::SweepOptions options;
     std::vector<harness::RunRequest> requests;
     std::atomic<std::size_t> remaining{0};
     std::atomic<std::uint64_t> nExecuted{0};
@@ -423,10 +421,10 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
     const std::int64_t receivedNanos = spanClock.nowNanos();
     const std::size_t n = msg.requests.size();
     const std::string traceId =
-        msg.traceId.empty()
+        msg.options.traceId.empty()
             ? "client" + std::to_string(client->id) + ".batch" +
                   std::to_string(msg.batch)
-            : msg.traceId;
+            : msg.options.traceId;
     ins.batchesReceived.inc();
     ins.requestsReceived.inc(n);
 
@@ -455,28 +453,12 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
     auto batch = std::make_shared<Batch>();
     batch->client = client;
     batch->id = msg.batch;
-    batch->options = msg.options;
-    batch->execOpts = msg.options.toSweepOptions();
+    batch->options = std::move(msg.options);
     batch->requests = std::move(msg.requests);
     batch->remaining.store(n, std::memory_order_relaxed);
 
-    // Observability directories must exist before a worker touches
-    // them (same rule as SweepRunner, including the samples-into-
-    // jsonDir fallback).
-    {
-        namespace fs = std::filesystem;
-        std::error_code ec;
-        const harness::SweepOptions &eo = batch->execOpts;
-        for (const std::string *dir :
-             {&eo.traceDir, &eo.auditDir, &eo.flightDir,
-              &eo.latencyDir}) {
-            if (!dir->empty())
-                fs::create_directories(*dir, ec);
-        }
-        if (eo.sampleInterval > 0 && eo.traceDir.empty() &&
-            !eo.jsonDir.empty())
-            fs::create_directories(eo.jsonDir, ec);
-    }
+    // Artefact directories must exist before any worker writes.
+    harness::createObsDirs(batch->options);
 
     // Submit-time cache hits are answered inline below; fresh work is
     // collected first so admission can be all-or-nothing, then
@@ -490,7 +472,7 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
     };
     std::vector<InlineHit> hits;
     std::vector<std::shared_ptr<Unit>> fresh;
-    const bool useCache = !batch->options.noCache;
+    const bool useCache = batch->options.cacheEnabled;
 
     {
         std::unique_lock lock(mtx);
@@ -566,7 +548,7 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
                     continue;
                 }
             }
-            // With noCache, duplicates inside the batch still
+            // With the cache off, duplicates inside the batch still
             // coalesce (SweepRunner's cacheEnabled=false re-runs
             // them; one simulation per unique hash is strictly
             // better and keeps "cached" attribution meaningful).
@@ -666,8 +648,8 @@ Server::workerLoop()
         }
 
         const harness::RunRequest &req = unit->request();
-        const harness::SweepOptions &execOpts =
-            unit->waiters.front().batch->execOpts;
+        const harness::SweepOptions &batchOpts =
+            unit->waiters.front().batch->options;
 
         system::RunResult result;
         std::string error;
@@ -683,7 +665,7 @@ Server::workerLoop()
             // of an unprofiled one (4 workers, shared 4-vCPU host).
             const prof::ProfileSession session(hostProfile);
             result = req.execute(
-                harness::obsOptionsFor(execOpts, req));
+                harness::obsOptionsFor(batchOpts, req));
         } catch (const SimError &e) {
             error = e.what();
         } catch (const std::exception &e) {
@@ -792,7 +774,7 @@ Server::sendResult(const std::shared_ptr<Batch> &batch,
 
     std::string body;
     const std::string *bodyPtr = nullptr;
-    if (result && batch->options.wantResultJson) {
+    if (result) {
         body = harness::runJson(batch->requests[index], *result);
         bodyPtr = &body;
     }

@@ -24,37 +24,6 @@ runStatusName(RunStatus status)
     return "?";
 }
 
-SubmitOptions
-SubmitOptions::fromSweepOptions(const harness::SweepOptions &opts)
-{
-    SubmitOptions so;
-    so.jsonDir = opts.jsonDir;
-    so.traceDir = opts.traceDir;
-    so.auditDir = opts.auditDir;
-    so.flightDir = opts.flightDir;
-    so.latencyDir = opts.latencyDir;
-    so.sampleInterval = opts.sampleInterval;
-    so.topN = opts.topN;
-    so.noCache = !opts.cacheEnabled;
-    so.wantResultJson = true;
-    return so;
-}
-
-harness::SweepOptions
-SubmitOptions::toSweepOptions() const
-{
-    harness::SweepOptions opts;
-    opts.jsonDir = jsonDir;
-    opts.traceDir = traceDir;
-    opts.auditDir = auditDir;
-    opts.flightDir = flightDir;
-    opts.latencyDir = latencyDir;
-    opts.sampleInterval = sampleInterval;
-    opts.topN = topN;
-    opts.cacheEnabled = !noCache;
-    return opts;
-}
-
 std::string
 messageType(const json::JsonValue &v)
 {
@@ -239,9 +208,8 @@ statsFromJson(const json::JsonValue &v)
 
 std::string
 encodeSubmit(std::uint64_t batch, const std::string &sweep_name,
-             const SubmitOptions &options,
-             const std::vector<harness::RunRequest> &reqs,
-             const std::string &trace_id)
+             const harness::SweepOptions &options,
+             const std::vector<harness::RunRequest> &reqs)
 {
     std::ostringstream os;
     json::JsonWriter w(os);
@@ -251,19 +219,21 @@ encodeSubmit(std::uint64_t batch, const std::string &sweep_name,
     w.key("sweep").value(sweep_name);
     // Optional field: old daemons ignore unknown members, so the
     // protocol stays v1-compatible in both directions.
-    if (!trace_id.empty())
-        w.key("traceId").value(trace_id);
+    if (!options.traceId.empty())
+        w.key("traceId").value(options.traceId);
     w.key("options").beginObject();
     w.key("jsonDir").value(options.jsonDir);
-    w.key("traceDir").value(options.traceDir);
-    w.key("auditDir").value(options.auditDir);
-    w.key("flightDir").value(options.flightDir);
-    w.key("latencyDir").value(options.latencyDir);
-    w.key("sampleInterval")
-        .value(std::uint64_t{options.sampleInterval});
+    for (const harness::ObsSink &sink : harness::obsSinks()) {
+        if (!sink.daemonWrites)
+            continue;
+        w.key(sink.wireKey);
+        if (sink.dir)
+            w.value(options.*sink.dir);
+        else
+            w.value(std::uint64_t{options.sampleInterval});
+    }
     w.key("topN").value(options.topN);
-    w.key("noCache").value(options.noCache);
-    w.key("wantResultJson").value(options.wantResultJson);
+    w.key("noCache").value(!options.cacheEnabled);
     w.endObject();
     w.key("requests").beginArray();
     for (const harness::RunRequest &req : reqs)
@@ -288,7 +258,7 @@ submitFromJson(const json::JsonValue &v, std::string *error)
                                            : std::string("sweep");
     const json::JsonValue *trace = v.get("traceId");
     if (trace && trace->isString())
-        msg.traceId = trace->asString();
+        msg.options.traceId = trace->asString();
     if (const json::JsonValue *o = v.get("options");
         o && o->isObject()) {
         const auto str = [&](const char *key) -> std::string {
@@ -297,18 +267,18 @@ submitFromJson(const json::JsonValue &v, std::string *error)
                                       : std::string();
         };
         msg.options.jsonDir = str("jsonDir");
-        msg.options.traceDir = str("traceDir");
-        msg.options.auditDir = str("auditDir");
-        msg.options.flightDir = str("flightDir");
-        msg.options.latencyDir = str("latencyDir");
-        msg.options.sampleInterval = u64Field(*o, "sampleInterval");
+        for (const harness::ObsSink &sink : harness::obsSinks()) {
+            if (!sink.daemonWrites)
+                continue;
+            if (sink.dir)
+                msg.options.*sink.dir = str(sink.wireKey);
+            else
+                msg.options.sampleInterval = u64Field(*o, sink.wireKey);
+        }
         msg.options.topN =
             static_cast<unsigned>(u64Field(*o, "topN"));
         const json::JsonValue *nc = o->get("noCache");
-        msg.options.noCache = nc && nc->isBool() && nc->asBool();
-        const json::JsonValue *wj = o->get("wantResultJson");
-        msg.options.wantResultJson =
-            !wj || !wj->isBool() || wj->asBool();
+        msg.options.cacheEnabled = !(nc && nc->isBool() && nc->asBool());
     }
     const json::JsonValue *reqs = v.get("requests");
     if (!reqs || !reqs->isArray()) {

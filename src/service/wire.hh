@@ -54,47 +54,21 @@ struct PongInfo
 /** Decode a pong message; nullopt when @p v is not a pong. */
 std::optional<PongInfo> pongFromJson(const json::JsonValue &v);
 
-/**
- * Per-batch execution options a client sends with "submit": which
- * observability artefacts the daemon writes (into client-chosen
- * directories — the transport is a local socket, so client and
- * daemon share a filesystem), and cache/result-body behaviour.
- */
-struct SubmitOptions
-{
-    /** Client's jsonDir — results are written client-side, but the
-     *  samples file falls back to this directory when traceDir is
-     *  empty, and the daemon must reproduce that path exactly. */
-    std::string jsonDir;
-    std::string traceDir;
-    std::string auditDir;
-    std::string flightDir;
-    std::string latencyDir;
-    Cycles sampleInterval = 0;
-    unsigned topN = 10;
-    /** Re-simulate even when cached (the client's --no-cache). */
-    bool noCache = false;
-    /** Embed the run-<hash>.json body in each result frame (the
-     *  client writes the files; off saves the bandwidth). */
-    bool wantResultJson = true;
-
-    /** The artefact-selecting subset of @p opts. */
-    static SubmitOptions fromSweepOptions(
-        const harness::SweepOptions &opts);
-
-    /** As a SweepOptions for harness::obsOptionsFor() on the daemon. */
-    harness::SweepOptions toSweepOptions() const;
-};
-
 /** Parsed "submit" message. */
 struct SubmitMessage
 {
     std::uint64_t batch = 0;
     std::string sweep;
-    /** Client-generated trace id (optional wire field; empty when
-     *  the client did not send one — the daemon synthesizes). */
-    std::string traceId;
-    SubmitOptions options;
+    /**
+     * The subset of the client's options the daemon acts on: jsonDir
+     * (results are written client-side, but samples fall back to it),
+     * every obsSinks() directory the daemon writes (into client-chosen
+     * directories — the transport is a local socket, so both ends
+     * share a filesystem), topN, cacheEnabled, and traceId (optional
+     * on the wire; empty means the daemon synthesizes one). Every
+     * other field keeps its default.
+     */
+    harness::SweepOptions options;
     std::vector<harness::RunRequest> requests;
 };
 
@@ -108,9 +82,8 @@ std::string encodeStatsQuery();
 std::string encodeStats(const ServiceStats &stats);
 std::string encodeSubmit(std::uint64_t batch,
                          const std::string &sweep_name,
-                         const SubmitOptions &options,
-                         const std::vector<harness::RunRequest> &reqs,
-                         const std::string &trace_id = std::string());
+                         const harness::SweepOptions &options,
+                         const std::vector<harness::RunRequest> &reqs);
 std::string encodeResult(std::uint64_t batch, std::size_t index,
                          std::uint64_t hash, RunStatus status,
                          const system::RunResult *result,

@@ -1,16 +1,26 @@
 /**
  * @file
  * Tests for the unified SweepOptions struct: the fluent builder, the
- * environment-variable defaults, and the per-run observability path
- * derivation shared by SweepRunner and the capcheckd daemon.
+ * environment-variable defaults, and the observability sink table
+ * (obsSinks()) that the bench flags, the per-run path derivation, the
+ * directory creation and the capcheckd submit message all loop over.
  */
 
+#include <unistd.h>
+
+#include <array>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/json_value.hh"
+#include "bench/args.hh"
 #include "harness/run_request.hh"
 #include "harness/sweep_options.hh"
+#include "service/wire.hh"
 #include "system/soc_config_builder.hh"
 
 using namespace capcheck;
@@ -59,35 +69,65 @@ struct ScopedEnv
     }
 };
 
+namespace fs = std::filesystem;
+
+/** Scratch directory, unique per process and per instance. */
+struct TempDir
+{
+    fs::path path;
+
+    TempDir()
+    {
+        path = fs::temp_directory_path() /
+               ("capcheck_sinks_" + std::to_string(::getpid()) + "_" +
+                std::to_string(counter++));
+        fs::remove_all(path);
+    }
+    ~TempDir() { fs::remove_all(path); }
+
+    std::string str(const std::string &leaf) const
+    {
+        return (path / leaf).string();
+    }
+
+    static inline int counter = 0;
+};
+
+/** bench::parseOptions over @p args, as if after the program name. */
+bench::BenchOptions
+parse(std::vector<std::string> args)
+{
+    std::string prog = "harness";
+    std::vector<char *> argv = {prog.data()};
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return bench::parseOptions(static_cast<int>(argv.size()),
+                               argv.data());
+}
+
+/** What a sink's flag is given: a directory named after the flag
+ *  (without its dashes), or the samples interval. */
+std::string
+flagValue(const harness::ObsSink &sink, const TempDir &tmp)
+{
+    return sink.dir ? tmp.str(sink.flag + 2) : "1000";
+}
+
 } // namespace
 
 TEST(SweepOptions, FluentBuilderReadsAsOneExpression)
 {
+    // The artefact fields are checked row by row in
+    // ObsSinks.EveryRowParsesNamesCreatesAndRoundTrips.
     const SweepOptions opts = SweepOptions{}
                                   .withJobs(4)
-                                  .withCache(false)
                                   .withJsonDir("out")
-                                  .withTraceDir("tr")
-                                  .withSampleInterval(100)
-                                  .withAuditDir("au")
-                                  .withFlightDir("fl")
-                                  .withLatencyDir("la")
-                                  .withTopN(3)
                                   .withServerSocket("/tmp/s.sock")
-                                  .withCacheDir("/tmp/cache")
-                                  .withCacheMaxBytes(1234);
+                                  .withCacheDir("/tmp/cache");
     EXPECT_EQ(opts.jobs, 4u);
-    EXPECT_FALSE(opts.cacheEnabled);
     EXPECT_EQ(opts.jsonDir, "out");
-    EXPECT_EQ(opts.traceDir, "tr");
-    EXPECT_EQ(opts.sampleInterval, 100u);
-    EXPECT_EQ(opts.auditDir, "au");
-    EXPECT_EQ(opts.flightDir, "fl");
-    EXPECT_EQ(opts.latencyDir, "la");
-    EXPECT_EQ(opts.topN, 3u);
     EXPECT_EQ(opts.serverSocket, "/tmp/s.sock");
     EXPECT_EQ(opts.cacheDir, "/tmp/cache");
-    EXPECT_EQ(opts.cacheMaxBytes, 1234u);
 }
 
 TEST(SweepOptions, DefaultsAreQuietInProcessAndCached)
@@ -124,32 +164,11 @@ TEST(SweepOptions, FromEnvironmentFallsBackToDefaults)
     EXPECT_EQ(opts.cacheMaxBytes, SweepOptions{}.cacheMaxBytes);
 }
 
-TEST(SweepOptions, ObsPathsAreKeyedByTheRequestHash)
-{
-    const RunRequest req = sampleRequest();
-    const std::string hex = req.hashHex();
-    const SweepOptions opts = SweepOptions{}
-                                  .withTraceDir("tr")
-                                  .withSampleInterval(50)
-                                  .withAuditDir("au")
-                                  .withFlightDir("fl")
-                                  .withLatencyDir("la")
-                                  .withTopN(7);
-    const obs::ObsOptions oo = harness::obsOptionsFor(opts, req);
-    EXPECT_EQ(oo.traceFile, "tr/run-" + hex + ".trace.json");
-    EXPECT_EQ(oo.samplesFile, "tr/run-" + hex + ".samples.json");
-    EXPECT_EQ(oo.sampleInterval, 50u);
-    EXPECT_EQ(oo.auditFile, "au/run-" + hex + ".audit.jsonl");
-    EXPECT_EQ(oo.flightFile, "fl/run-" + hex + ".flights.json");
-    EXPECT_EQ(oo.latencyFile, "la/run-" + hex + ".latency.json");
-    EXPECT_EQ(oo.topN, 7u);
-}
-
 TEST(SweepOptions, SamplesFallBackToJsonDirWithoutTraceDir)
 {
     const RunRequest req = sampleRequest();
-    const SweepOptions opts =
-        SweepOptions{}.withJsonDir("out").withSampleInterval(10);
+    SweepOptions opts = SweepOptions{}.withJsonDir("out");
+    opts.sampleInterval = 10;
     const obs::ObsOptions oo = harness::obsOptionsFor(opts, req);
     EXPECT_EQ(oo.samplesFile,
               "out/run-" + req.hashHex() + ".samples.json");
@@ -160,9 +179,123 @@ TEST(SweepOptions, NoArtefactsSelectedMeansNoPaths)
 {
     const obs::ObsOptions oo =
         harness::obsOptionsFor(SweepOptions{}, sampleRequest());
-    EXPECT_TRUE(oo.traceFile.empty());
-    EXPECT_TRUE(oo.samplesFile.empty());
-    EXPECT_TRUE(oo.auditFile.empty());
-    EXPECT_TRUE(oo.flightFile.empty());
-    EXPECT_TRUE(oo.latencyFile.empty());
+    for (const harness::ObsSink &sink : harness::obsSinks())
+        EXPECT_TRUE((oo.*sink.file).empty()) << sink.flag;
+}
+
+TEST(ObsSinks, EveryRowParsesNamesCreatesAndRoundTrips)
+{
+    ScopedEnv server("CAPCHECK_SERVER", nullptr);
+    const TempDir tmp;
+    const RunRequest req = sampleRequest();
+    const std::string hex = req.hashHex();
+
+    // The spellings that scripts, artefact readers and daemons built
+    // from older trees rely on.
+    const std::vector<std::array<const char *, 3>> names = {
+        {"--trace-out", ".trace.json", "traceDir"},
+        {"--sample-interval", ".samples.json", "sampleInterval"},
+        {"--audit-log", ".audit.jsonl", "auditDir"},
+        {"--flight-out", ".flights.json", "flightDir"},
+        {"--latency-json", ".latency.json", "latencyDir"},
+        {"--prof-out", ".prof.json", nullptr},
+        {"--prof-folded", ".folded", nullptr},
+    };
+    ASSERT_EQ(harness::obsSinks().size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const harness::ObsSink &sink = harness::obsSinks()[i];
+        EXPECT_STREQ(sink.flag, names[i][0]);
+        EXPECT_STREQ(sink.suffix, names[i][1]);
+        EXPECT_STREQ(sink.wireKey, names[i][2]);
+        EXPECT_EQ(sink.daemonWrites, names[i][2] != nullptr);
+    }
+
+    for (const harness::ObsSink &sink : harness::obsSinks()) {
+        SCOPED_TRACE(sink.flag);
+        const std::string flag = sink.flag;
+        const std::string value = flagValue(sink, tmp);
+
+        // Both spellings land in the row's field.
+        for (const bench::BenchOptions &cli :
+             {parse({flag, value}), parse({flag + "=" + value})}) {
+            if (sink.dir) {
+                EXPECT_EQ(cli.sweep.*sink.dir, value);
+            } else {
+                EXPECT_EQ(cli.sweep.sampleInterval, 1000u);
+            }
+        }
+
+        // Samples have no directory of their own: they follow the
+        // trace, else the result JSON.
+        std::vector<std::pair<std::vector<std::string>, std::string>>
+            cases = {{{"--json-dir", tmp.str("json")},
+                      sink.dir ? value : tmp.str("json")}};
+        if (!sink.dir) {
+            cases.push_back({{"--json-dir", tmp.str("json"),
+                              "--trace-out", tmp.str("trace")},
+                             tmp.str("trace")});
+        }
+        for (auto &[extra, dir] : cases) {
+            std::vector<std::string> args = {"--topn", "7", flag, value};
+            args.insert(args.end(), extra.begin(), extra.end());
+            const SweepOptions opts = parse(args).sweep;
+            EXPECT_EQ(harness::obsDir(opts, sink), dir);
+
+            const obs::ObsOptions oo = harness::obsOptionsFor(opts, req);
+            EXPECT_EQ(oo.*sink.file, dir + "/run-" + hex + sink.suffix);
+            if (!sink.dir) {
+                EXPECT_EQ(oo.sampleInterval, 1000u);
+            }
+            if (oo.flightRecording() || oo.profiling()) {
+                EXPECT_EQ(oo.topN, 7u);
+                EXPECT_EQ(oo.runLabel, req.label());
+            }
+
+            harness::createObsDirs(opts);
+            EXPECT_TRUE(fs::is_directory(dir));
+
+            // The daemon derives the same path from the submit
+            // message, or none for a sink it does not write.
+            const std::string frame =
+                service::encodeSubmit(1, "sinks", opts, {req});
+            if (sink.daemonWrites) {
+                const std::string key =
+                    std::string("\"") + sink.wireKey + "\"";
+                EXPECT_NE(frame.find(key), std::string::npos) << frame;
+            } else {
+                EXPECT_EQ(frame.find(value), std::string::npos) << frame;
+            }
+            std::string err;
+            const auto msg =
+                service::submitFromJson(*json::parseJson(frame), &err);
+            ASSERT_TRUE(msg.has_value()) << err;
+            const obs::ObsOptions remote =
+                harness::obsOptionsFor(msg->options, req);
+            EXPECT_EQ(remote.*sink.file,
+                      sink.daemonWrites ? oo.*sink.file : "");
+            EXPECT_EQ(msg->options.topN, 7u);
+        }
+        fs::remove_all(tmp.path);
+    }
+}
+
+TEST(ObsSinksDeathTest, ServerRefusesSinksTheDaemonDoesNotWrite)
+{
+    const TempDir tmp;
+    for (const harness::ObsSink &sink : harness::obsSinks()) {
+        SCOPED_TRACE(sink.flag);
+        const std::string value = flagValue(sink, tmp);
+        if (sink.daemonWrites) {
+            // Accepted: parse() returning at all is the check.
+            const SweepOptions opts =
+                parse({"--server", "d.sock", sink.flag, value}).sweep;
+            EXPECT_EQ(opts.serverSocket, "d.sock");
+            continue;
+        }
+        EXPECT_EXIT(parse({"--server", "d.sock", sink.flag, value}),
+                    ::testing::ExitedWithCode(2), sink.flag);
+        ScopedEnv server("CAPCHECK_SERVER", "d.sock");
+        EXPECT_EXIT(parse({sink.flag, value}),
+                    ::testing::ExitedWithCode(2), sink.flag);
+    }
 }

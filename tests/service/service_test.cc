@@ -392,7 +392,7 @@ TEST(Service, OversizeBatchIsRejectedBeforeAdmission)
     Daemon daemon(dir, 1, {}, /*max_batch=*/1);
     RawClient raw(daemon.server);
     sendFrame(raw.fd.get(),
-              encodeSubmit(5, "big", SubmitOptions{}, sampleBatch()));
+              encodeSubmit(5, "big", SweepOptions{}, sampleBatch()));
     const auto v = raw.recv();
     EXPECT_EQ(messageType(v), "error");
     EXPECT_EQ(v.get("code")->asString(), errOversizeBatch);
@@ -408,7 +408,7 @@ TEST(Service, OverloadRejectionIsAllOrNothingAndRetryable)
     Daemon daemon(dir, 1, {}, 4096, /*max_inflight=*/1);
     RawClient raw(daemon.server);
     sendFrame(raw.fd.get(),
-              encodeSubmit(9, "burst", SubmitOptions{},
+              encodeSubmit(9, "burst", SweepOptions{},
                            sampleBatch()));
     const auto v = raw.recv();
     EXPECT_EQ(messageType(v), "error");
@@ -424,7 +424,7 @@ TEST(Service, OverloadRejectionIsAllOrNothingAndRetryable)
     // A batch within the cap on the same connection still runs.
     const std::vector<RunRequest> one = {sampleBatch().front()};
     sendFrame(raw.fd.get(),
-              encodeSubmit(10, "single", SubmitOptions{}, one));
+              encodeSubmit(10, "single", SweepOptions{}, one));
     std::vector<std::string> types;
     while (true) {
         const auto frame = raw.recv();

@@ -143,17 +143,16 @@ TEST(Wire, ResultRoundTripComparesEqual)
 
 TEST(Wire, SubmitRoundTripCarriesOptionsAndRequests)
 {
+    // The artefact directories are checked row by row in
+    // ObsSinks.EveryRowParsesNamesCreatesAndRoundTrips.
     harness::SweepOptions so;
     so.jsonDir = "/tmp/out";
-    so.traceDir = "/tmp/tr";
-    so.auditDir = "/tmp/au";
-    so.sampleInterval = 500;
     so.topN = 4;
     so.cacheEnabled = false;
+    so.traceId = "t-1";
     const std::vector<RunRequest> reqs = {sampleRequest(1),
                                           sampleRequest(2)};
-    const std::string msg = encodeSubmit(
-        7, "grid", SubmitOptions::fromSweepOptions(so), reqs);
+    const std::string msg = encodeSubmit(7, "grid", so, reqs);
 
     std::string err;
     const auto back = submitFromJson(parsed(msg), &err);
@@ -161,14 +160,44 @@ TEST(Wire, SubmitRoundTripCarriesOptionsAndRequests)
     EXPECT_EQ(back->batch, 7u);
     EXPECT_EQ(back->sweep, "grid");
     EXPECT_EQ(back->options.jsonDir, "/tmp/out");
-    EXPECT_EQ(back->options.traceDir, "/tmp/tr");
-    EXPECT_EQ(back->options.auditDir, "/tmp/au");
-    EXPECT_EQ(back->options.sampleInterval, 500u);
     EXPECT_EQ(back->options.topN, 4u);
-    EXPECT_TRUE(back->options.noCache);
+    EXPECT_FALSE(back->options.cacheEnabled);
+    EXPECT_EQ(back->options.traceId, "t-1");
     ASSERT_EQ(back->requests.size(), 2u);
     EXPECT_EQ(back->requests[0].hash(), reqs[0].hash());
     EXPECT_EQ(back->requests[1].hash(), reqs[1].hash());
+    // Result bodies always ride in result frames now; an older daemon
+    // reads the missing key as true.
+    EXPECT_EQ(msg.find("wantResultJson"), std::string::npos) << msg;
+}
+
+TEST(Wire, SubmitDecodesAnOlderClientsFrame)
+{
+    // A submit frame as clients sent it before the options became a
+    // SweepOptions: same keys, plus the retired "wantResultJson".
+    const std::string frame = R"({"type": "submit", "batch": 3,
+        "sweep": "grid", "traceId": "old-client",
+        "options": {"jsonDir": "/o", "traceDir": "/t",
+                    "auditDir": "/a", "flightDir": "/f",
+                    "latencyDir": "/l", "sampleInterval": 500,
+                    "topN": 4, "noCache": true,
+                    "wantResultJson": true},
+        "requests": []})";
+    std::string err;
+    const auto msg = submitFromJson(parsed(frame), &err);
+    ASSERT_TRUE(msg.has_value()) << err;
+    EXPECT_EQ(msg->batch, 3u);
+    EXPECT_EQ(msg->sweep, "grid");
+    EXPECT_EQ(msg->options.traceId, "old-client");
+    EXPECT_EQ(msg->options.jsonDir, "/o");
+    EXPECT_EQ(msg->options.traceDir, "/t");
+    EXPECT_EQ(msg->options.auditDir, "/a");
+    EXPECT_EQ(msg->options.flightDir, "/f");
+    EXPECT_EQ(msg->options.latencyDir, "/l");
+    EXPECT_EQ(msg->options.sampleInterval, 500u);
+    EXPECT_EQ(msg->options.topN, 4u);
+    EXPECT_FALSE(msg->options.cacheEnabled);
+    EXPECT_TRUE(msg->requests.empty());
 }
 
 TEST(Wire, SubmitRejectsAClientServerHashMismatch)
@@ -177,7 +206,7 @@ TEST(Wire, SubmitRejectsAClientServerHashMismatch)
     // hash from decoded fields and must refuse to key a different
     // experiment under the client's claim.
     const std::string msg =
-        encodeSubmit(1, "s", SubmitOptions{}, {sampleRequest()});
+        encodeSubmit(1, "s", harness::SweepOptions{}, {sampleRequest()});
     std::string text = msg;
     const std::string needle = "\"numTasks\": 2";
     const auto pos = text.find(needle);

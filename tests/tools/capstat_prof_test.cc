@@ -8,6 +8,8 @@
  * loader, pinning the producer and consumer to the same schema.
  */
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -33,7 +35,11 @@ class CapstatProfTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "capcheck_capstat_prof";
+        // Unique per process and per case: ctest runs every case as
+        // its own process, possibly in parallel with the others.
+        dir = fs::temp_directory_path() /
+              ("capcheck_capstat_prof_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter++));
         fs::remove_all(dir);
         fs::create_directories(dir);
     }
@@ -81,6 +87,7 @@ class CapstatProfTest : public ::testing::Test
     }
 
     fs::path dir;
+    static inline int counter = 0;
 };
 
 } // namespace

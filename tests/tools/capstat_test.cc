@@ -6,6 +6,8 @@
  * table.
  */
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +30,11 @@ class CapstatTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "capcheck_capstat";
+        // Unique per process and per case: ctest runs every case as
+        // its own process, possibly in parallel with the others.
+        dir = fs::temp_directory_path() /
+              ("capcheck_capstat_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter++));
         fs::remove_all(dir);
         fs::create_directories(dir);
     }
@@ -55,6 +61,7 @@ class CapstatTest : public ::testing::Test
     }
 
     fs::path dir;
+    static inline int counter = 0;
 };
 
 } // namespace
