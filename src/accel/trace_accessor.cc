@@ -56,7 +56,7 @@ TraceAccessor::flushDelay()
     if (pendingOps == 0)
         return;
     const std::uint64_t ilp = spec.timing.ilp;
-    trace.ops.push_back(TraceOp::delay((pendingOps + ilp - 1) / ilp));
+    trace.delay((pendingOps + ilp - 1) / ilp);
     pendingOps = 0;
 }
 
@@ -67,7 +67,7 @@ TraceAccessor::recordAccess(MemCmd cmd, ObjectId obj, std::uint64_t off,
     if (spec.buffer(obj).placement != workloads::BufferPlacement::external)
         return; // BRAM-resident: no DMA beat
     flushDelay();
-    trace.ops.push_back(TraceOp::access(cmd, obj, off, size));
+    trace.access(cmd, obj, off, size);
 }
 
 void
@@ -96,9 +96,8 @@ TraceAccessor::consume(const Event *events, std::size_t n)
             break;
           case Event::Kind::barrier:
             flushDelay();
-            if (trace.ops.empty() ||
-                trace.ops.back().kind != TraceOp::Kind::barrier)
-                trace.ops.push_back(TraceOp::barrier());
+            if (!trace.endsWithBarrier())
+                trace.barrier();
             break; // consecutive barriers coalesce
           case Event::Kind::compute:
             break;

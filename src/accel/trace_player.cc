@@ -98,43 +98,73 @@ TracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
 void
 TracePlayer::handleResponse(const MemResponse &resp)
 {
-    if (outstanding == 0)
+    if (pending.size() >= outstanding)
         panic("%s: response with nothing outstanding", name().c_str());
-    --outstanding;
-    if (!resp.ok) {
-        ++deniedResponses;
-        // The CapChecker blocked this access: the instance aborts and
-        // the driver will observe the exception flag.
-        _failed = true;
-        CAPCHECK_DPRINTF(debug::accel, "%s: beat denied, aborting",
-                         name().c_str());
-        wakeOnResponse(true);
-        return;
-    }
+    // The response takes effect on its due cycle: the first tick at or
+    // after it retires it (retireResponses()).
+    pending.push_back(Pending{resp.due, resp.ok});
     // While the retry wake is armed the player is waiting on its
     // crossbar slot, and a response alone cannot unblock the next
     // issue — only the grant that frees the slot can (and its retry
     // wakes us). Skipping the wake here drops one no-op tick per
     // in-flight beat.
-    if (!awaitRetry)
-        wakeOnResponse(false);
+    if (!resp.ok || !awaitRetry)
+        activate(responseWake(resp.due, !resp.ok) - curCycle());
 }
 
 void
-TracePlayer::wakeOnResponse(bool denied)
+TracePlayer::retireResponses()
+{
+    const Cycles now = curCycle();
+    std::size_t kept = 0;
+    for (const Pending &resp : pending) {
+        if (resp.due > now) {
+            pending[kept++] = resp;
+            continue;
+        }
+        --outstanding;
+        if (!resp.ok) {
+            ++deniedResponses;
+            // The CapChecker blocked this access: the instance aborts
+            // and the driver will observe the exception flag.
+            _failed = true;
+            CAPCHECK_DPRINTF(debug::accel, "%s: beat denied, aborting",
+                             name().c_str());
+        }
+    }
+    pending.resize(kept);
+}
+
+Cycles
+TracePlayer::responseWake(Cycles due, bool denied) const
 {
     // Where the last tick skipped its successor, a response on the
     // skipped tick's cycle stands in for it: the polling player ran
-    // that tick after every response of the cycle, so tick on this
-    // very cycle (responses fire before requestPrio). Otherwise the
+    // that tick after every response of the cycle, so tick on that
+    // very cycle (responses land before requestPrio). Otherwise the
     // response is seen on the next cycle's tick. A skipped tick that
     // would only have started the delay now running (busyUntil lies
     // ahead) is needed only by a denial, which it would have seen
     // before the delay.
-    const bool on_skipped_tick =
-        skippedAfter != noCycle && curCycle() == skippedAfter + 1 &&
-        (denied || busyUntil <= curCycle());
-    activate(on_skipped_tick ? 0 : 1);
+    const bool on_skipped_tick = skippedAfter != noCycle &&
+                                 due == skippedAfter + 1 &&
+                                 (denied || busyUntil <= due);
+    return on_skipped_tick ? due : due + 1;
+}
+
+void
+TracePlayer::armResponseWake()
+{
+    // The wake rules read only state the last tick set, so each
+    // pending response's wake stays what it was when it arrived until
+    // the next tick re-arms them here.
+    Cycles wake = noCycle;
+    for (const Pending &resp : pending) {
+        if (!resp.ok || !awaitRetry)
+            wake = std::min(wake, responseWake(resp.due, !resp.ok));
+    }
+    if (wake != noCycle)
+        activate(wake - curCycle());
 }
 
 void
@@ -169,7 +199,7 @@ TracePlayer::responseSleep()
     // A polling player would take one more tick, find the credit
     // window full or the barrier waiting, and fall into
     // response-driven sleep. Sleep now instead and let
-    // wakeOnResponse() stand in for that tick. The retry wake stays
+    // responseWake() stand in for that tick. The retry wake stays
     // disarmed: a grant landing on the same cycle as the
     // credit-freeing response would otherwise pull the next issue one
     // cycle early (grants fire at arbitratePrio, after the response
@@ -193,12 +223,21 @@ bool
 TracePlayer::tick()
 {
     PROF_SCOPE("replay", "player.tick");
-    // Every return path below re-decides how the player may be
+    retireResponses();
+    // Every return path of body() re-decides how the player may be
     // woken: only pollSleep() arms the grant retry, and only the
     // skipped-tick paths record skippedAfter.
     awaitRetry = false;
     skippedAfter = noCycle;
+    if (body())
+        return true; // ticks next cycle, before any pending response
+    armResponseWake();
+    return false;
+}
 
+bool
+TracePlayer::body()
+{
     if (phase == Phase::idle || phase == Phase::done)
         return false;
 
@@ -244,51 +283,54 @@ TracePlayer::tick()
       }
 
       case Phase::body: {
-        if (opIndex >= trace.ops.size()) {
+        if (opIndex >= trace.size()) {
             phase = Phase::streamOut;
             streamIndex = 0;
             return true;
         }
-        const TraceOp &op = trace.ops[opIndex];
+        const TraceRecord op = trace.at(opIndex);
         switch (op.kind) {
-          case TraceOp::Kind::delay:
+          case TraceRecord::Kind::delay:
             ++opIndex;
             if (op.cycles == 0)
                 return true;
             busyUntil = curCycle() + op.cycles;
             activate(op.cycles);
             return false;
-          case TraceOp::Kind::barrier:
+          case TraceRecord::Kind::barrier:
             if (outstanding > 0)
                 return false; // reactivated by responses
             ++opIndex;
             return true;
-          case TraceOp::Kind::access: {
+          case TraceRecord::Kind::access: {
             if (outstanding >= spec.timing.maxOutstanding)
                 return false;
             if (!issue(op.cmd, op.obj, op.off, op.size))
                 return pollSleep();
             ++opIndex;
-            const TraceOp *next =
-                opIndex < trace.ops.size() ? &trace.ops[opIndex] : nullptr;
-            if (next && next->kind == TraceOp::Kind::delay &&
-                next->cycles > 0) {
-                // The next cycle's tick would only start this delay:
-                // start it now, ending where that tick would have.
-                ++opIndex;
-                busyUntil = curCycle() + 1 + next->cycles;
-                activate(1 + next->cycles);
+            if (op.cycles > 0) {
+                // The next cycle's tick would only start the fused
+                // delay: start it now, ending where that tick would
+                // have.
+                busyUntil = curCycle() + 1 + op.cycles;
+                activate(1 + op.cycles);
                 skippedAfter = curCycle();
                 return false;
             }
+            if (opIndex >= trace.size()) {
+                // The phase transition is clocked off the next tick.
+                return true;
+            }
+            const TraceRecord::Kind next = trace.at(opIndex).kind;
             // A barrier waits at least on the beat just issued.
-            if (next && (next->kind == TraceOp::Kind::barrier ||
-                         (next->kind == TraceOp::Kind::access &&
-                          outstanding >= spec.timing.maxOutstanding)))
+            if (next == TraceRecord::Kind::barrier ||
+                (next == TraceRecord::Kind::access &&
+                 outstanding >= spec.timing.maxOutstanding))
                 return responseSleep();
-            if (!next || next->kind != TraceOp::Kind::access) {
-                // A zero-cycle delay or the phase transition follows:
-                // it is clocked off the next cycle's tick.
+            if (next == TraceRecord::Kind::delay) {
+                // A zero-cycle delay (canonical traces fold every
+                // longer one into the access) is clocked off the next
+                // cycle's tick.
                 return true;
             }
             // Next op is another beat: sleep until the grant retry,

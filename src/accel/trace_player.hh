@@ -134,8 +134,14 @@ class TracePlayer : public TickingObject, public ResponseHandler
      *  the credit window full or a barrier waiting: sleep until a
      *  response. */
     bool responseSleep();
-    /** Wake the tick for a response (or a denial) that just arrived. */
-    void wakeOnResponse(bool denied);
+    /** Cycle a response due on @p due wakes the tick on. */
+    Cycles responseWake(Cycles due, bool denied) const;
+    /** Arm the tick for the earliest pending response that wakes it. */
+    void armResponseWake();
+    /** Retire the responses due by now, oldest registered first. */
+    void retireResponses();
+    /** One tick's replay work; true to tick again next cycle. */
+    bool body();
     void finish();
 
     const workloads::KernelSpec &spec;
@@ -151,7 +157,18 @@ class TracePlayer : public TickingObject, public ResponseHandler
     std::vector<StreamBeat> outBeats;
     std::size_t streamIndex = 0;
     std::size_t opIndex = 0;
+    /** Beats issued and not yet retired. */
     unsigned outstanding = 0;
+
+    /** A response registered ahead of its due cycle. */
+    struct Pending
+    {
+        Cycles due;
+        bool ok;
+    };
+    /** Responses not yet due, in arrival order (at most the credit
+     *  window, so a scan is cheap). */
+    std::vector<Pending> pending;
     /**
      * Armed when the player sleeps on a path where a polling player
      * would keep ticking (an issue attempt that did not saturate the
@@ -168,7 +185,7 @@ class TracePlayer : public TickingObject, public ResponseHandler
      * filled the credit window or is followed by a barrier, or one
      * that started the delay op after it. A response arriving on the
      * skipped tick's cycle wakes the player on that same cycle
-     * instead of the next (see wakeOnResponse()). noCycle when the
+     * instead of the next (see responseWake()). noCycle when the
      * last tick skipped nothing.
      */
     Cycles skippedAfter = noCycle;

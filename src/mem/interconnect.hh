@@ -89,7 +89,9 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     /**
      * Fired when a response is routed back to its master — the end of
      * the request's flight, whether it came from the memory controller
-     * or as a denial from the check stage.
+     * or as a denial from the check stage. A fixed-latency pipeline
+     * below reports it at grant; the response's due cycle is when the
+     * flight ends.
      */
     probe::ProbePoint<MemResponse> &respondProbe()
     {

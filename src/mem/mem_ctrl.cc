@@ -13,7 +13,7 @@ MemoryController::MemoryController(EventQueue &eq,
     : SimObject(eq, std::move(name), parent_stats),
       cpuSidePort(*this, "cpu_side",
                   static_cast<TimingConsumer &>(*this)),
-      _latency(latency), respondEvent(*this),
+      _latency(latency),
       served(stats, "served", "requests served"),
       readBeats(stats, "readBeats", "read beats"),
       writeBeats(stats, "writeBeats", "write beats")
@@ -23,44 +23,35 @@ MemoryController::MemoryController(EventQueue &eq,
 }
 
 bool
-MemoryController::tryAccept(const MemRequest &req)
+MemoryController::tryAcceptAt(const MemRequest &req, Cycles when)
 {
+    PARANOID_INVARIANT(when >= curCycle(),
+                       "memory accept for past cycle %llu at %llu",
+                       static_cast<unsigned long long>(when),
+                       static_cast<unsigned long long>(curCycle()));
     // One accept per cycle models the single DRAM channel.
-    if (lastAcceptCycle == curCycle())
+    if (when < nextFree)
         return false;
-    lastAcceptCycle = curCycle();
-
-    ++served;
-    if (req.cmd == MemCmd::read)
-        ++readBeats;
-    else
-        ++writeBeats;
-    _acceptProbe.notify(req);
+    nextFree = when + 1;
 
     MemResponse resp;
-    resp.id = req.id;
-    resp.srcPort = req.srcPort;
-    resp.ok = true;
-    PARANOID_INVARIANT(pipeline.empty() ||
-                           pipeline.back().due <= curCycle() + _latency,
-                       "memory pipeline due times not monotonic");
-    pipeline.push_back(Inflight{curCycle() + _latency, resp});
-    if (!respondEvent.scheduled())
-        eq.schedule(&respondEvent, pipeline.front().due);
-    return true;
-}
+    {
+        PROF_SCOPE("mem", "memctrl.accept");
+        ++served;
+        if (req.cmd == MemCmd::read)
+            ++readBeats;
+        else
+            ++writeBeats;
+        _acceptProbe.notify(MemAcceptEvent{&req, when});
 
-void
-MemoryController::deliver()
-{
-    PROF_SCOPE("mem", "memctrl.deliver");
-    while (!pipeline.empty() && pipeline.front().due <= curCycle()) {
-        _respondProbe.notify(pipeline.front().resp);
-        cpuSidePort.sendResponse(pipeline.front().resp);
-        pipeline.pop_front();
+        resp.id = req.id;
+        resp.srcPort = req.srcPort;
+        resp.ok = true;
+        resp.due = when + _latency;
+        _respondProbe.notify(resp);
     }
-    if (!pipeline.empty())
-        eq.schedule(&respondEvent, pipeline.front().due);
+    cpuSidePort.sendResponse(resp);
+    return true;
 }
 
 } // namespace capcheck

@@ -3,13 +3,13 @@
  * Pipelined memory controller model: accepts at most one request per
  * cycle and returns each response a fixed latency later. Bandwidth is
  * therefore one beat per cycle — the paper's stated platform limit —
- * while latency is hidden for deeply pipelined masters.
+ * while latency is hidden for deeply pipelined masters. The response
+ * cycle is known at accept, so the response goes upstream at once,
+ * stamped with its due cycle: the controller schedules nothing.
  */
 
 #ifndef CAPCHECK_MEM_MEM_CTRL_HH
 #define CAPCHECK_MEM_MEM_CTRL_HH
-
-#include <deque>
 
 #include "base/probe.hh"
 #include "base/stats.hh"
@@ -19,6 +19,14 @@
 
 namespace capcheck
 {
+
+/** Payload of the controller's accept probe. */
+struct MemAcceptEvent
+{
+    const MemRequest *req;
+    /** Cycle the request enters the controller (may lie ahead). */
+    Cycles cycle;
+};
 
 class MemoryController : public SimObject, public TimingConsumer
 {
@@ -32,13 +40,26 @@ class MemoryController : public SimObject, public TimingConsumer
 
     /**
      * Upstream-facing port: requests arrive through it and responses
-     * leave through it a fixed latency later. Bind it to the mem-side
-     * request port of the interconnect, check stage or router above.
+     * leave through it, due a fixed latency after the accept. Bind it
+     * to the mem-side request port of the interconnect, check stage
+     * or router above.
      */
     ResponsePort &cpuSide() { return cpuSidePort; }
 
     /** TimingConsumer: accept one request per cycle. */
-    bool tryAccept(const MemRequest &req) override;
+    bool tryAccept(const MemRequest &req) override
+    {
+        return tryAcceptAt(req, curCycle());
+    }
+
+    bool acceptsAhead() const override { return true; }
+
+    /**
+     * Accept a request on cycle @p when; cycles must not repeat or go
+     * back (one beat per cycle). The response goes upstream before
+     * this returns, due @p when + latency().
+     */
+    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
 
     Cycles latency() const { return _latency; }
 
@@ -48,51 +69,30 @@ class MemoryController : public SimObject, public TimingConsumer
         return static_cast<std::uint64_t>(served.value());
     }
 
-    /** Fired when a request enters the controller pipeline. */
-    probe::ProbePoint<MemRequest> &acceptProbe() { return _acceptProbe; }
+    /** Fired when a request is accepted, with its accept cycle. */
+    probe::ProbePoint<MemAcceptEvent> &acceptProbe()
+    {
+        return _acceptProbe;
+    }
 
-    /** Fired when a response leaves toward the interconnect. */
+    /** Fired when a response leaves toward the interconnect (at
+     *  accept; the response carries its due cycle). */
     probe::ProbePoint<MemResponse> &respondProbe()
     {
         return _respondProbe;
     }
 
   private:
-    class RespondEvent : public Event
-    {
-      public:
-        RespondEvent(MemoryController &owner)
-            : Event(Event::responsePrio), owner(owner)
-        {
-        }
-
-        void process() override { owner.deliver(); }
-        std::string description() const override { return "mem-respond"; }
-
-      private:
-        MemoryController &owner;
-    };
-
-    void deliver();
-
     ResponsePort cpuSidePort;
     Cycles _latency;
-    Cycles lastAcceptCycle = ~Cycles{0};
-
-    /** In-flight responses, ordered by due cycle. */
-    struct Inflight
-    {
-        Cycles due;
-        MemResponse resp;
-    };
-    std::deque<Inflight> pipeline;
-    RespondEvent respondEvent;
+    /** First cycle the controller can still accept on. */
+    Cycles nextFree = 0;
 
     stats::Scalar served;
     stats::Scalar readBeats;
     stats::Scalar writeBeats;
 
-    probe::ProbePoint<MemRequest> _acceptProbe{"memctrl.accept"};
+    probe::ProbePoint<MemAcceptEvent> _acceptProbe{"memctrl.accept"};
     probe::ProbePoint<MemResponse> _respondProbe{"memctrl.respond"};
 };
 

@@ -53,12 +53,18 @@ struct MemRequest
     std::string toString() const;
 };
 
-/** Response delivered back to the issuing master. */
+/**
+ * Response delivered back to the issuing master. A fixed-latency
+ * downstream knows a response's cycle when it accepts the request, so
+ * it sends the response up at once, stamped with the cycle it reaches
+ * the master; the master acts on it from that cycle on.
+ */
 struct MemResponse
 {
     std::uint64_t id = 0;
     PortId srcPort = 0;
     bool ok = true; ///< false when a protection check rejected the access
+    Cycles due = 0; ///< cycle the response reaches the master
 };
 
 /**
@@ -75,6 +81,22 @@ class TimingConsumer
      * @return false when the consumer is busy; the caller retries later.
      */
     virtual bool tryAccept(const MemRequest &req) = 0;
+
+    /**
+     * True when this consumer, and everything below it, takes a
+     * request for a later cycle through tryAcceptAt(): it and its
+     * downstream only add fixed latencies, so the request's path is
+     * settled the moment it is offered.
+     */
+    virtual bool acceptsAhead() const { return false; }
+
+    /**
+     * Offer a request that enters this consumer on cycle @p when
+     * (>= the current cycle). Only consumers whose acceptsAhead()
+     * holds implement it.
+     * @return false when the consumer is taken on that cycle.
+     */
+    virtual bool tryAcceptAt(const MemRequest &req, Cycles when);
 };
 
 /** Upstream interface: components that receive responses. */

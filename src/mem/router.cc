@@ -42,6 +42,26 @@ AddrRouter::tryAccept(const MemRequest &req)
     return true;
 }
 
+bool
+AddrRouter::acceptsAhead() const
+{
+    for (const auto &channel : channels) {
+        if (!channel->peerAcceptsAhead())
+            return false;
+    }
+    return true;
+}
+
+bool
+AddrRouter::tryAcceptAt(const MemRequest &req, Cycles when)
+{
+    const unsigned channel = channelFor(req.addr);
+    if (!channels[channel]->trySendAt(req, when))
+        return false;
+    ++*beatsPerChannel[channel];
+    return true;
+}
+
 void
 AddrRouter::handleResponse(const MemResponse &resp)
 {

@@ -58,6 +58,12 @@ class AddrRouter : public SimObject, public TimingConsumer,
     /** TimingConsumer: demux the request to its channel, same cycle. */
     bool tryAccept(const MemRequest &req) override;
 
+    /** True when every channel's downstream accepts ahead. */
+    bool acceptsAhead() const override;
+
+    /** Demux a request for cycle @p when to its channel. */
+    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
+
     /** ResponseHandler: merge channel responses back upstream. */
     void handleResponse(const MemResponse &resp) override;
 

@@ -173,14 +173,50 @@ FlightRecorder::onGrant(const MemRequest &req)
     // (its timing probe fires first, same cycle) — that grant, and
     // only that grant, enters the beat into the stage occupancy. A
     // pass-through check (zero-latency, already at the memory
-    // controller) never occupies the stage; everything else does until
-    // its verdict leaves (memory acceptance or a denial response).
-    if (!rec.sawMem && rec.sawCheck &&
-        rec.checkStart == eq.curCycle() && !rec.inCheckQueue) {
-        rec.inCheckQueue = true;
-        ++checkOccupied;
-        checkOccupancy.sample(checkOccupied);
+    // controller this cycle) never occupies the stage; everything else
+    // does until its verdict leaves (memory acceptance or a denial
+    // response).
+    const bool pass_through =
+        rec.sawMem && rec.memAccept == eq.curCycle();
+    if (!pass_through && rec.sawCheck &&
+        rec.checkStart == eq.curCycle() && !rec.checkCounted)
+        enterCheckQueue(rec);
+    completeIfDone(it);
+}
+
+void
+FlightRecorder::enterCheckQueue(FlightRecord &rec)
+{
+    rec.checkCounted = true;
+    rec.inCheckQueue = true;
+    // Flights whose exit came before this cycle's acceptance (the
+    // ticking stage leaves at checkPrio, before arbitration) are gone.
+    while (!checkExits.empty() && checkExits.top() <= eq.curCycle()) {
+        checkExits.pop();
+        if (checkOccupied > 0)
+            --checkOccupied;
     }
+    ++checkOccupied;
+    checkOccupancy.sample(checkOccupied);
+    // A computing stage has already reported where the flight leaves.
+    if (rec.sawMem)
+        leaveCheckQueue(rec, rec.memAccept);
+    else if (rec.responded)
+        leaveCheckQueue(rec, rec.respond);
+}
+
+void
+FlightRecorder::leaveCheckQueue(FlightRecord &rec, Cycles cycle)
+{
+    if (!rec.inCheckQueue)
+        return;
+    rec.inCheckQueue = false;
+    if (cycle > eq.curCycle()) {
+        checkExits.push(cycle);
+        return;
+    }
+    if (checkOccupied > 0)
+        --checkOccupied;
 }
 
 void
@@ -207,12 +243,9 @@ FlightRecorder::onCheck(const MemRequest &req, bool allowed,
     // cycle (a deeper level granted in the same cycle as its parent);
     // enter the stage occupancy here in that case — onGrant handles
     // the common order (timing probe first, then the grant probe).
-    if (!rec.inCheckQueue && !rec.sawMem && rec.sawGrant &&
-        rec.grant == eq.curCycle()) {
-        rec.inCheckQueue = true;
-        ++checkOccupied;
-        checkOccupancy.sample(checkOccupied);
-    }
+    if (!rec.checkCounted && !rec.sawMem && rec.sawGrant &&
+        rec.grant == eq.curCycle())
+        enterCheckQueue(rec);
 }
 
 void
@@ -228,19 +261,15 @@ FlightRecorder::onCacheMiss()
 }
 
 void
-FlightRecorder::onMemAccept(const MemRequest &req)
+FlightRecorder::onMemAccept(const MemRequest &req, Cycles cycle)
 {
     const auto it = open.find(Key{req.srcPort, req.id});
     if (it == open.end())
         return;
     FlightRecord &rec = it->second;
-    rec.memAccept = eq.curCycle();
+    rec.memAccept = cycle;
     rec.sawMem = true;
-    if (rec.inCheckQueue) {
-        rec.inCheckQueue = false;
-        if (checkOccupied > 0)
-            --checkOccupied;
-    }
+    leaveCheckQueue(rec, cycle);
 }
 
 void
@@ -250,12 +279,26 @@ FlightRecorder::onRespond(const MemResponse &resp)
     if (it == open.end())
         return;
     FlightRecord &rec = it->second;
-    rec.respond = eq.curCycle();
+    // In a cascade every crossbar on the way up reports the response;
+    // the first report (the deepest level) is the flight's.
+    if (rec.responded)
+        return;
+    rec.responded = true;
+    rec.respond = resp.due;
     rec.denied |= !resp.ok;
-    if (rec.inCheckQueue) {
-        rec.inCheckQueue = false;
-        if (checkOccupied > 0)
-            --checkOccupied;
+    leaveCheckQueue(rec, resp.due);
+    completeIfDone(it);
+}
+
+void
+FlightRecorder::completeIfDone(std::map<Key, FlightRecord>::iterator it)
+{
+    FlightRecord &rec = it->second;
+    if (!rec.responded || !rec.sawGrant)
+        return;
+    for (const FlightRecord::XbarHop &hop : rec.xbarHops) {
+        if (!hop.granted)
+            return;
     }
     complete(rec);
     open.erase(it);

@@ -11,15 +11,21 @@
  * INVARIANT, so a missed or re-ordered probe aborts loudly instead of
  * producing subtly wrong cost breakdowns.
  *
- * All timestamps come from the simulated EventQueue, so both artefact
- * files (flights JSON, latency JSON) are byte-identical at any --jobs.
+ * All timestamps are simulated cycles, so both artefact files (flights
+ * JSON, latency JSON) are byte-identical at any --jobs. Memory
+ * acceptance and the response can be reported ahead of their cycles
+ * (a fixed-latency pipeline computes them at grant): those probes
+ * carry their cycles, and a flight completes once its response is
+ * reported and every crossbar it entered has granted it.
  */
 
 #ifndef CAPCHECK_OBS_FLIGHT_HH
 #define CAPCHECK_OBS_FLIGHT_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,8 +82,13 @@ struct FlightRecord
     bool sawGrant = false;
     bool sawCheck = false;
     bool sawMem = false;
-    /** Counted in the check-stage occupancy gauge (bookkeeping). */
+    /** The response was reported (its cycle is @c respond). */
+    bool responded = false;
+    /** @{ Check-stage occupancy bookkeeping: entered once, and still
+     *  counted until its exit is known. */
+    bool checkCounted = false;
     bool inCheckQueue = false;
+    /** @} */
 
     bool denied = false;
 
@@ -145,7 +156,9 @@ class FlightRecorder
                  Cycles end);
     void onCacheHit();
     void onCacheMiss();
-    void onMemAccept(const MemRequest &req);
+    /** @p cycle: when the request enters the controller. */
+    void onMemAccept(const MemRequest &req, Cycles cycle);
+    /** The response reaches the master on @c resp.due. */
     void onRespond(const MemResponse &resp);
     /** @} */
 
@@ -181,6 +194,13 @@ class FlightRecorder
     using Key = std::pair<PortId, std::uint64_t>;
 
     void complete(FlightRecord &rec);
+    /** Complete and drop the flight once its response is reported and
+     *  every crossbar it entered has granted it. */
+    void completeIfDone(std::map<Key, FlightRecord>::iterator it);
+    /** Count @p rec into the check-stage occupancy and sample it. */
+    void enterCheckQueue(FlightRecord &rec);
+    /** @p rec leaves the check stage on @p cycle (may lie ahead). */
+    void leaveCheckQueue(FlightRecord &rec, Cycles cycle);
 
     EventQueue &eq;
     unsigned topN;
@@ -198,6 +218,9 @@ class FlightRecorder
     unsigned xbarWaiting = 0;
     unsigned checkOccupied = 0;
     /** @} */
+    /** Exit cycles still ahead of flights counted in checkOccupied. */
+    std::priority_queue<Cycles, std::vector<Cycles>, std::greater<>>
+        checkExits;
 
     /** Unsorted pool of the slowest flights seen so far. */
     std::vector<FlightRecord> slowest;

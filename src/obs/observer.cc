@@ -47,6 +47,12 @@ RunObserver::RunObserver(const ObsOptions &opts, EventQueue &eq,
                                                    opts.runLabel);
 }
 
+RunObserver::~RunObserver()
+{
+    if (dueListener != probe::invalidListener)
+        eq.cycleProbe().detach(dueListener);
+}
+
 unsigned
 RunObserver::track(const std::string &label)
 {
@@ -151,22 +157,34 @@ void
 RunObserver::attachMemory(MemoryController &mem)
 {
     if (recording())
-        mem.acceptProbe().attach([this](const MemRequest &req) {
-            flights->onMemAccept(req);
+        mem.acceptProbe().attach([this](const MemAcceptEvent &ev) {
+            flights->onMemAccept(*ev.req, ev.cycle);
         });
     if (!tracing())
         return;
-    mem.respondProbe().attach([this](const MemResponse &) {
+    if (dueListener == probe::invalidListener)
+        dueListener = eq.cycleProbe().attach(
+            [this](const Cycles &now) { recordDueMemBeats(now); });
+    mem.respondProbe().attach([this](const MemResponse &resp) {
         ++memBeats;
         // Per-beat counter events would dominate the trace; sample
         // the cumulative count instead.
-        if (memBeats == 1 || memBeats % counterStride == 0) {
-            std::ostringstream series;
-            series << "{\"beats\":" << memBeats << "}";
-            chromeTrace.counter(track("Memory"), "memBeats",
-                                eq.curCycle(), series.str());
-        }
+        if (memBeats == 1 || memBeats % counterStride == 0)
+            dueMemBeats.push_back(DueCounter{resp.due, memBeats});
     });
+}
+
+void
+RunObserver::recordDueMemBeats(Cycles now)
+{
+    while (!dueMemBeats.empty() && dueMemBeats.front().due <= now) {
+        const DueCounter &due = dueMemBeats.front();
+        std::ostringstream series;
+        series << "{\"beats\":" << due.beats << "}";
+        chromeTrace.counter(track("Memory"), "memBeats", due.due,
+                            series.str());
+        dueMemBeats.pop_front();
+    }
 }
 
 void
@@ -271,6 +289,11 @@ RunObserver::finalize(Cycles end_cycle)
     if (sampler) {
         sampler->finalize(end_cycle);
         sampler->writeFile(opts.samplesFile);
+    }
+    if (dueListener != probe::invalidListener) {
+        recordDueMemBeats(~Cycles{0});
+        eq.cycleProbe().detach(dueListener);
+        dueListener = probe::invalidListener;
     }
     if (tracing())
         chromeTrace.writeFile(opts.traceFile);

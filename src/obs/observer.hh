@@ -15,10 +15,12 @@
 #ifndef CAPCHECK_OBS_OBSERVER_HH
 #define CAPCHECK_OBS_OBSERVER_HH
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "base/probe.hh"
 #include "base/types.hh"
 #include "obs/audit.hh"
 #include "obs/chrome_trace.hh"
@@ -61,6 +63,8 @@ class RunObserver
   public:
     RunObserver(const ObsOptions &opts, EventQueue &eq,
                 const stats::StatGroup &stat_root);
+
+    ~RunObserver();
 
     RunObserver(const RunObserver &) = delete;
     RunObserver &operator=(const RunObserver &) = delete;
@@ -135,6 +139,22 @@ class RunObserver
     std::uint64_t cacheMisses = 0;
     std::uint64_t memBeats = 0;
     std::uint64_t xbarGrants = 0;
+
+    /**
+     * memBeats counter events whose response is not due yet. The
+     * controller reports a response at accept; its counter event is
+     * recorded when time reaches the due cycle, before that cycle's
+     * events, where the response used to be delivered.
+     */
+    struct DueCounter
+    {
+        Cycles due;
+        std::uint64_t beats;
+    };
+    std::deque<DueCounter> dueMemBeats;
+    /** Listener on the cycle probe that records due counter events. */
+    probe::ListenerHandle dueListener = probe::invalidListener;
+    void recordDueMemBeats(Cycles now);
 };
 
 } // namespace capcheck::obs

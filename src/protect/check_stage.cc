@@ -1,5 +1,7 @@
 #include "protect/check_stage.hh"
 
+#include <algorithm>
+
 #include "base/invariant.hh"
 #include "obs/prof.hh"
 #include "base/logging.hh"
@@ -24,13 +26,33 @@ CheckStage::CheckStage(EventQueue &eq, stats::StatGroup *parent_stats,
 }
 
 bool
+CheckStage::computesExits()
+{
+    if (timing == Timing::undecided)
+        timing = memSidePort.peerAcceptsAhead() ? Timing::computed
+                                                : Timing::ticked;
+    return timing == Timing::computed;
+}
+
+std::size_t
+CheckStage::depth()
+{
+    if (timing == Timing::ticked)
+        return pipe.size();
+    while (!exits.empty() && exits.front() <= curCycle())
+        exits.pop_front();
+    return exits.size();
+}
+
+bool
 CheckStage::tryAccept(const MemRequest &req)
 {
     PROF_SCOPE("capcheck", "stage.accept");
     // One new request per cycle (the check pipeline's issue rate).
     if (lastAcceptCycle == curCycle())
         return false;
-    if (pipe.size() > checker.checkLatency() + 4)
+    const bool computed = computesExits();
+    if (depth() > checker.checkLatency() + 4)
         return false; // downstream badly stalled
 
     lastAcceptCycle = curCycle();
@@ -44,6 +66,10 @@ CheckStage::tryAccept(const MemRequest &req)
     _timingProbe.notify(CheckTimingEvent{&req, verdict.allowed,
                                          curCycle(),
                                          curCycle() + latency});
+    if (computed) {
+        forwardAt(req, verdict.allowed, latency);
+        return true;
+    }
     if (latency == 0 && verdict.allowed && pipe.empty()) {
         // Transparent pass-through (the "no method" configuration).
         return memSidePort.trySend(req);
@@ -62,17 +88,62 @@ CheckStage::tryAccept(const MemRequest &req)
     return true;
 }
 
+void
+CheckStage::forwardAt(const MemRequest &req, bool allowed, Cycles latency)
+{
+    const Cycles now = curCycle();
+    if (latency == 0 && allowed && exits.empty() &&
+        memSidePort.trySendAt(req, now)) {
+        // Transparent pass-through (the "no method" configuration).
+        lastExit = now;
+        lastAllowed = true;
+        return;
+    }
+    // The exit the ticked pipe would reach: the verdict's cycle, but
+    // never the accept cycle (the stage's tick there has run) and never
+    // before the request ahead has left, one forward per cycle. A
+    // pass-through the controller refused (it took the request ahead
+    // this cycle) waits here for the next cycle.
+    const Cycles exit =
+        std::max(now + std::max<Cycles>(latency, 1),
+                 lastExit + (lastAllowed ? 1 : 0));
+    PARANOID_INVARIANT(exits.size() <= checker.checkLatency() + 5,
+                       "check pipeline deeper than its structural bound "
+                       "(%zu entries)",
+                       exits.size());
+    exits.push_back(exit);
+    lastExit = exit;
+    lastAllowed = allowed;
+    if (!allowed) {
+        deny(req, exit);
+        return;
+    }
+    const bool sent = memSidePort.trySendAt(req, exit);
+    INVARIANT(sent,
+              "%s: downstream refused request (id %llu) for its "
+              "computed exit cycle %llu",
+              name().c_str(), static_cast<unsigned long long>(req.id),
+              static_cast<unsigned long long>(exit));
+}
+
+void
+CheckStage::deny(const MemRequest &req, Cycles due)
+{
+    MemResponse resp;
+    resp.id = req.id;
+    resp.srcPort = req.srcPort;
+    resp.ok = false;
+    resp.due = due;
+    cpuSidePort.sendResponse(resp);
+}
+
 bool
 CheckStage::tick()
 {
     while (!pipe.empty() && pipe.front().due <= curCycle()) {
         Staged &head = pipe.front();
         if (!head.allowed) {
-            MemResponse resp;
-            resp.id = head.req.id;
-            resp.srcPort = head.req.srcPort;
-            resp.ok = false;
-            cpuSidePort.sendResponse(resp);
+            deny(head.req, curCycle());
             pipe.pop_front();
             continue;
         }
@@ -97,8 +168,8 @@ void
 CheckStage::handleResponse(const MemResponse &resp)
 {
     // Memory responses pass through combinationally: the stage only
-    // filters the request path, so the response reaches the
-    // interconnect in the same cycle it left the controller.
+    // filters the request path, so a response keeps the due cycle the
+    // controller stamped on it.
     cpuSidePort.sendResponse(resp);
 }
 

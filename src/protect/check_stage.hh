@@ -5,11 +5,19 @@
  * (pipelined); each request spends the checker's latency in the stage.
  * Denied requests never reach memory — an error response goes back to
  * the issuing master instead.
+ *
+ * The stage leaves its pipe in FIFO order, at most one forwarded
+ * request per cycle, so a request's exit cycle is known when it is
+ * accepted. A stage whose downstream accepts ahead (only routers and
+ * memory controllers below it) computes that cycle and forwards at
+ * once, stamped with it; it never ticks. A stage with a crossbar below
+ * it, which can refuse a forward, keeps the pipe and ticks it.
  */
 
 #ifndef CAPCHECK_PROTECT_CHECK_STAGE_HH
 #define CAPCHECK_PROTECT_CHECK_STAGE_HH
 
+#include <cstdint>
 #include <deque>
 
 #include "base/probe.hh"
@@ -53,6 +61,15 @@ class CheckStage : public TickingObject, public TimingConsumer,
     bool tryAccept(const MemRequest &req) override;
     bool tick() override;
 
+    /**
+     * True when the stage computes exit cycles instead of ticking:
+     * everything below it accepts ahead. Decided on the first call,
+     * from the bindings, and fixed from then on: the elaborator calls
+     * it once the topology is wired, a hand-wired stage on its first
+     * request.
+     */
+    bool computesExits();
+
     /** ResponseHandler: pass memory responses through, upstream. */
     void handleResponse(const MemResponse &resp) override;
 
@@ -76,10 +93,31 @@ class CheckStage : public TickingObject, public TimingConsumer,
         Cycles due;
     };
 
+    enum class Timing : std::uint8_t
+    {
+        undecided,
+        computed,
+        ticked,
+    };
+
+    /** Requests accepted but not yet left the stage. */
+    std::size_t depth();
+    /** Computed timing: send the request on at its exit cycle. */
+    void forwardAt(const MemRequest &req, bool allowed, Cycles latency);
+    /** Send the error response for a denied request up. */
+    void deny(const MemRequest &req, Cycles due);
+
     ProtectionChecker &checker;
     ResponsePort cpuSidePort;
     RequestPort memSidePort;
+    Timing timing = Timing::undecided;
+    /** Ticked timing: requests inside the stage, oldest first. */
     std::deque<Staged> pipe;
+    /** Computed timing: exit cycles still ahead, ascending. */
+    std::deque<Cycles> exits;
+    /** Computed timing: the last request's exit and verdict. */
+    Cycles lastExit = 0;
+    bool lastAllowed = false;
     Cycles lastAcceptCycle = ~Cycles{0};
 
     stats::Scalar checked;

@@ -164,9 +164,7 @@ ResponsePort::ResponsePort(SimObject &owner, std::string name,
                            TimingConsumer &consumer, std::string protocol)
     : PortBase(owner, std::move(name), Role::response,
                std::move(protocol)),
-      tryFn([&consumer](const MemRequest &req) {
-          return consumer.tryAccept(req);
-      })
+      consumer(&consumer)
 {
 }
 

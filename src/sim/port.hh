@@ -147,8 +147,22 @@ class RequestPort : public PortBase
      */
     bool trySend(const MemRequest &req); // inline below
 
+    /**
+     * Offer a request that enters the peer on cycle @p when; only
+     * when peerAcceptsAhead() holds.
+     * @return false when the peer is taken on that cycle.
+     */
+    bool trySendAt(const MemRequest &req, Cycles when); // inline below
+
     /** True when the bound peer can take a request this cycle. */
     bool canSend() const; // inline below
+
+    /**
+     * True when the bound peer and everything below it take requests
+     * for later cycles (TimingConsumer::acceptsAhead()); false when
+     * unbound.
+     */
+    bool peerAcceptsAhead() const;
 
     ResponseHandler &responseHandler() const { return handler; }
 
@@ -181,7 +195,25 @@ class ResponsePort : public PortBase
     void bind(RequestPort &peer);
 
     /** Admit a request into the owner (called via the peer). */
-    bool tryAccept(const MemRequest &req) { return tryFn(req); }
+    bool
+    tryAccept(const MemRequest &req)
+    {
+        return consumer ? consumer->tryAccept(req) : tryFn(req);
+    }
+
+    /** Admit a request for cycle @p when (see acceptsAhead()). */
+    bool
+    tryAcceptAt(const MemRequest &req, Cycles when)
+    {
+        return consumer->tryAcceptAt(req, when);
+    }
+
+    /** Whether the owner takes requests for later cycles. */
+    bool
+    acceptsAhead() const
+    {
+        return consumer && consumer->acceptsAhead();
+    }
 
     /** Whether the owner could admit a request this cycle. */
     bool canAccept() const { return canFn ? canFn() : true; }
@@ -201,12 +233,14 @@ class ResponsePort : public PortBase
     void sendRetry(); // inline below
 
   private:
+    /** The owner's admission (consumer-backed ports), else tryFn. */
+    TimingConsumer *consumer = nullptr;
     TryAcceptFn tryFn;
     CanAcceptFn canFn;
 };
 
 /*
- * The four per-packet forwarding calls are inline (defined here, after
+ * The per-packet forwarding calls are inline (defined here, after
  * both classes, because each casts its peer to the other role): every
  * simulated beat crosses a port twice, and the cross-TU call cost
  * dwarfed the one-pointer forward being done. The unbound error path
@@ -219,6 +253,20 @@ RequestPort::trySend(const MemRequest &req)
     if (!_peer) [[unlikely]]
         requireBound("trySend");
     return static_cast<ResponsePort *>(_peer)->tryAccept(req);
+}
+
+inline bool
+RequestPort::trySendAt(const MemRequest &req, Cycles when)
+{
+    if (!_peer) [[unlikely]]
+        requireBound("trySendAt");
+    return static_cast<ResponsePort *>(_peer)->tryAcceptAt(req, when);
+}
+
+inline bool
+RequestPort::peerAcceptsAhead() const
+{
+    return _peer && static_cast<ResponsePort *>(_peer)->acceptsAhead();
 }
 
 inline bool

@@ -452,6 +452,11 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
         }
     }
 
+    // Each check stage settles now, from the wired graph, whether it
+    // computes its exit cycles or ticks (see protect/check_stage.hh).
+    for (const auto &stage : platform.checkStages)
+        stage->computesExits();
+
     // --- Task attachment table ---
     for (const PendingAttach &pending : attach) {
         AxiInterconnect *xbar = xbarsByName.at(pending.xbarName);

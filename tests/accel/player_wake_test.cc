@@ -61,9 +61,16 @@ class DenyAddrs : public protect::ProtectionChecker
     std::vector<Addr> denied;
 };
 
+/** One body op of a hand-built trace, appended through InstanceTrace. */
+struct Step
+{
+    TraceRecord::Kind kind;
+    std::uint64_t value = 0; ///< access: offset; delay: cycles
+};
+
 struct Scenario
 {
-    std::vector<TraceOp> ops;
+    std::vector<Step> ops;
     unsigned maxOutstanding = 8;
     Cycles memLatency = 4;
     /** Bytes of a streamed read-write buffer (0 = no streams). */
@@ -102,7 +109,19 @@ replay(const Scenario &sc)
     stage.memSide().bind(memctrl.cpuSide());
 
     InstanceTrace trace;
-    trace.ops = sc.ops;
+    for (const Step &step : sc.ops) {
+        switch (step.kind) {
+          case TraceRecord::Kind::access:
+            trace.access(MemCmd::read, 0, step.value, 8);
+            break;
+          case TraceRecord::Kind::delay:
+            trace.delay(step.value);
+            break;
+          case TraceRecord::Kind::barrier:
+            trace.barrier();
+            break;
+        }
+    }
     TracePlayer player(eq, &root, "p0", spec, trace,
                        {{extBase, 256, {}}, {streamBase, 4096, {}}}, 0, 0,
                        AddressingMode{});
@@ -121,17 +140,29 @@ replay(const Scenario &sc)
     return os.str();
 }
 
-TraceOp
+Step
 read(std::uint64_t off)
 {
-    return TraceOp::access(MemCmd::read, 0, off, 8);
+    return {TraceRecord::Kind::access, off};
+}
+
+Step
+delay(Cycles cycles)
+{
+    return {TraceRecord::Kind::delay, cycles};
+}
+
+Step
+barrier()
+{
+    return {TraceRecord::Kind::barrier};
 }
 
 /** @p n reads of consecutive ext-buffer words. */
-std::vector<TraceOp>
+std::vector<Step>
 reads(unsigned n)
 {
-    std::vector<TraceOp> ops;
+    std::vector<Step> ops;
     for (unsigned i = 0; i < n; ++i)
         ops.push_back(read(8 * i));
     return ops;
@@ -224,28 +255,26 @@ TEST(PlayerWake, SaturatingIssueThenDelayBarrierOrEnd)
 {
     // The second beat fills the window on cycle 4. Latency 1 lands
     // the first response on cycle 5, right after it.
-    const std::vector<TraceOp> delay = {read(0), read(8),
-                                        TraceOp::delay(5), read(16),
-                                        read(24)};
-    const std::vector<TraceOp> barrier = {read(0), read(8),
-                                          TraceOp::barrier(), read(16),
-                                          read(24)};
-    const std::vector<TraceOp> end = {read(0), read(8)};
+    const std::vector<Step> then_delay = {read(0), read(8), delay(5),
+                                          read(16), read(24)};
+    const std::vector<Step> then_barrier = {read(0), read(8), barrier(),
+                                            read(16), read(24)};
+    const std::vector<Step> then_end = {read(0), read(8)};
     Scenario sc;
     sc.maxOutstanding = 2;
     sc.memLatency = 1;
-    sc.ops = delay;
+    sc.ops = then_delay;
     EXPECT_EQ(replay(sc), "issue 3 4 10 11 | finish 13");
-    sc.ops = barrier;
+    sc.ops = then_barrier;
     EXPECT_EQ(replay(sc), "issue 3 4 8 9 | finish 11");
-    sc.ops = end;
+    sc.ops = then_end;
     EXPECT_EQ(replay(sc), "issue 3 4 | finish 6");
     sc.memLatency = 2;
-    sc.ops = delay;
+    sc.ops = then_delay;
     EXPECT_EQ(replay(sc), "issue 3 4 10 11 | finish 15");
-    sc.ops = barrier;
+    sc.ops = then_barrier;
     EXPECT_EQ(replay(sc), "issue 3 4 8 9 | finish 13");
-    sc.ops = end;
+    sc.ops = then_end;
     EXPECT_EQ(replay(sc), "issue 3 4 | finish 8");
 }
 
@@ -256,7 +285,7 @@ TEST(PlayerWake, IssueThenBarrier)
     // cycle 5, right after it, with the second beat still in flight.
     Scenario sc;
     sc.maxOutstanding = 4;
-    sc.ops = {read(0), read(8), TraceOp::barrier(), read(16)};
+    sc.ops = {read(0), read(8), barrier(), read(16)};
     sc.memLatency = 1;
     EXPECT_EQ(replay(sc), "issue 3 4 8 | finish 10");
     sc.memLatency = 2;
@@ -270,7 +299,7 @@ TEST(PlayerWake, ResponseDuringDelay)
 {
     Scenario sc;
     sc.maxOutstanding = 4;
-    sc.ops = {read(0), TraceOp::delay(10), read(8), read(16)};
+    sc.ops = {read(0), delay(10), read(8), read(16)};
     // The delay runs from cycle 4 to 14. The first response lands
     // inside it (cycles 5, 9 and its last cycle 13) and after it (16).
     sc.memLatency = 1;
@@ -290,9 +319,9 @@ TEST(PlayerWake, ResponseRightAfterIssueThenDelay)
     Scenario sc;
     sc.maxOutstanding = 4;
     sc.memLatency = 1;
-    sc.ops = {read(0), read(8), TraceOp::delay(1), read(16)};
+    sc.ops = {read(0), read(8), delay(1), read(16)};
     EXPECT_EQ(replay(sc), "issue 3 4 6 | finish 8");
-    sc.ops = {read(0), read(8), TraceOp::delay(3), read(16)};
+    sc.ops = {read(0), read(8), delay(3), read(16)};
     EXPECT_EQ(replay(sc), "issue 3 4 8 | finish 10");
 }
 
@@ -300,12 +329,12 @@ TEST(PlayerWake, DenialDuringDelay)
 {
     Scenario sc;
     sc.maxOutstanding = 4;
-    sc.ops = {read(0), TraceOp::delay(10), read(8)};
+    sc.ops = {read(0), delay(10), read(8)};
     sc.deniedOffsets = {0};
     EXPECT_EQ(replay(sc), "issue 3 | finish 6 failed");
     // The denial lands on the cycle right after an issue followed by
     // a delay, with that issue's beat still in flight.
-    sc.ops = {read(0), read(8), TraceOp::delay(10), read(16)};
+    sc.ops = {read(0), read(8), delay(10), read(16)};
     sc.memLatency = 1;
     EXPECT_EQ(replay(sc), "issue 3 4 | finish 7 failed");
     sc.memLatency = 2;
@@ -315,8 +344,8 @@ TEST(PlayerWake, DenialDuringDelay)
 TEST(PlayerWake, ZeroCycleDelay)
 {
     Scenario sc;
-    sc.ops = {read(0), TraceOp::delay(0), read(8), TraceOp::delay(0),
-              TraceOp::delay(1), read(16)};
+    sc.ops = {read(0), delay(0), read(8), delay(0),
+              delay(1), read(16)};
     EXPECT_EQ(replay(sc), "issue 3 5 8 | finish 14");
     sc.maxOutstanding = 1;
     EXPECT_EQ(replay(sc), "issue 3 9 15 | finish 21");

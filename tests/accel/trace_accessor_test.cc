@@ -61,13 +61,13 @@ TEST_F(TraceAccessorTest, ExternalAccessesAreTraced)
     acc.ld<std::uint32_t>(1, 0);
     acc.st<std::uint32_t>(1, 1, 7);
     const InstanceTrace trace = acc.take();
-    ASSERT_EQ(trace.ops.size(), 2u);
-    EXPECT_EQ(trace.ops[0].kind, TraceOp::Kind::access);
-    EXPECT_EQ(trace.ops[0].cmd, MemCmd::read);
-    EXPECT_EQ(trace.ops[0].obj, 1u);
-    EXPECT_EQ(trace.ops[0].off, 0u);
-    EXPECT_EQ(trace.ops[1].cmd, MemCmd::write);
-    EXPECT_EQ(trace.ops[1].off, 4u);
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.at(0).kind, TraceRecord::Kind::access);
+    EXPECT_EQ(trace.at(0).cmd, MemCmd::read);
+    EXPECT_EQ(trace.at(0).obj, 1u);
+    EXPECT_EQ(trace.at(0).off, 0u);
+    EXPECT_EQ(trace.at(1).cmd, MemCmd::write);
+    EXPECT_EQ(trace.at(1).off, 4u);
 }
 
 TEST_F(TraceAccessorTest, StreamedAccessesProduceNoBeats)
@@ -84,10 +84,10 @@ TEST_F(TraceAccessorTest, ComputeAccumulatesAsPipelinedDelay)
     acc.computeFp(6); // 12 ops at ILP 4 -> 3 cycles
     acc.barrier();
     const InstanceTrace trace = acc.take();
-    ASSERT_GE(trace.ops.size(), 2u);
-    EXPECT_EQ(trace.ops[0].kind, TraceOp::Kind::delay);
-    EXPECT_EQ(trace.ops[0].cycles, 3u);
-    EXPECT_EQ(trace.ops[1].kind, TraceOp::Kind::barrier);
+    ASSERT_GE(trace.size(), 2u);
+    EXPECT_EQ(trace.at(0).kind, TraceRecord::Kind::delay);
+    EXPECT_EQ(trace.at(0).cycles, 3u);
+    EXPECT_EQ(trace.at(1).kind, TraceRecord::Kind::barrier);
 }
 
 TEST_F(TraceAccessorTest, DelayFlushedBeforeExternalAccess)
@@ -95,10 +95,10 @@ TEST_F(TraceAccessorTest, DelayFlushedBeforeExternalAccess)
     acc.computeInt(8);
     acc.ld<std::uint32_t>(1, 0);
     const InstanceTrace trace = acc.take();
-    ASSERT_EQ(trace.ops.size(), 2u);
-    EXPECT_EQ(trace.ops[0].kind, TraceOp::Kind::delay);
-    EXPECT_EQ(trace.ops[0].cycles, 2u);
-    EXPECT_EQ(trace.ops[1].kind, TraceOp::Kind::access);
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.at(0).kind, TraceRecord::Kind::delay);
+    EXPECT_EQ(trace.at(0).cycles, 2u);
+    EXPECT_EQ(trace.at(1).kind, TraceRecord::Kind::access);
 }
 
 TEST_F(TraceAccessorTest, ConsecutiveBarriersCoalesce)
@@ -107,15 +107,15 @@ TEST_F(TraceAccessorTest, ConsecutiveBarriersCoalesce)
     acc.barrier();
     acc.barrier();
     const InstanceTrace trace = acc.take();
-    EXPECT_EQ(trace.ops.size(), 1u);
+    EXPECT_EQ(trace.size(), 1u);
 }
 
 TEST_F(TraceAccessorTest, TrailingComputeFlushedByTake)
 {
     acc.computeFp(5);
     const InstanceTrace trace = acc.take();
-    ASSERT_EQ(trace.ops.size(), 1u);
-    EXPECT_EQ(trace.ops[0].cycles, 2u); // ceil(5/4)
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace.at(0).cycles, 2u); // ceil(5/4)
 }
 
 TEST_F(TraceAccessorTest, CopyBetweenStreamedBuffersIsLocal)
@@ -132,9 +132,9 @@ TEST_F(TraceAccessorTest, CopyWithExternalEndpointGeneratesBeats)
     acc.copy(1, 0, 0, 0, 32); // streamed -> external: 4 write beats
     const InstanceTrace trace = acc.take();
     EXPECT_EQ(trace.accessBeats(), 4u);
-    for (const TraceOp &op : trace.ops) {
-        if (op.kind == TraceOp::Kind::access) {
-            EXPECT_EQ(op.cmd, MemCmd::write);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace.at(i).kind == TraceRecord::Kind::access) {
+            EXPECT_EQ(trace.at(i).cmd, MemCmd::write);
         }
     }
 }
@@ -179,18 +179,76 @@ TEST_F(TraceAccessorTest, DestructionDrainsPendingTagClears)
     EXPECT_EQ(mem.countTags(), 0u);
 }
 
-TEST(TraceOpTest, PackedIntoSixteenBytes)
+TEST(TraceOpTest, PackedIntoEightBytes)
 {
-    EXPECT_EQ(sizeof(TraceOp), 16u);
-    const TraceOp op = TraceOp::access(MemCmd::write, 3, ~0ull, 0xffff);
-    EXPECT_EQ(op.off, ~0ull); // offsets keep all 64 bits
-    EXPECT_EQ(op.size, 0xffffu);
-    EXPECT_EQ(TraceOp::delay(1ull << 40).cycles, 1ull << 40);
+    EXPECT_EQ(sizeof(TraceOp), 8u);
+    // An access and the delay after it share one op.
+    InstanceTrace trace;
+    trace.access(MemCmd::write, 3, 0x1000, 8);
+    trace.delay(3);
+    trace.barrier();
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.at(0), (TraceRecord{TraceRecord::Kind::access,
+                                        MemCmd::write, 3, 0x1000, 8, 3}));
+    EXPECT_EQ(trace.at(1).kind, TraceRecord::Kind::barrier);
+    EXPECT_EQ(trace.sideEntries(), 0u);
+}
+
+TEST(TraceOpTest, ZeroCycleDelayStaysStandalone)
+{
+    // A zero-cycle delay costs the player a tick, so it never folds;
+    // neither does a second delay after a folded one.
+    InstanceTrace trace;
+    trace.access(MemCmd::read, 0, 0, 8);
+    trace.delay(0);
+    trace.delay(2);
+    trace.access(MemCmd::read, 0, 8, 8);
+    trace.delay(4);
+    trace.delay(5);
+    ASSERT_EQ(trace.size(), 5u);
+    EXPECT_EQ(trace.at(0).cycles, 0u);
+    EXPECT_EQ(trace.at(1), (TraceRecord{TraceRecord::Kind::delay,
+                                        MemCmd::read, invalidObjectId, 0,
+                                        0, 0}));
+    EXPECT_EQ(trace.at(2).kind, TraceRecord::Kind::delay);
+    EXPECT_EQ(trace.at(2).cycles, 2u);
+    EXPECT_EQ(trace.at(3).cycles, 4u);
+    EXPECT_EQ(trace.at(4).kind, TraceRecord::Kind::delay);
+    EXPECT_EQ(trace.at(4).cycles, 5u);
+}
+
+TEST(TraceOpTest, SideTableRoundTripsWideValues)
+{
+    using Kind = TraceRecord::Kind;
+    const std::uint64_t wrapping = ~std::uint64_t{0} - 127; // 2^64 - 128
+    InstanceTrace trace;
+    trace.access(MemCmd::read, 0, wrapping, 8);
+    trace.access(MemCmd::write, 100, 16, 8);
+    trace.access(MemCmd::read, 1, 24, 256);
+    trace.access(MemCmd::read, 2, 32, 8);
+    trace.delay(1ull << 16);
+    trace.delay(1ull << 40);
+    trace.access(MemCmd::write, 0, 1ull << 32, 4);
+    trace.delay(7);
+    const std::vector<TraceRecord> want = {
+        {Kind::access, MemCmd::read, 0, wrapping, 8, 0},
+        {Kind::access, MemCmd::write, 100, 16, 8, 0},
+        {Kind::access, MemCmd::read, 1, 24, 256, 0},
+        {Kind::access, MemCmd::read, 2, 32, 8, 1ull << 16},
+        {Kind::delay, MemCmd::read, invalidObjectId, 0, 0, 1ull << 40},
+        {Kind::access, MemCmd::write, 0, 1ull << 32, 4, 7},
+    };
+    ASSERT_EQ(trace.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(trace.at(i), want[i]) << "op " << i;
+    EXPECT_EQ(trace.sideEntries(), want.size());
+    EXPECT_EQ(trace.accessBeats(), 5u);
 }
 
 TEST(TraceOpTest, OversizedBeatPanicsInsteadOfTruncating)
 {
-    EXPECT_THROW(TraceOp::access(MemCmd::read, 0, 0, 0x10000), SimError);
+    InstanceTrace trace;
+    EXPECT_THROW(trace.access(MemCmd::read, 0, 0, 0x10000), SimError);
 
     // The same beat recorded by the envelope: a raw 64 KiB load on an
     // external buffer fails when the log drains, not silently.

@@ -65,10 +65,10 @@ TEST(TracePlayer, RunsStreamsAndBodyToCompletion)
     Platform plat(none);
 
     InstanceTrace trace;
-    trace.ops.push_back(TraceOp::access(MemCmd::read, 1, 0, 8));
-    trace.ops.push_back(TraceOp::delay(5));
-    trace.ops.push_back(TraceOp::access(MemCmd::write, 1, 8, 8));
-    trace.ops.push_back(TraceOp::barrier());
+    trace.access(MemCmd::read, 1, 0, 8);
+    trace.delay(5);
+    trace.access(MemCmd::write, 1, 8, 8);
+    trace.barrier();
 
     const KernelSpec spec = makeSpec();
     TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
@@ -110,7 +110,7 @@ TEST(TracePlayer, DelaysExtendRuntime)
     auto run_with_delay = [&](Cycles delay) {
         Platform plat(none);
         InstanceTrace trace;
-        trace.ops.push_back(TraceOp::delay(delay));
+        trace.delay(delay);
         const KernelSpec spec = makeSpec();
         TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
                            mappings(), 0, 0, AddressingMode{});
@@ -133,7 +133,7 @@ TEST(TracePlayer, MaxOutstandingThrottlesIssue)
         Platform plat(none);
         InstanceTrace trace;
         for (unsigned i = 0; i < 8; ++i)
-            trace.ops.push_back(TraceOp::access(MemCmd::read, 1, 0, 8));
+            trace.access(MemCmd::read, 1, 0, 8);
         const KernelSpec spec = makeSpec(credits);
         TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
                            mappings(), 0, 0, AddressingMode{});
@@ -153,7 +153,7 @@ TEST(TracePlayer, DeniedBeatAbortsInstance)
     Platform plat(checker);
 
     InstanceTrace trace;
-    trace.ops.push_back(TraceOp::access(MemCmd::read, 1, 0, 8));
+    trace.access(MemCmd::read, 1, 0, 8);
     const KernelSpec spec = makeSpec();
     TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
                        mappings(), 0, 0, AddressingMode{});
@@ -180,7 +180,7 @@ TEST(TracePlayer, FineMetadataTravelsWithRequests)
     Platform plat(checker);
 
     InstanceTrace trace;
-    trace.ops.push_back(TraceOp::access(MemCmd::read, 1, 16, 8));
+    trace.access(MemCmd::read, 1, 16, 8);
     const KernelSpec spec = makeSpec();
     TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
                        mappings(), 0, 0, AddressingMode{});
@@ -209,7 +209,7 @@ TEST(TracePlayer, CoarseAddressingFoldsObjectIntoAddress)
     Platform plat(checker);
 
     InstanceTrace trace;
-    trace.ops.push_back(TraceOp::access(MemCmd::write, 1, 0, 8));
+    trace.access(MemCmd::write, 1, 0, 8);
     AddressingMode addressing;
     addressing.objectMetadata = false;
     addressing.objectInAddress = true;
@@ -232,8 +232,7 @@ TEST(TracePlayer, TwoPlayersShareTheBus)
     auto make_player = [&](PortId port) {
         InstanceTrace trace;
         for (unsigned i = 0; i < 8; ++i) {
-            trace.ops.push_back(
-                TraceOp::access(MemCmd::read, 1, (i % 8) * 8, 8));
+            trace.access(MemCmd::read, 1, (i % 8) * 8, 8);
         }
         static const KernelSpec spec = makeSpec(8);
         auto player = std::make_unique<TracePlayer>(

@@ -238,16 +238,12 @@ fuzzOne(Rng &rng)
         mismatch = runStream(rng, setup, ref, fast, len,
                              [] { return std::string(); });
         if (mismatch.empty()) {
-            const auto a = ref.take().ops;
-            const auto b = fast.take().ops;
+            const accel::InstanceTrace a = ref.take();
+            const accel::InstanceTrace b = fast.take();
             if (a.size() != b.size())
                 return "trace lengths differ";
             for (std::size_t i = 0; i < a.size(); ++i) {
-                const bool same =
-                    a[i].kind == b[i].kind && a[i].cmd == b[i].cmd &&
-                    a[i].obj == b[i].obj && a[i].size == b[i].size &&
-                    test::traceOpWord(a[i]) == test::traceOpWord(b[i]);
-                if (!same)
+                if (!(a.at(i) == b.at(i)))
                     return "trace op " + std::to_string(i) + " differs";
             }
         }

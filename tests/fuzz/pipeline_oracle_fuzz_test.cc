@@ -1,0 +1,415 @@
+/**
+ * @file
+ * Lockstep oracle for the DMA pipeline. Each seeded scenario builds
+ * the same platform twice, once from the production player, check
+ * stage and memory controller (responses computed at grant, stamped
+ * with their due cycle) and once from the ticking references in
+ * tests/oracle/ref_pipeline.hh, and replays the same random traces on
+ * both. Scenarios vary:
+ *
+ *  - 1-8 players with 1-16 credits, streamed buffers and start cycles;
+ *  - delays (zero-cycle ones included) and barriers;
+ *  - denials by address, check latencies 0-8 and cache-miss walks;
+ *  - memory latencies 1-40, one or two memory channels;
+ *  - a check stage below the crossbar, or one per leaf crossbar above
+ *    a root crossbar (the stage that keeps ticking).
+ *
+ * Every beat's issue, grant and response cycle, each player's finish
+ * cycle and every component stat must agree. A mismatch names the
+ * scenario seed, the player and the beat (its op index in issue order).
+ */
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "accel/trace_player.hh"
+#include "base/random.hh"
+#include "fuzz_env.hh"
+#include "mem/interconnect.hh"
+#include "mem/mem_ctrl.hh"
+#include "mem/router.hh"
+#include "../oracle/ref_pipeline.hh"
+#include "protect/check_stage.hh"
+
+namespace capcheck
+{
+namespace
+{
+
+using workloads::BufferAccess;
+using workloads::BufferPlacement;
+
+constexpr Addr extBase = 0x10000;
+constexpr std::uint64_t extBytes = 256;
+constexpr Addr streamBase = 0x80000;
+/** Address space per player: its buffers never overlap another's. */
+constexpr Addr playerStride = 0x100000;
+
+/**
+ * Deterministic checker: a fixed latency, denials by address, and a
+ * cache-miss walk on the addresses a hash picks.
+ */
+class FuzzChecker : public protect::ProtectionChecker
+{
+  public:
+    FuzzChecker(Cycles latency, Cycles miss_extra,
+                std::vector<Addr> denied)
+        : latency(latency), missExtra(miss_extra),
+          denied(std::move(denied))
+    {
+    }
+
+    protect::CheckResult
+    check(const MemRequest &req) override
+    {
+        extra = ((req.addr >> 3) * 0x9e3779b97f4a7c15ull) >> 61 == 0
+                    ? missExtra
+                    : 0;
+        for (const Addr addr : denied) {
+            if (req.addr == addr)
+                return protect::CheckResult::deny("fuzz");
+        }
+        return protect::CheckResult::allow();
+    }
+
+    Cycles checkLatency() const override { return latency; }
+    Cycles lastExtraLatency() const override { return extra; }
+    protect::SchemeProperties properties() const override { return {}; }
+    std::string name() const override { return "fuzz"; }
+
+  private:
+    Cycles latency;
+    Cycles missExtra;
+    Cycles extra = 0;
+    std::vector<Addr> denied;
+};
+
+/** One body op, appended to both players' traces. */
+struct Op
+{
+    accel::TraceRecord::Kind kind;
+    MemCmd cmd = MemCmd::read;
+    std::uint64_t value = 0; ///< access: offset; delay: cycles
+};
+
+struct PlayerSetup
+{
+    workloads::KernelSpec spec;
+    std::vector<Op> ops;
+    Cycles start = 0;
+};
+
+struct Scenario
+{
+    std::vector<PlayerSetup> players;
+    Cycles checkLatency = 1;
+    Cycles missExtra = 0;
+    Cycles memLatency = 30;
+    unsigned channels = 1;
+    unsigned maxBurst = 1;
+    /** Players per leaf crossbar with its own stage above a root
+     *  crossbar; 0 = one crossbar above a single stage. */
+    unsigned perLeaf = 0;
+    std::vector<Addr> denied;
+};
+
+Scenario
+makeScenario(Rng &rng)
+{
+    Scenario sc;
+    const unsigned players = 1 + rng.nextBounded(8);
+    // Short pipelines half the time: responses and denials then land
+    // on the cycles right after an issue, where the wake rules act.
+    const bool short_pipe = rng.nextBool(0.5);
+    sc.checkLatency = rng.nextBounded(short_pipe ? 3 : 9);
+    sc.missExtra = rng.nextBool(0.4) ? 1 + rng.nextBounded(12) : 0;
+    sc.memLatency = 1 + rng.nextBounded(short_pipe ? 4 : 40);
+    sc.channels = rng.nextBool(0.25) ? 2 : 1;
+    sc.maxBurst = rng.nextBool(0.25) ? 2 + rng.nextBounded(3) : 1;
+    if (players > 1 && rng.nextBool(0.3))
+        sc.perLeaf = 1 + rng.nextBounded(players);
+    for (unsigned p = 0; p < players; ++p) {
+        PlayerSetup ps;
+        ps.spec.name = "fuzz";
+        ps.spec.buffers.push_back({"ext", extBytes,
+                                   BufferAccess::readWrite,
+                                   BufferPlacement::external});
+        if (rng.nextBool(0.3)) {
+            ps.spec.buffers.push_back(
+                {"stream", 8 * (1 + rng.nextBounded(24)),
+                 BufferAccess::readWrite, BufferPlacement::streamed});
+        }
+        ps.spec.timing.maxOutstanding = 1 + rng.nextBounded(16);
+        ps.spec.timing.startupCycles = rng.nextBounded(4);
+        ps.start = rng.nextBounded(6);
+        const unsigned len = rng.nextBounded(40);
+        for (unsigned i = 0; i < len; ++i) {
+            const std::uint64_t pick = rng.nextBounded(10);
+            if (pick < 6) {
+                ps.ops.push_back(
+                    {accel::TraceRecord::Kind::access,
+                     rng.nextBool(0.3) ? MemCmd::write : MemCmd::read,
+                     8 * rng.nextBounded(extBytes / 8)});
+            } else if (pick < 9) {
+                const Cycles cycles = rng.nextBool(0.3)
+                                          ? 0
+                                          : rng.nextBool(0.8)
+                                                ? 1 + rng.nextBounded(4)
+                                                : rng.nextBounded(60);
+                ps.ops.push_back(
+                    {accel::TraceRecord::Kind::delay, MemCmd::read,
+                     cycles});
+            } else {
+                ps.ops.push_back({accel::TraceRecord::Kind::barrier});
+            }
+        }
+        sc.players.push_back(std::move(ps));
+    }
+    // Deny beats the traces really issue, so denials land amid
+    // in-flight beats, delays and barriers.
+    for (unsigned d = 0; d < 2 && rng.nextBool(0.4); ++d) {
+        const unsigned p = rng.nextBounded(players);
+        const std::vector<Op> &ops = sc.players[p].ops;
+        if (ops.empty())
+            continue;
+        const Op &op = ops[rng.nextBounded(ops.size())];
+        if (op.kind == accel::TraceRecord::Kind::access)
+            sc.denied.push_back(p * playerStride + extBase + op.value);
+    }
+    return sc;
+}
+
+/** Everything one platform's run leaves behind. */
+struct Observation
+{
+    /** (port, id) -> "issue I grants G.. due D ok|denied". */
+    std::map<std::pair<PortId, std::uint64_t>, std::string> beats;
+    std::vector<std::string> finishes;
+    std::string stats;
+};
+
+/** Flight of one beat, as the probes saw it. */
+struct BeatLog
+{
+    Cycles issue = 0;
+    std::vector<Cycles> grants;
+    Cycles due = 0;
+    bool responded = false;
+    bool ok = true;
+};
+
+/**
+ * One platform from the component types @p Player, @p Stage and
+ * @p Mem, wired as the scenario says, run to completion.
+ */
+template <typename Player, typename Stage, typename Mem>
+Observation
+run(const Scenario &sc)
+{
+    EventQueue eq;
+    stats::StatGroup root("soc");
+    const unsigned players = static_cast<unsigned>(sc.players.size());
+    const unsigned leaves =
+        sc.perLeaf ? (players + sc.perLeaf - 1) / sc.perLeaf : 1;
+
+    std::vector<std::unique_ptr<Mem>> mems;
+    for (unsigned c = 0; c < sc.channels; ++c) {
+        mems.push_back(std::make_unique<Mem>(
+            eq, &root, sc.memLatency, "memctrl" + std::to_string(c)));
+    }
+    std::unique_ptr<AddrRouter> router;
+    if (sc.channels > 1) {
+        router = std::make_unique<AddrRouter>(eq, &root, sc.channels, 64,
+                                              "router");
+        for (unsigned c = 0; c < sc.channels; ++c)
+            router->memSide(c).bind(mems[c]->cpuSide());
+    }
+    ResponsePort &memory =
+        router ? router->cpuSide() : mems.front()->cpuSide();
+
+    std::vector<std::unique_ptr<FuzzChecker>> checkers;
+    std::vector<std::unique_ptr<Stage>> stages;
+    std::vector<std::unique_ptr<AxiInterconnect>> xbars;
+    std::vector<AxiInterconnect *> leafOf(players);
+    auto make_stage = [&](unsigned i) {
+        checkers.push_back(std::make_unique<FuzzChecker>(
+            sc.checkLatency, sc.missExtra, sc.denied));
+        stages.push_back(std::make_unique<Stage>(
+            eq, &root, *checkers.back(),
+            "checkstage" + std::to_string(i)));
+        return stages.back().get();
+    };
+    if (sc.perLeaf == 0) {
+        xbars.push_back(std::make_unique<AxiInterconnect>(
+            eq, &root, players, sc.maxBurst, "xbar"));
+        Stage *stage = make_stage(0);
+        xbars[0]->memSide().bind(stage->cpuSide());
+        stage->memSide().bind(memory);
+        for (unsigned p = 0; p < players; ++p)
+            leafOf[p] = xbars[0].get();
+    } else {
+        xbars.push_back(std::make_unique<AxiInterconnect>(
+            eq, &root, leaves, sc.maxBurst, "root"));
+        xbars[0]->memSide().bind(memory);
+        for (unsigned l = 0; l < leaves; ++l) {
+            xbars.push_back(std::make_unique<AxiInterconnect>(
+                eq, &root, sc.perLeaf, sc.maxBurst,
+                "leaf" + std::to_string(l)));
+            Stage *stage = make_stage(l);
+            xbars.back()->memSide().bind(stage->cpuSide());
+            stage->memSide().bind(xbars[0]->accelSide(l));
+        }
+        for (unsigned p = 0; p < players; ++p)
+            leafOf[p] = xbars[1 + p / sc.perLeaf].get();
+    }
+
+    std::map<std::pair<PortId, std::uint64_t>, BeatLog> log;
+    for (auto &xbar : xbars) {
+        xbar->grantProbe().attach([&](const MemRequest &req) {
+            log[{req.srcPort, req.id}].grants.push_back(eq.curCycle());
+        });
+    }
+    for (unsigned l = sc.perLeaf ? 1 : 0; l < xbars.size(); ++l) {
+        xbars[l]->respondProbe().attach([&](const MemResponse &resp) {
+            BeatLog &beat = log[{resp.srcPort, resp.id}];
+            EXPECT_FALSE(beat.responded) << "response reported twice";
+            beat.responded = true;
+            beat.due = resp.due;
+            beat.ok = resp.ok;
+        });
+    }
+
+    std::vector<std::unique_ptr<Player>> live;
+    for (unsigned p = 0; p < players; ++p) {
+        const PlayerSetup &ps = sc.players[p];
+        accel::InstanceTrace trace;
+        for (const Op &op : ps.ops) {
+            switch (op.kind) {
+              case accel::TraceRecord::Kind::access:
+                trace.access(op.cmd, 0, op.value, 8);
+                break;
+              case accel::TraceRecord::Kind::delay:
+                trace.delay(op.value);
+                break;
+              case accel::TraceRecord::Kind::barrier:
+                trace.barrier();
+                break;
+            }
+        }
+        const Addr base = p * playerStride;
+        std::vector<BufferMapping> buffers = {
+            {base + extBase, extBytes, {}},
+            {base + streamBase, 4096, {}}};
+        buffers.resize(ps.spec.buffers.size());
+        if constexpr (std::is_same_v<Player, accel::TracePlayer>) {
+            live.push_back(std::make_unique<Player>(
+                eq, &root, "p" + std::to_string(p), ps.spec,
+                std::move(trace), buffers, p, p,
+                accel::AddressingMode{}));
+        } else {
+            live.push_back(std::make_unique<Player>(
+                eq, &root, "p" + std::to_string(p), ps.spec,
+                std::move(trace), buffers, p, p));
+        }
+        const unsigned slot = sc.perLeaf ? p % sc.perLeaf : p;
+        live.back()->memSide().bind(leafOf[p]->accelSide(slot));
+        live.back()->issueProbe().attach([&](const MemRequest &req) {
+            log[{req.srcPort, req.id}].issue = eq.curCycle();
+        });
+    }
+    for (unsigned p = 0; p < players; ++p)
+        live[p]->start(sc.players[p].start);
+    eq.run();
+
+    Observation obs;
+    for (const auto &[key, beat] : log) {
+        std::ostringstream os;
+        os << "issue " << beat.issue << " grants";
+        for (const Cycles g : beat.grants)
+            os << ' ' << g;
+        if (beat.responded)
+            os << " due " << beat.due << (beat.ok ? " ok" : " denied");
+        else
+            os << " no response";
+        obs.beats[key] = os.str();
+    }
+    for (unsigned p = 0; p < players; ++p) {
+        std::ostringstream os;
+        os << (live[p]->done() ? "finish " : "stuck ")
+           << live[p]->finishCycle() << (live[p]->failed() ? " failed" : "");
+        obs.finishes.push_back(os.str());
+    }
+    std::ostringstream stats;
+    root.dump(stats);
+    obs.stats = stats.str();
+    return obs;
+}
+
+/** First difference between two observations; empty when equal. */
+std::string
+compare(const Observation &ref, const Observation &prod)
+{
+    for (const auto &[key, want] : ref.beats) {
+        const auto it = prod.beats.find(key);
+        const std::string got =
+            it == prod.beats.end() ? "never issued" : it->second;
+        if (got != want) {
+            return "player " + std::to_string(key.first) + " op " +
+                   std::to_string(key.second) + ": reference '" + want +
+                   "', production '" + got + "'";
+        }
+    }
+    for (const auto &[key, got] : prod.beats) {
+        if (!ref.beats.count(key)) {
+            return "player " + std::to_string(key.first) + " op " +
+                   std::to_string(key.second) +
+                   ": reference never issued it, production '" + got +
+                   "'";
+        }
+    }
+    for (std::size_t p = 0; p < ref.finishes.size(); ++p) {
+        if (ref.finishes[p] != prod.finishes[p]) {
+            return "player " + std::to_string(p) + ": reference '" +
+                   ref.finishes[p] + "', production '" +
+                   prod.finishes[p] + "'";
+        }
+    }
+    if (ref.stats != prod.stats) {
+        return "stats differ:\n--- reference\n" + ref.stats +
+               "--- production\n" + prod.stats;
+    }
+    return "";
+}
+
+TEST(PipelineOracle, ComputedPipelineMatchesTickingReference)
+{
+    const std::uint64_t scenarios =
+        std::max<std::uint64_t>(1, fuzz::iterations() / 20);
+    const std::uint64_t base = fuzz::seed();
+    std::uint64_t beats = 0;
+    for (std::uint64_t i = 0; i < scenarios; ++i) {
+        const std::uint64_t seed = base + i;
+        Rng rng(seed);
+        const Scenario sc = makeScenario(rng);
+        const Observation ref =
+            run<oracle::RefTracePlayer, oracle::RefCheckStage,
+                oracle::RefMemoryController>(sc);
+        const Observation prod =
+            run<accel::TracePlayer, protect::CheckStage,
+                MemoryController>(sc);
+        const std::string diff = compare(ref, prod);
+        ASSERT_TRUE(diff.empty()) << "seed " << seed << ": " << diff;
+        beats += ref.beats.size();
+    }
+    // The scenarios must actually move beats through the pipeline.
+    EXPECT_GT(beats, scenarios);
+}
+
+} // namespace
+} // namespace capcheck

@@ -13,8 +13,8 @@ namespace
 {
 
 /**
- * Records responses with their arrival cycles. Owns one master-side
- * request port per interconnect slot it plugs into.
+ * Records responses with the cycles they are due at the master. Owns
+ * one master-side request port per interconnect slot it plugs into.
  */
 class Collector : public SimObject, public ResponseHandler
 {
@@ -34,7 +34,7 @@ class Collector : public SimObject, public ResponseHandler
     handleResponse(const MemResponse &resp) override
     {
         responses.push_back(resp);
-        cycles.push_back(eq.curCycle());
+        cycles.push_back(resp.due);
     }
 
     std::vector<std::unique_ptr<RequestPort>> ports;
@@ -84,8 +84,11 @@ TEST(Interconnect, SingleRequestRoundTrip)
     ASSERT_EQ(bus.collector.responses.size(), 1u);
     EXPECT_EQ(bus.collector.responses[0].id, 1u);
     EXPECT_TRUE(bus.collector.responses[0].ok);
-    // One cycle of arbitration + 10 cycles of memory latency.
-    EXPECT_EQ(bus.eq.curCycle(), 11u);
+    // One cycle of arbitration + 10 cycles of memory latency. The
+    // controller settles the response at the grant: nothing is left
+    // to schedule after it.
+    EXPECT_EQ(bus.collector.cycles[0], 11u);
+    EXPECT_EQ(bus.eq.curCycle(), 1u);
 }
 
 TEST(Interconnect, ResponsesRouteBySourcePortNotSlot)

@@ -58,6 +58,14 @@ response(PortId port, std::uint64_t id, bool ok = true)
     return resp;
 }
 
+/** @p resp, due on the current cycle (delivered in real time). */
+MemResponse
+dueNow(const EventQueue &eq, MemResponse resp)
+{
+    resp.due = eq.curCycle();
+    return resp;
+}
+
 /** Run @p fn at absolute cycle @p when. The queue does not own its
  *  events, so they live here until the test binary exits. */
 void
@@ -88,8 +96,8 @@ TEST(FlightRecorder, AttributesEveryCycleOfAnAllowedFlight)
     at(eq, 10, [&] { rec.onIssue(req); });
     at(eq, 13, [&] { rec.onGrant(req); });
     at(eq, 13, [&] { rec.onCheck(req, true, 13, 15); });
-    at(eq, 15, [&] { rec.onMemAccept(req); });
-    at(eq, 45, [&] { rec.onRespond(response(0, 0)); });
+    at(eq, 15, [&] { rec.onMemAccept(req, eq.curCycle()); });
+    at(eq, 45, [&] { rec.onRespond(dueNow(eq, response(0, 0))); });
     eq.run();
 
     ASSERT_EQ(rec.completedFlights(), 1u);
@@ -115,7 +123,9 @@ TEST(FlightRecorder, DeniedFlightsNeverTouchMemory)
     at(eq, 5, [&] { rec.onIssue(req); });
     at(eq, 6, [&] { rec.onGrant(req); });
     at(eq, 6, [&] { rec.onCheck(req, false, 6, 7); });
-    at(eq, 7, [&] { rec.onRespond(response(2, 7, /*ok=*/false)); });
+    at(eq, 7, [&] {
+        rec.onRespond(dueNow(eq, response(2, 7, /*ok=*/false)));
+    });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -139,8 +149,8 @@ TEST(FlightRecorder, CacheOutcomeCorrelatesWithTheNextCheck)
         rec.onCacheMiss();
         rec.onCheck(miss_req, true, 1, 61);
     });
-    at(eq, 61, [&] { rec.onMemAccept(miss_req); });
-    at(eq, 91, [&] { rec.onRespond(response(0, 0)); });
+    at(eq, 61, [&] { rec.onMemAccept(miss_req, eq.curCycle()); });
+    at(eq, 91, [&] { rec.onRespond(dueNow(eq, response(0, 0))); });
 
     const auto hit_req = request(0, 1);
     at(eq, 92, [&] { rec.onIssue(hit_req); });
@@ -149,8 +159,8 @@ TEST(FlightRecorder, CacheOutcomeCorrelatesWithTheNextCheck)
         rec.onCacheHit();
         rec.onCheck(hit_req, true, 93, 94);
     });
-    at(eq, 94, [&] { rec.onMemAccept(hit_req); });
-    at(eq, 124, [&] { rec.onRespond(response(0, 1)); });
+    at(eq, 94, [&] { rec.onMemAccept(hit_req, eq.curCycle()); });
+    at(eq, 124, [&] { rec.onRespond(dueNow(eq, response(0, 1))); });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -177,10 +187,10 @@ TEST(FlightRecorder, PassThroughStallOverwritesTheCheckTimestamps)
     at(eq, 2, [&] { rec.onCheck(req, true, 2, 2); });
     at(eq, 3, [&] {
         rec.onCheck(req, true, 3, 3);
-        rec.onMemAccept(req);
+        rec.onMemAccept(req, eq.curCycle());
         rec.onGrant(req);
     });
-    at(eq, 33, [&] { rec.onRespond(response(1, 3)); });
+    at(eq, 33, [&] { rec.onRespond(dueNow(eq, response(1, 3))); });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -215,8 +225,8 @@ TEST(FlightRecorder, CascadedHopsPartitionThePreCheckWait)
         rec.onGrant(req);
         rec.onCheck(req, true, 15, 17);
     });
-    at(eq, 17, [&] { rec.onMemAccept(req); });
-    at(eq, 47, [&] { rec.onRespond(response(0, 0)); });
+    at(eq, 17, [&] { rec.onMemAccept(req, eq.curCycle()); });
+    at(eq, 47, [&] { rec.onRespond(dueNow(eq, response(0, 0))); });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -256,9 +266,9 @@ TEST(FlightRecorder, PostCheckHopBoundsTheDrainWindow)
     at(eq, 6, [&] { rec.onOffer(req); }); // left the stage at 6
     at(eq, 9, [&] {
         rec.onGrant(req);
-        rec.onMemAccept(req);
+        rec.onMemAccept(req, eq.curCycle());
     });
-    at(eq, 39, [&] { rec.onRespond(response(1, 5)); });
+    at(eq, 39, [&] { rec.onRespond(dueNow(eq, response(1, 5))); });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -292,7 +302,9 @@ TEST(FlightRecorder, DeniedMultiHopFlightStillTelescopes)
         rec.onGrant(req);
         rec.onCheck(req, false, 5, 6);
     });
-    at(eq, 6, [&] { rec.onRespond(response(2, 9, /*ok=*/false)); });
+    at(eq, 6, [&] {
+        rec.onRespond(dueNow(eq, response(2, 9, /*ok=*/false)));
+    });
     eq.run();
 
     const auto flights = rec.slowestFlights();
@@ -332,8 +344,8 @@ TEST(FlightRecorder, XbarHopsAppearInTheArtefactOnlyForMultiHopTrees)
         rec.onGrant(multi);
         rec.onCheck(multi, true, 5, 6);
     });
-    at(eq, 6, [&] { rec.onMemAccept(multi); });
-    at(eq, 46, [&] { rec.onRespond(response(0, 0)); });
+    at(eq, 6, [&] { rec.onMemAccept(multi, eq.curCycle()); });
+    at(eq, 46, [&] { rec.onRespond(dueNow(eq, response(0, 0))); });
 
     // Flight 1: the flat single-hop paper shape.
     const auto flat = request(0, 1);
@@ -345,8 +357,8 @@ TEST(FlightRecorder, XbarHopsAppearInTheArtefactOnlyForMultiHopTrees)
         rec.onGrant(flat);
         rec.onCheck(flat, true, 101, 102);
     });
-    at(eq, 102, [&] { rec.onMemAccept(flat); });
-    at(eq, 110, [&] { rec.onRespond(response(0, 1)); });
+    at(eq, 102, [&] { rec.onMemAccept(flat, eq.curCycle()); });
+    at(eq, 110, [&] { rec.onRespond(dueNow(eq, response(0, 1))); });
     eq.run();
 
     rec.writeFlightsFile(flights_file.string());
@@ -388,9 +400,11 @@ TEST(FlightRecorder, TopNKeepsTheSlowestFlights)
             rec.onGrant(req);
             rec.onCheck(req, true, req.id * 100, req.id * 100);
         });
-        at(eq, s, [&rec, req] { rec.onMemAccept(req); });
-        at(eq, s + latencies[i], [&rec, req] {
-            rec.onRespond(response(0, req.id));
+        at(eq, s, [&rec, &eq, req] {
+            rec.onMemAccept(req, eq.curCycle());
+        });
+        at(eq, s + latencies[i], [&rec, &eq, req] {
+            rec.onRespond(dueNow(eq, response(0, req.id)));
         });
         start += 100;
     }
@@ -417,9 +431,11 @@ TEST(FlightRecorder, HistogramsAggregateIntoTheStatTree)
             rec.onGrant(req);
             rec.onCheck(req, true, s + 1, s + 2);
         });
-        at(eq, s + 2, [&rec, req] { rec.onMemAccept(req); });
-        at(eq, s + 32, [&rec, req] {
-            rec.onRespond(response(0, req.id));
+        at(eq, s + 2, [&rec, &eq, req] {
+            rec.onMemAccept(req, eq.curCycle());
+        });
+        at(eq, s + 32, [&rec, &eq, req] {
+            rec.onRespond(dueNow(eq, response(0, req.id)));
         });
     }
     eq.run();

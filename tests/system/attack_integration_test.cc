@@ -85,9 +85,8 @@ TEST_F(AttackIntegration, MaliciousDmaIsBlockedBenignTaskUnaffected)
     ASSERT_TRUE(attacker_handle);
     accel::InstanceTrace evil;
     for (unsigned i = 0; i < 64; ++i) {
-        evil.ops.push_back(accel::TraceOp::access(
-            MemCmd::read, 0,
-            attacker_handle->buffers[0].size + i * 8, 8));
+        evil.access(MemCmd::read, 0,
+                    attacker_handle->buffers[0].size + i * 8, 8);
     }
     accel::TracePlayer attacker_player(
         eq, &stat_root, "attacker", attacker_accel.spec(), evil,
@@ -143,10 +142,9 @@ TEST_F(AttackIntegration, ForgedObjectMetadataCannotCrossTasks)
         // Offset chosen so base + off == victim's buffer (the address
         // adder wraps, so any target is expressible).
         const Addr base = attacker_handle->buffers[obj].base;
-        evil.ops.push_back(accel::TraceOp::access(
-            MemCmd::read, obj, victim_base - base, 8));
+        evil.access(MemCmd::read, obj, victim_base - base, 8);
     }
-    ASSERT_FALSE(evil.ops.empty());
+    ASSERT_FALSE(evil.empty());
 
     accel::TracePlayer attacker_player(
         eq, &stat_root, "attacker", attacker_accel.spec(), evil,

@@ -270,6 +270,39 @@ TEST(SocSystem, StatsDumpOnRequest)
               std::string::npos);
 }
 
+/** Value of the scalar stat @p name in a stats text dump. */
+std::uint64_t
+statValue(const std::string &text, const std::string &name)
+{
+    const std::size_t at = text.find(name + " ");
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no stat " << name;
+        return 0;
+    }
+    return std::stoull(text.substr(at + name.size()));
+}
+
+TEST(SocSystem, ZeroLatencyCheckWithCapCacheChecksEachBeatOnce)
+{
+    // A zero-cycle check whose capability cache misses on some beats
+    // keeps the stage busy, so the next cache-hit beat's pass-through
+    // can find the memory controller taken that cycle. That beat
+    // waits in the stage for the next cycle; it is neither refused
+    // nor checked a second time when the crossbar would retry it.
+    SocConfig cfg = config(SystemMode::ccpuCaccel);
+    cfg.seed = 1;
+    cfg.checkCycles = 0;
+    cfg.capCacheEntries = 4;
+    cfg.collectStats = true;
+    const RunResult r = SocSystem(cfg).runBenchmark("bfs_bulk");
+    EXPECT_TRUE(r.functionallyCorrect);
+    const std::uint64_t grants =
+        statValue(r.statsText, "soc.xbar.grants");
+    EXPECT_EQ(grants, r.dmaBeats);
+    EXPECT_EQ(statValue(r.statsText, "soc.checkstage.checked"), grants);
+    EXPECT_EQ(statValue(r.statsText, "soc.memctrl.served"), grants);
+}
+
 TEST(SocSystem, BurstArbitrationStaysCorrect)
 {
     SocConfig cfg = config(SystemMode::ccpuCaccel);

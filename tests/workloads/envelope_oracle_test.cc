@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "accel/trace_accessor.hh"
@@ -41,9 +40,10 @@ struct Outcome
 {
     /** cycles, loads, stores, misses of every CPU envelope, in order. */
     std::vector<std::uint64_t> counters;
-    /** Every recorded op as (kind, cmd, obj, off or cycles, size). */
-    std::vector<std::tuple<int, int, ObjectId, std::uint64_t, unsigned>>
-        ops;
+    /** Every recorded op, decoded. */
+    std::vector<accel::TraceRecord> ops;
+    /** Trace side-table records, summed over the tasks. */
+    std::size_t sideEntries = 0;
     std::vector<std::uint8_t> bytes;
     /** countTags() after each task's init and run, and at the end. */
     std::vector<std::uint64_t> tags;
@@ -98,11 +98,10 @@ runKernel(const std::string &name, Envelope env)
         if (env == Envelope::trace) {
             Trace tracer(mem, kernel->spec(), buffers);
             kernel->run(tracer);
-            for (const accel::TraceOp &op : tracer.take().ops) {
-                out.ops.emplace_back(static_cast<int>(op.kind),
-                                     static_cast<int>(op.cmd), op.obj,
-                                     test::traceOpWord(op), op.size);
-            }
+            const accel::InstanceTrace trace = tracer.take();
+            for (std::size_t i = 0; i < trace.size(); ++i)
+                out.ops.push_back(trace.at(i));
+            out.sideEntries += trace.sideEntries();
         } else {
             Cpu cpu(mem, buffers, env == Envelope::ccpu);
             cpu.chargeTaskSetup();
@@ -142,6 +141,8 @@ TEST_P(EnvelopeOracle, BatchedMatchesPerAccess)
         EXPECT_EQ(fast.counters, ref.counters);
         EXPECT_EQ(fast.ops.size(), ref.ops.size());
         EXPECT_TRUE(fast.ops == ref.ops);
+        // Recorded kernels fit every op inline.
+        EXPECT_EQ(fast.sideEntries, 0u);
         EXPECT_TRUE(fast.bytes == ref.bytes);
         EXPECT_EQ(fast.tags, ref.tags);
         // The kernels' stores clear planted tags, so the tag counts

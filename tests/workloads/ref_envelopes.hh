@@ -30,21 +30,6 @@
 namespace capcheck::test
 {
 
-/** A trace op's offset or delay, whichever its kind carries. */
-inline std::uint64_t
-traceOpWord(const accel::TraceOp &op)
-{
-    switch (op.kind) {
-      case accel::TraceOp::Kind::access:
-        return op.off;
-      case accel::TraceOp::Kind::delay:
-        return op.cycles;
-      case accel::TraceOp::Kind::barrier:
-        break;
-    }
-    return 0;
-}
-
 /** Per-access CPU cost model; mirrors CpuAccessor. */
 class RefCpuAccessor : public workloads::MemoryAccessor
 {
@@ -230,9 +215,8 @@ class RefTraceAccessor : public workloads::MemoryAccessor
             if (e->kind != Event::Kind::barrier)
                 continue;
             flushDelay();
-            if (trace.ops.empty() ||
-                trace.ops.back().kind != accel::TraceOp::Kind::barrier)
-                trace.ops.push_back(accel::TraceOp::barrier());
+            if (!trace.endsWithBarrier())
+                trace.barrier();
         }
     }
 
@@ -275,8 +259,7 @@ class RefTraceAccessor : public workloads::MemoryAccessor
         if (pendingOps == 0)
             return;
         const std::uint64_t ilp = spec.timing.ilp;
-        trace.ops.push_back(
-            accel::TraceOp::delay((pendingOps + ilp - 1) / ilp));
+        trace.delay((pendingOps + ilp - 1) / ilp);
         pendingOps = 0;
     }
 
@@ -287,7 +270,7 @@ class RefTraceAccessor : public workloads::MemoryAccessor
         if (!external(obj))
             return;
         flushDelay();
-        trace.ops.push_back(accel::TraceOp::access(cmd, obj, off, size));
+        trace.access(cmd, obj, off, size);
     }
 
     TaggedMemory &mem;
