@@ -23,14 +23,15 @@
 #     show a large "other" share, so the gate is grid-wide, not
 #     per run.)
 #  3. Dispatches per beat: the event dispatches of the quick grid
-#     (the calls of the counted sim/dispatch site) divided by its
-#     simulated DMA beats may not exceed
-#     MAX_DISPATCHES_PER_BEAT. Both counts are exact and
+#     (the calls of the counted sim/dispatch site: every tick, queued
+#     or continued inline) divided by its simulated DMA beats may not
+#     exceed MAX_DISPATCHES_PER_BEAT. Both counts are exact and
 #     machine-independent, so the ceiling is the measured value
-#     (2.1457: player ticks and crossbar arbitration; the check stage
-#     and the memory controller compute their cycles at grant): a wake
-#     path that brings back no-op player ticks, or a component that
-#     starts ticking per cycle, fails it.
+#     (1.0001: one crossbar arbitration per beat and each task's
+#     finish; players compute their ticks, and the check stage and
+#     the memory controller their cycles at grant): a player that
+#     dispatches its ticks again, or a component that starts ticking
+#     per cycle, fails it.
 #  4. Reader tools: `capstat prof report` renders the profiles and
 #     `capstat prof merge` + self-`diff` at tolerance 0 passes — the
 #     merged document is a valid baseline format.
@@ -190,7 +191,7 @@ python3 - "$work/on-j1/prof" "$work/on-j1/results" <<'EOF'
 import glob, json, os, sys
 
 # Exact count; raise only with a change that needs more dispatches.
-MAX_DISPATCHES_PER_BEAT = 2.1457
+MAX_DISPATCHES_PER_BEAT = 1.0001
 
 prof_dir, results_dir = sys.argv[1], sys.argv[2]
 dispatches = 0

@@ -1,7 +1,6 @@
 #include "accel/trace_player.hh"
 
-#include <algorithm>
-
+#include "base/invariant.hh"
 #include "base/logging.hh"
 #include "base/trace.hh"
 #include "capchecker/capchecker.hh"
@@ -26,30 +25,35 @@ TracePlayer::TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
       beatsIssued(stats, "beats", "DMA beats issued"),
       deniedResponses(stats, "denied", "beats denied by protection")
 {
-    buildStreams();
 }
 
-void
-TracePlayer::buildStreams()
+ObjectId
+TracePlayer::streamObject(ObjectId obj) const
 {
     using workloads::BufferAccess;
     using workloads::BufferPlacement;
 
-    for (ObjectId obj = 0; obj < spec.buffers.size(); ++obj) {
+    // Streaming in reads every streamed buffer the kernel reads;
+    // streaming out writes back every one it writes. Each is moved in
+    // 8-byte beats, object by object.
+    const BufferAccess skipped = phase == Phase::streamIn
+                                     ? BufferAccess::writeOnly
+                                     : BufferAccess::readOnly;
+    for (; obj < spec.buffers.size(); ++obj) {
         const workloads::BufferDef &def = spec.buffers[obj];
-        if (def.placement != BufferPlacement::streamed)
-            continue;
-        for (std::uint64_t off = 0; off < def.size; off += 8) {
-            const auto size = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(8, def.size - off));
-            if (def.access != BufferAccess::writeOnly)
-                inBeats.push_back(
-                    StreamBeat{MemCmd::read, obj, off, size});
-            if (def.access != BufferAccess::readOnly)
-                outBeats.push_back(
-                    StreamBeat{MemCmd::write, obj, off, size});
-        }
+        if (def.placement == BufferPlacement::streamed &&
+            def.access != skipped && def.size > 0)
+            break;
     }
+    return obj;
+}
+
+void
+TracePlayer::startStream(Phase stream_phase)
+{
+    phase = stream_phase;
+    streamObj = streamObject(0);
+    streamOff = 0;
 }
 
 void
@@ -57,19 +61,20 @@ TracePlayer::start(Cycles when)
 {
     if (phase != Phase::idle)
         panic("%s: started twice", name().c_str());
-    phase = Phase::streamIn;
+    startStream(Phase::streamIn);
     busyUntil = when + spec.timing.startupCycles;
     _startProbe.notify(
         TaskLifecycleEvent{taskId, &name(), when, false});
     const Cycles now = curCycle();
-    activate(busyUntil > now ? busyUntil - now : 1);
+    wakeAt(busyUntil > now ? busyUntil : now + 1);
+    settle();
 }
 
 bool
 TracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
                    std::uint32_t size)
 {
-    if (!memSidePort.canSend())
+    if (slotFull)
         return false;
 
     MemRequest req;
@@ -88,8 +93,15 @@ TracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
     }
     req.id = nextReqId++;
 
-    _issueProbe.notify(req);
-    memSidePort.trySend(req);
+    _issueProbe.notify(TimedRequest{&req, at});
+    // The beat waits in the crossbar slot from this cycle on; the
+    // grant's retry frees the slot again.
+    const bool entered = memSidePort.trySendAt(req, at);
+    INVARIANT(entered,
+              "%s: crossbar slot refused beat %llu although its last "
+              "beat was granted",
+              name().c_str(), static_cast<unsigned long long>(req.id));
+    slotFull = true;
     ++outstanding;
     ++beatsIssued;
     return true;
@@ -98,6 +110,7 @@ TracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
 void
 TracePlayer::handleResponse(const MemResponse &resp)
 {
+    catchUp();
     if (pending.size() >= outstanding)
         panic("%s: response with nothing outstanding", name().c_str());
     // The response takes effect on its due cycle: the first tick at or
@@ -109,16 +122,18 @@ TracePlayer::handleResponse(const MemResponse &resp)
     // wakes us). Skipping the wake here drops one no-op tick per
     // in-flight beat.
     if (!resp.ok || !awaitRetry)
-        activate(responseWake(resp.due, !resp.ok) - curCycle());
+        wakeAt(responseWake(resp.due, !resp.ok));
+    // A beat in the slot leaves the ticks to its grant (no event).
+    if (!slotFull)
+        settle();
 }
 
 void
 TracePlayer::retireResponses()
 {
-    const Cycles now = curCycle();
     std::size_t kept = 0;
     for (const Pending &resp : pending) {
-        if (resp.due > now) {
+        if (resp.due > at) {
             pending[kept++] = resp;
             continue;
         }
@@ -158,29 +173,28 @@ TracePlayer::armResponseWake()
     // The wake rules read only state the last tick set, so each
     // pending response's wake stays what it was when it arrived until
     // the next tick re-arms them here.
-    Cycles wake = noCycle;
     for (const Pending &resp : pending) {
         if (!resp.ok || !awaitRetry)
-            wake = std::min(wake, responseWake(resp.due, !resp.ok));
+            wakeAt(responseWake(resp.due, !resp.ok));
     }
-    if (wake != noCycle)
-        activate(wake - curCycle());
 }
 
 void
 TracePlayer::handleRetry()
 {
-    // The player sleeps between issues; the crossbar's grant just
-    // freed our slot, so tick again later this same cycle (the grant
-    // runs at arbitratePrio, our tick at requestPrio — the cycle a
-    // per-cycle poll would issue on). Only honoured while awaitRetry
-    // is armed, i.e. where a polling player would be polling: a retry
-    // arriving while the player sleeps on a response-driven
-    // precondition must not wake us, because the response reactivates
-    // the player one cycle later and a same-cycle grant would issue a
+    // The crossbar granted the beat in our slot. The ticks before this
+    // cycle found the slot full; then, where a polling player would be
+    // polling (awaitRetry), tick on this very cycle (the grant runs at
+    // arbitratePrio, a tick at requestPrio — the cycle a per-cycle
+    // poll would issue on). A retry while the player sleeps on a
+    // response-driven precondition must not wake it: the response
+    // wakes it one cycle later, and a same-cycle wake would issue a
     // cycle early.
+    catchUp();
+    slotFull = false;
     if (awaitRetry)
-        activate(0);
+        wakeAt(curCycle());
+    settle();
 }
 
 bool
@@ -204,7 +218,7 @@ TracePlayer::responseSleep()
     // credit-freeing response would otherwise pull the next issue one
     // cycle early (grants fire at arbitratePrio, after the response
     // has already dropped `outstanding` below the cap).
-    skippedAfter = curCycle();
+    skippedAfter = at;
     return false;
 }
 
@@ -212,17 +226,76 @@ void
 TracePlayer::finish()
 {
     phase = Phase::done;
-    _finishCycle = curCycle();
-    _finishProbe.notify(
-        TaskLifecycleEvent{taskId, &name(), _finishCycle, _failed});
-    if (doneFn)
-        doneFn();
+    _finishCycle = at;
+}
+
+void
+TracePlayer::catchUp()
+{
+    // Ticks before this cycle wait only while the slot is full (the
+    // grant decides them); everything they read is settled by now.
+    while (wake < curCycle())
+        runTick(wake);
+}
+
+void
+TracePlayer::settle()
+{
+    // With every response in and the slot free, nothing but the trace
+    // decides the coming ticks: run them now, up to the next issue.
+    const auto settled = [this] {
+        return wake != noCycle && !slotFull &&
+               pending.size() == outstanding && phase != Phase::done;
+    };
+    if (settled()) {
+        PROF_SCOPE("replay", "player.advance");
+        do {
+            runTick(wake);
+        } while (settled());
+    }
+    // The player's event: the finish, reported on its cycle, or the
+    // next tick while a late response may still change it. A beat
+    // waiting in the slot leaves the ticks to its grant.
+    Cycles when = noCycle;
+    if (phase == Phase::done)
+        when = finishReported ? noCycle : _finishCycle;
+    else if (!slotFull)
+        when = wake;
+    if (when == noCycle)
+        deactivate();
+    else
+        tickAt(when);
 }
 
 bool
 TracePlayer::tick()
 {
     PROF_SCOPE("replay", "player.tick");
+    if (phase != Phase::done) {
+        INVARIANT(wake == curCycle(),
+                  "%s: event on cycle %llu, next tick on %llu",
+                  name().c_str(),
+                  static_cast<unsigned long long>(curCycle()),
+                  static_cast<unsigned long long>(wake));
+        runTick(curCycle());
+    }
+    if (phase == Phase::done && !finishReported &&
+        _finishCycle == curCycle()) {
+        finishReported = true;
+        _finishProbe.notify(
+            TaskLifecycleEvent{taskId, &name(), _finishCycle, _failed});
+        if (doneFn)
+            doneFn();
+    }
+    settle();
+    return false;
+}
+
+void
+TracePlayer::runTick(Cycles cycle)
+{
+    at = cycle;
+    wake = noCycle;
     retireResponses();
     // Every return path of body() re-decides how the player may be
     // woken: only pollSleep() arms the grant retry, and only the
@@ -230,9 +303,9 @@ TracePlayer::tick()
     awaitRetry = false;
     skippedAfter = noCycle;
     if (body())
-        return true; // ticks next cycle, before any pending response
-    armResponseWake();
-    return false;
+        wakeAt(at + 1); // ticks next cycle, before any pending response
+    else
+        armResponseWake();
 }
 
 bool
@@ -243,24 +316,20 @@ TracePlayer::body()
 
     if (_failed) {
         // Abort: stop issuing, wait for in-flight beats to drain.
-        if (outstanding == 0) {
+        if (outstanding == 0)
             finish();
-            return false;
-        }
-        return false; // reactivated by responses
+        return false; // else woken by responses
     }
 
-    if (busyUntil > curCycle()) {
-        activate(busyUntil - curCycle());
+    if (busyUntil > at) {
+        wakeAt(busyUntil);
         return false;
     }
 
     switch (phase) {
       case Phase::streamIn:
       case Phase::streamOut: {
-        const std::vector<StreamBeat> &beats =
-            phase == Phase::streamIn ? inBeats : outBeats;
-        if (streamIndex >= beats.size()) {
+        if (streamObj >= spec.buffers.size()) {
             if (outstanding > 0)
                 return false; // drain before switching phase
             if (phase == Phase::streamIn) {
@@ -272,10 +341,18 @@ TracePlayer::body()
             return false;
         }
         if (outstanding >= streamCredits)
-            return false; // reactivated by a response
-        const StreamBeat &beat = beats[streamIndex];
-        if (issue(beat.cmd, beat.obj, beat.off, beat.size)) {
-            ++streamIndex;
+            return false; // woken by a response
+        const std::uint64_t bytes = spec.buffers[streamObj].size;
+        const auto size = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(8, bytes - streamOff));
+        const MemCmd cmd =
+            phase == Phase::streamIn ? MemCmd::read : MemCmd::write;
+        if (issue(cmd, streamObj, streamOff, size)) {
+            streamOff += 8;
+            if (streamOff >= bytes) {
+                streamObj = streamObject(streamObj + 1);
+                streamOff = 0;
+            }
             if (outstanding >= streamCredits)
                 return responseSleep();
         }
@@ -284,8 +361,7 @@ TracePlayer::body()
 
       case Phase::body: {
         if (opIndex >= trace.size()) {
-            phase = Phase::streamOut;
-            streamIndex = 0;
+            startStream(Phase::streamOut);
             return true;
         }
         const TraceRecord op = trace.at(opIndex);
@@ -294,12 +370,12 @@ TracePlayer::body()
             ++opIndex;
             if (op.cycles == 0)
                 return true;
-            busyUntil = curCycle() + op.cycles;
-            activate(op.cycles);
+            busyUntil = at + op.cycles;
+            wakeAt(busyUntil);
             return false;
           case TraceRecord::Kind::barrier:
             if (outstanding > 0)
-                return false; // reactivated by responses
+                return false; // woken by responses
             ++opIndex;
             return true;
           case TraceRecord::Kind::access: {
@@ -312,9 +388,9 @@ TracePlayer::body()
                 // The next cycle's tick would only start the fused
                 // delay: start it now, ending where that tick would
                 // have.
-                busyUntil = curCycle() + 1 + op.cycles;
-                activate(1 + op.cycles);
-                skippedAfter = curCycle();
+                busyUntil = at + 1 + op.cycles;
+                wakeAt(busyUntil);
+                skippedAfter = at;
                 return false;
             }
             if (opIndex >= trace.size()) {
@@ -341,7 +417,6 @@ TracePlayer::body()
         return true;
       }
 
-      case Phase::drain:
       case Phase::idle:
       case Phase::done:
         break;

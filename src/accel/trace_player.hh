@@ -10,6 +10,7 @@
 #ifndef CAPCHECK_ACCEL_TRACE_PLAYER_HH
 #define CAPCHECK_ACCEL_TRACE_PLAYER_HH
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -51,13 +52,18 @@ class TracePlayer : public TickingObject, public ResponseHandler
     static constexpr unsigned streamCredits = 16;
 
     /**
-     * Replay is retry-driven: instead of busy-polling the
-     * interconnect every cycle for a free slot, the player sleeps
-     * after an issue attempt and is woken by the crossbar's grant
-     * retry. A grant fires at arbitratePrio and the woken tick runs
-     * at requestPrio of the same cycle — exactly the cycle a
-     * per-cycle poll would issue on — so every request leaves on the
-     * cycle a polling player's would.
+     * The player is a computed beat source. Its replay is a sequence
+     * of ticks, each on the cycle a polling player would take it (the
+     * wake rules below), but the player computes them instead of
+     * dispatching them: a tick runs as soon as nothing can change it
+     * any more. That holds for every tick before the current cycle,
+     * and for later ones while no response is outstanding and the
+     * crossbar slot is free. A tick that issues hands its beat to the
+     * crossbar ahead, with its issue cycle (RequestPort::trySendAt);
+     * the beat's grant (its retry) and response then let the player
+     * compute on. The player's own event only runs a tick that a late
+     * response could still change (a stage that ticks, a crossbar
+     * below) and reports the finish on its cycle.
      */
     TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
                 std::string name, const workloads::KernelSpec &spec,
@@ -75,7 +81,8 @@ class TracePlayer : public TickingObject, public ResponseHandler
     /** Begin execution at @p when (after driver setup). */
     void start(Cycles when);
 
-    bool done() const { return phase == Phase::done; }
+    /** True once the finish (or abort) has been reported. */
+    bool done() const { return finishReported; }
     bool failed() const { return _failed; }
     Cycles finishCycle() const { return _finishCycle; }
     TaskId task() const { return taskId; }
@@ -86,9 +93,10 @@ class TracePlayer : public TickingObject, public ResponseHandler
     /**
      * Fired when a DMA beat leaves the instance into its xbar master
      * slot — the start of the beat's flight through the platform (the
-     * flight recorder's issue hop).
+     * flight recorder's issue hop) — with its issue cycle, reported
+     * when the player computes the issue (at or before that cycle).
      */
-    probe::ProbePoint<MemRequest> &issueProbe() { return _issueProbe; }
+    probe::ProbePoint<TimedRequest> &issueProbe() { return _issueProbe; }
 
     /** @{ Task lifecycle probes (start() and completion/abort). */
     probe::ProbePoint<TaskLifecycleEvent> &startProbe()
@@ -112,37 +120,41 @@ class TracePlayer : public TickingObject, public ResponseHandler
         streamIn,
         body,
         streamOut,
-        drain,
         done,
     };
 
-    struct StreamBeat
-    {
-        MemCmd cmd;
-        ObjectId obj;
-        std::uint64_t off;
-        std::uint32_t size;
-    };
-
-    void buildStreams();
+    /** @{ Stream cursor: the streamed object the current phase reads
+     *  or writes from @p obj on (spec.buffers.size() when none). */
+    ObjectId streamObject(ObjectId obj) const;
+    void startStream(Phase stream_phase);
+    /** @} */
     bool issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
                std::uint32_t size);
-    /** tick() epilogue on the poll paths: where a polling player
+    /** The next tick is on cycle @p cycle at the latest. */
+    void wakeAt(Cycles cycle) { wake = std::min(wake, cycle); }
+    /** tick epilogue on the poll paths: where a polling player
      *  would keep ticking, sleep and arm the retry wake. */
     bool pollSleep();
-    /** tick() epilogue after an issue whose next tick could only find
+    /** tick epilogue after an issue whose next tick could only find
      *  the credit window full or a barrier waiting: sleep until a
      *  response. */
     bool responseSleep();
     /** Cycle a response due on @p due wakes the tick on. */
     Cycles responseWake(Cycles due, bool denied) const;
-    /** Arm the tick for the earliest pending response that wakes it. */
+    /** Wake for the earliest pending response that wakes the tick. */
     void armResponseWake();
-    /** Retire the responses due by now, oldest registered first. */
+    /** Retire the responses due by the tick's cycle, oldest first. */
     void retireResponses();
+    /** The tick on cycle @p cycle. */
+    void runTick(Cycles cycle);
     /** One tick's replay work; true to tick again next cycle. */
     bool body();
     void finish();
+    /** Run the ticks before the current cycle (the slot was full). */
+    void catchUp();
+    /** Run every tick nothing can change any more, then arm the
+     *  player's event for what is left. */
+    void settle();
 
     const workloads::KernelSpec &spec;
     InstanceTrace trace;
@@ -153,12 +165,20 @@ class TracePlayer : public TickingObject, public ResponseHandler
     AddressingMode addressing;
 
     Phase phase = Phase::idle;
-    std::vector<StreamBeat> inBeats;
-    std::vector<StreamBeat> outBeats;
-    std::size_t streamIndex = 0;
+    ObjectId streamObj = 0;
+    std::uint64_t streamOff = 0;
     std::size_t opIndex = 0;
     /** Beats issued and not yet retired. */
     unsigned outstanding = 0;
+
+    static constexpr Cycles noCycle = ~Cycles{0};
+    /** Cycle of the tick being run. */
+    Cycles at = 0;
+    /** Cycle of the next tick; noCycle while only a response or the
+     *  retry can wake the player. */
+    Cycles wake = noCycle;
+    /** The last beat issued still waits in the crossbar slot. */
+    bool slotFull = false;
 
     /** A response registered ahead of its due cycle. */
     struct Pending
@@ -166,8 +186,8 @@ class TracePlayer : public TickingObject, public ResponseHandler
         Cycles due;
         bool ok;
     };
-    /** Responses not yet due, in arrival order (at most the credit
-     *  window, so a scan is cheap). */
+    /** Responses not yet retired, in arrival order (at most the
+     *  credit window, so a scan is cheap). */
     std::vector<Pending> pending;
     /**
      * Armed when the player sleeps on a path where a polling player
@@ -189,17 +209,17 @@ class TracePlayer : public TickingObject, public ResponseHandler
      * last tick skipped nothing.
      */
     Cycles skippedAfter = noCycle;
-    static constexpr Cycles noCycle = ~Cycles{0};
     Cycles busyUntil = 0;
     bool _failed = false;
     Cycles _finishCycle = 0;
+    bool finishReported = false;
     std::uint64_t nextReqId = 0;
     std::function<void()> doneFn;
 
     stats::Scalar beatsIssued;
     stats::Scalar deniedResponses;
 
-    probe::ProbePoint<MemRequest> _issueProbe{"accel.issue"};
+    probe::ProbePoint<TimedRequest> _issueProbe{"accel.issue"};
     probe::ProbePoint<TaskLifecycleEvent> _startProbe{"accel.taskStart"};
     probe::ProbePoint<TaskLifecycleEvent> _finishProbe{
         "accel.taskFinish"};

@@ -1,5 +1,7 @@
 #include "mem/interconnect.hh"
 
+#include <algorithm>
+
 #include "base/invariant.hh"
 #include "base/logging.hh"
 #include "obs/prof.hh"
@@ -26,8 +28,54 @@ AxiInterconnect::AxiInterconnect(EventQueue &eq,
         masters[i].port = std::make_unique<ResponsePort>(
             *this, "accel_side" + std::to_string(i),
             [this, i](const MemRequest &req) { return offer(i, req); },
+            [this, i](const MemRequest &req, Cycles issued) {
+                return offerAt(i, req, issued);
+            },
             [this, i] { return canOffer(i); });
     }
+}
+
+namespace
+{
+
+/** Crossbar levels reachable below @p port, through any component
+ *  (@p hops: components walked so far, a guard against wired
+ *  cycles). */
+unsigned
+levelsThrough(const PortBase &port, unsigned hops)
+{
+    if (!port.bound())
+        return 0;
+    SimObject &owner = port.peerBase()->owner();
+    if (hops > 64)
+        fatal("request path below '%s' revisits components: the "
+              "topology wires a cycle",
+              owner.name().c_str());
+    if (auto *xbar = dynamic_cast<AxiInterconnect *>(&owner))
+        return 1 + levelsThrough(xbar->memSide(), hops + 1);
+    unsigned most = 0;
+    for (const PortBase *next : owner.ports()) {
+        if (next->role() == PortBase::Role::request)
+            most = std::max(most, levelsThrough(*next, hops + 1));
+    }
+    return most;
+}
+
+} // namespace
+
+void
+AxiInterconnect::settleOrder()
+{
+    if (ordered)
+        return;
+    ordered = true;
+    const unsigned below = levelsThrough(memSidePort, 0);
+    if (below >= Event::requestPrio - Event::arbitratePrio)
+        fatal("%s: %u crossbar levels below it; at most %d fit between "
+              "arbitration and request priority",
+              name().c_str(), below,
+              Event::requestPrio - Event::arbitratePrio - 1);
+    setTickPriority(Event::arbitratePrio + static_cast<int>(below));
 }
 
 ResponsePort &
@@ -45,17 +93,59 @@ AxiInterconnect::canOffer(unsigned slot) const
 bool
 AxiInterconnect::offer(unsigned slot, const MemRequest &req)
 {
+    const Cycles now = curCycle();
+    return enter(slot, req, now, now);
+}
+
+bool
+AxiInterconnect::offerAt(unsigned slot, const MemRequest &req,
+                         Cycles issued)
+{
+    INVARIANT(issued >= curCycle(),
+              "%s: beat (port %u, id %llu) handed over for past cycle "
+              "%llu",
+              name().c_str(), req.srcPort,
+              static_cast<unsigned long long>(req.id),
+              static_cast<unsigned long long>(issued));
+    return enter(slot, req, issued, issued + 1);
+}
+
+bool
+AxiInterconnect::enter(unsigned slot, const MemRequest &req,
+                       Cycles entered, Cycles eligible)
+{
     MasterSlot &ms = masters.at(slot);
     if (ms.pending)
         return false;
+    settleOrder();
     ms.pending = req;
+    ms.eligible = eligible;
     if (req.srcPort >= portToSlot.size())
         portToSlot.resize(req.srcPort + 1, noSlot);
     portToSlot[req.srcPort] = slot;
     ++pendingSlots;
-    _offerProbe.notify(req);
-    activate(1);
+    _offerProbe.notify(TimedRequest{&*ms.pending, entered});
+    // Arbitrate on the first cycle after this one the beat can win;
+    // during arbitration, the tick's re-arm covers it.
+    if (!arbitrating)
+        activate(std::max(eligible, curCycle() + 1) - curCycle());
     return true;
+}
+
+Cycles
+AxiInterconnect::nextGrantable(Cycles from) const
+{
+    if (pendingSlots == 0)
+        return noCycle;
+    Cycles next = noCycle;
+    for (const MasterSlot &slot : masters) {
+        if (!slot.pending)
+            continue;
+        next = std::min(next, std::max(slot.eligible, from));
+        if (next == from)
+            break;
+    }
+    return next;
 }
 
 void
@@ -105,6 +195,7 @@ bool
 AxiInterconnect::tick()
 {
     PROF_SCOPE("xbar", "arbitrate");
+    arbitrating = true;
     // A burst can only continue while its owner still holds a
     // back-to-back beat. If the owner went idle (or the beat it was
     // stalled on was retracted), the leftover burst budget must not
@@ -114,7 +205,7 @@ AxiInterconnect::tick()
         INVARIANT(burstOwner < masters.size(),
                   "burst budget of %u beats with no valid owner",
                   burstLeft);
-        if (!masters[burstOwner].pending)
+        if (!ready(masters[burstOwner]))
             resetBurst();
     }
 
@@ -135,7 +226,7 @@ AxiInterconnect::tick()
         for (unsigned i = 0; i < masters.size(); ++i) {
             const unsigned port = (rrNext + i) % masters.size();
             MasterSlot &slot = masters[port];
-            if (!slot.pending)
+            if (!ready(slot))
                 continue;
             if (memSidePort.trySend(*slot.pending)) {
                 grantBeat(slot);
@@ -159,7 +250,17 @@ AxiInterconnect::tick()
     PARANOID_INVARIANT(burstLeft < maxBurst,
                        "burst budget %u exceeds max burst %u", burstLeft,
                        maxBurst);
-    return pendingSlots > 0;
+    arbitrating = false;
+    // Tick again on the next cycle a held beat can be granted on:
+    // right away (inline while nothing else is due first) when one
+    // can, else when the first one handed over ahead becomes eligible.
+    const Cycles next = nextGrantable(curCycle() + 1);
+    if (next == noCycle)
+        return false;
+    if (next == curCycle() + 1)
+        return true;
+    activate(next - curCycle());
+    return false;
 }
 
 } // namespace capcheck

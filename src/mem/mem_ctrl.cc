@@ -42,7 +42,7 @@ MemoryController::tryAcceptAt(const MemRequest &req, Cycles when)
             ++readBeats;
         else
             ++writeBeats;
-        _acceptProbe.notify(MemAcceptEvent{&req, when});
+        _acceptProbe.notify(TimedRequest{&req, when});
 
         resp.id = req.id;
         resp.srcPort = req.srcPort;

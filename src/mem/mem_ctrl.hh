@@ -20,14 +20,6 @@
 namespace capcheck
 {
 
-/** Payload of the controller's accept probe. */
-struct MemAcceptEvent
-{
-    const MemRequest *req;
-    /** Cycle the request enters the controller (may lie ahead). */
-    Cycles cycle;
-};
-
 class MemoryController : public SimObject, public TimingConsumer
 {
   public:
@@ -69,8 +61,9 @@ class MemoryController : public SimObject, public TimingConsumer
         return static_cast<std::uint64_t>(served.value());
     }
 
-    /** Fired when a request is accepted, with its accept cycle. */
-    probe::ProbePoint<MemAcceptEvent> &acceptProbe()
+    /** Fired when a request is accepted, with the cycle it enters
+     *  the controller (may lie ahead). */
+    probe::ProbePoint<TimedRequest> &acceptProbe()
     {
         return _acceptProbe;
     }
@@ -92,7 +85,7 @@ class MemoryController : public SimObject, public TimingConsumer
     stats::Scalar readBeats;
     stats::Scalar writeBeats;
 
-    probe::ProbePoint<MemAcceptEvent> _acceptProbe{"memctrl.accept"};
+    probe::ProbePoint<TimedRequest> _acceptProbe{"memctrl.accept"};
     probe::ProbePoint<MemResponse> _respondProbe{"memctrl.respond"};
 };
 

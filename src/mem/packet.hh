@@ -54,6 +54,17 @@ struct MemRequest
 };
 
 /**
+ * A request as a probe reports it, with the cycle it is reported for
+ * (issue, slot entry, memory accept). Components that compute their
+ * timing report ahead, so the cycle may lie after the current one.
+ */
+struct TimedRequest
+{
+    const MemRequest *req;
+    Cycles cycle;
+};
+
+/**
  * Response delivered back to the issuing master. A fixed-latency
  * downstream knows a response's cycle when it accepts the request, so
  * it sends the response up at once, stamped with the cycle it reaches

@@ -70,14 +70,20 @@ writeFlightJson(json::JsonWriter &w, const FlightRecord &rec)
         }
         w.endArray();
     }
-    w.key("checkStart").value(rec.checkStart);
-    w.key("checkEnd").value(rec.checkEnd);
+    // A path without a check stage (checker "none") has no check
+    // timestamps and no check or drain hop.
+    if (rec.sawCheck) {
+        w.key("checkStart").value(rec.checkStart);
+        w.key("checkEnd").value(rec.checkEnd);
+    }
     w.key("memAccept").value(rec.sawMem ? rec.memAccept : 0);
     w.key("respond").value(rec.respond);
     w.key("hops").beginObject();
     w.key("xbarWait").value(rec.hopXbar());
-    w.key("check").value(rec.hopCheck());
-    w.key("drain").value(rec.hopDrain());
+    if (rec.sawCheck) {
+        w.key("check").value(rec.hopCheck());
+        w.key("drain").value(rec.hopDrain());
+    }
     w.key("mem").value(rec.hopMem());
     w.endObject();
     w.key("endToEnd").value(rec.endToEnd());
@@ -93,7 +99,21 @@ FlightRecorder::FlightRecorder(EventQueue &eq, unsigned top_n,
 }
 
 void
-FlightRecorder::onIssue(const MemRequest &req)
+FlightRecorder::countIssuesBefore()
+{
+    // Players issue after a cycle's arbitration (requestPrio), so an
+    // issue of cycle c sees every grant and deeper offer of cycle c
+    // and none later: count it in before the first change of a later
+    // cycle. Same-cycle issues sample consecutive counts in any order.
+    while (!issuesAhead.empty() && issuesAhead.top() < eq.curCycle()) {
+        issuesAhead.pop();
+        ++xbarWaiting;
+        xbarOccupancy.sample(xbarWaiting);
+    }
+}
+
+void
+FlightRecorder::onIssue(const MemRequest &req, Cycles cycle)
 {
     FlightRecord rec;
     rec.flight = nextFlight++;
@@ -103,11 +123,9 @@ FlightRecorder::onIssue(const MemRequest &req)
     rec.cmd = req.cmd;
     rec.addr = req.addr;
     rec.size = req.size;
-    rec.issue = eq.curCycle();
+    rec.issue = cycle;
     ++issued;
-
-    ++xbarWaiting;
-    xbarOccupancy.sample(xbarWaiting);
+    issuesAhead.push(cycle);
 
     const Key key{req.srcPort, req.id};
     INVARIANT(open.find(key) == open.end(),
@@ -117,18 +135,19 @@ FlightRecorder::onIssue(const MemRequest &req)
 }
 
 void
-FlightRecorder::onOffer(const MemRequest &req)
+FlightRecorder::onOffer(const MemRequest &req, Cycles cycle)
 {
     const auto it = open.find(Key{req.srcPort, req.id});
     if (it == open.end())
         return;
     FlightRecord &rec = it->second;
     // Re-entering arbitration at a deeper crossbar level; the first
-    // level already rode the onIssue() increment (same cycle).
-    if (!rec.xbarHops.empty())
+    // level already rode the issue's count (same cycle).
+    if (!rec.xbarHops.empty()) {
+        countIssuesBefore();
         ++xbarWaiting;
-    rec.xbarHops.push_back(
-        FlightRecord::XbarHop{eq.curCycle(), 0, false});
+    }
+    rec.xbarHops.push_back(FlightRecord::XbarHop{cycle, 0, false});
 }
 
 void
@@ -166,6 +185,7 @@ FlightRecorder::onGrant(const MemRequest &req)
             FlightRecord::XbarHop{entry, rec.grant, true});
     }
 
+    countIssuesBefore();
     if (xbarWaiting > 0)
         --xbarWaiting;
 
@@ -229,9 +249,8 @@ FlightRecorder::onCheck(const MemRequest &req, bool allowed,
         return;
     }
     FlightRecord &rec = it->second;
-    // The stage may re-offer the same beat when its zero-latency
-    // pass-through path stalls on the memory controller; the last
-    // (accepted) attempt wins.
+    // A beat checked again (a stage that hands a refused beat back
+    // to be offered once more) keeps its last, accepted check.
     rec.checkStart = start;
     rec.checkEnd = end;
     rec.sawCheck = true;
@@ -307,9 +326,9 @@ FlightRecorder::completeIfDone(std::map<Key, FlightRecord>::iterator it)
 void
 FlightRecorder::complete(FlightRecord &rec)
 {
-    INVARIANT(rec.sawGrant && rec.sawCheck,
+    INVARIANT(rec.sawGrant && (rec.sawCheck || rec.sawMem),
               "flight %llu (port %u, id %llu) completed without "
-              "traversing arbitration and the check stage",
+              "traversing arbitration and a check stage or memory",
               static_cast<unsigned long long>(rec.flight), rec.port,
               static_cast<unsigned long long>(rec.reqId));
 
@@ -352,8 +371,10 @@ FlightRecorder::complete(FlightRecord &rec)
 
     endToEnd.sample(rec.endToEnd());
     hopXbar.sample(rec.hopXbar());
-    hopCheck.sample(rec.hopCheck());
-    hopDrain.sample(rec.hopDrain());
+    if (rec.sawCheck) {
+        hopCheck.sample(rec.hopCheck());
+        hopDrain.sample(rec.hopDrain());
+    }
     hopMem.sample(rec.hopMem());
 
     cyclesXbar += static_cast<double>(rec.hopXbar());

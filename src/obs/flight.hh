@@ -1,7 +1,7 @@
 /**
  * @file
  * Request flight recorder: every DMA beat gets a flight ID when its
- * accelerator issues it, per-hop timestamps are recorded as it
+ * accelerator reports its issue, per-hop timestamps are recorded as it
  * traverses xbar arbitration -> check stage (cache hit / miss walk) ->
  * memory controller -> response, and the hops are aggregated into
  * log2-bucketed latency histograms (p50/p95/p99), per-component cycle
@@ -12,10 +12,12 @@
  * producing subtly wrong cost breakdowns.
  *
  * All timestamps are simulated cycles, so both artefact files (flights
- * JSON, latency JSON) are byte-identical at any --jobs. Memory
- * acceptance and the response can be reported ahead of their cycles
- * (a fixed-latency pipeline computes them at grant): those probes
- * carry their cycles, and a flight completes once its response is
+ * JSON, latency JSON) are byte-identical at any --jobs. The issue,
+ * the first slot entry, memory acceptance and the response can be
+ * reported ahead of their cycles (the player computes its issues, a
+ * fixed-latency pipeline its cycles at grant): those probes carry
+ * their cycles, an issue's crossbar-occupancy sample is taken once its
+ * cycle has passed, and a flight completes once its response is
  * reported and every crossbar it entered has granted it.
  */
 
@@ -102,7 +104,9 @@ struct FlightRecord
 
     /** @{ Per-hop cycle attribution of a completed flight. The hops
      *  partition the issue->respond timeline exactly, at any tree
-     *  depth: pre-check offers chain contiguously from the issue
+     *  depth (a path without a check stage, checker "none", has no
+     *  check or drain hop): pre-check offers chain contiguously from
+     *  the issue
      *  (each level's offer lands in the previous level's grant frame),
      *  the check window is explicit, drain runs from the verdict to
      *  the next observed boundary (the first post-check crossbar
@@ -120,6 +124,8 @@ struct FlightRecord
     Cycles hopCheck() const { return checkEnd - checkStart; }
     Cycles hopDrain() const
     {
+        if (!sawCheck)
+            return 0; // no check stage on the path: no drain either
         Cycles next = (denied || !sawMem) ? respond : memAccept;
         for (const XbarHop &hop : xbarHops) {
             if (hop.offer >= checkEnd) {
@@ -148,9 +154,11 @@ class FlightRecorder
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    /** @{ Probe entry points, called by RunObserver listeners. */
-    void onIssue(const MemRequest &req);
-    void onOffer(const MemRequest &req);
+    /** @{ Probe entry points, called by RunObserver listeners.
+     *  @p cycle: when the beat leaves the accelerator (onIssue) or
+     *  enters a crossbar slot (onOffer); both may lie ahead. */
+    void onIssue(const MemRequest &req, Cycles cycle);
+    void onOffer(const MemRequest &req, Cycles cycle);
     void onGrant(const MemRequest &req);
     void onCheck(const MemRequest &req, bool allowed, Cycles start,
                  Cycles end);
@@ -197,6 +205,10 @@ class FlightRecorder
     /** Complete and drop the flight once its response is reported and
      *  every crossbar it entered has granted it. */
     void completeIfDone(std::map<Key, FlightRecord>::iterator it);
+    /** Count in the issues of cycles before the current one: their
+     *  crossbar occupancy is the count once that cycle's arbitration
+     *  is done. Runs before every other occupancy change. */
+    void countIssuesBefore();
     /** Count @p rec into the check-stage occupancy and sample it. */
     void enterCheckQueue(FlightRecord &rec);
     /** @p rec leaves the check stage on @p cycle (may lie ahead). */
@@ -216,6 +228,9 @@ class FlightRecorder
 
     /** @{ Live queue depths (occupancy sampled on every entry). */
     unsigned xbarWaiting = 0;
+    /** Issue cycles reported ahead and not yet counted in. */
+    std::priority_queue<Cycles, std::vector<Cycles>, std::greater<>>
+        issuesAhead;
     unsigned checkOccupied = 0;
     /** @} */
     /** Exit cycles still ahead of flights counted in checkOccupied. */

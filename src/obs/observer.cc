@@ -157,7 +157,7 @@ void
 RunObserver::attachMemory(MemoryController &mem)
 {
     if (recording())
-        mem.acceptProbe().attach([this](const MemAcceptEvent &ev) {
+        mem.acceptProbe().attach([this](const TimedRequest &ev) {
             flights->onMemAccept(*ev.req, ev.cycle);
         });
     if (!tracing())
@@ -191,8 +191,8 @@ void
 RunObserver::attachXbar(AxiInterconnect &xbar)
 {
     if (recording()) {
-        xbar.offerProbe().attach([this](const MemRequest &req) {
-            flights->onOffer(req);
+        xbar.offerProbe().attach([this](const TimedRequest &ev) {
+            flights->onOffer(*ev.req, ev.cycle);
         });
         xbar.grantProbe().attach([this](const MemRequest &req) {
             flights->onGrant(req);
@@ -218,8 +218,8 @@ void
 RunObserver::attachPlayer(accel::TracePlayer &player)
 {
     if (recording())
-        player.issueProbe().attach([this](const MemRequest &req) {
-            flights->onIssue(req);
+        player.issueProbe().attach([this](const TimedRequest &ev) {
+            flights->onIssue(*ev.req, ev.cycle);
         });
     if (!tracing())
         return;

@@ -70,9 +70,15 @@ CheckStage::tryAccept(const MemRequest &req)
         forwardAt(req, verdict.allowed, latency);
         return true;
     }
+    Cycles due = curCycle() + latency;
     if (latency == 0 && verdict.allowed && pipe.empty()) {
         // Transparent pass-through (the "no method" configuration).
-        return memSidePort.trySend(req);
+        if (memSidePort.trySend(req))
+            return true;
+        // The crossbar below is taken: the checked beat waits in the
+        // pipe and leaves from the next tick. Refusing it would make
+        // the crossbar above offer it, and the stage check it, again.
+        due = curCycle() + 1;
     }
 
     // The pipe drains strictly FIFO, so a cache-miss walk making an
@@ -83,8 +89,8 @@ CheckStage::tryAccept(const MemRequest &req)
                        "check pipeline deeper than its structural bound "
                        "(%zu entries)",
                        pipe.size());
-    pipe.push_back(Staged{req, verdict.allowed, curCycle() + latency});
-    activate(latency ? latency : 1);
+    pipe.push_back(Staged{req, verdict.allowed, due});
+    activate(due > curCycle() ? due - curCycle() : 1);
     return true;
 }
 

@@ -59,10 +59,39 @@ TickingObject::activate(Cycles delta)
 }
 
 void
+TickingObject::tickAt(Cycles when)
+{
+    if (tickEvent.scheduled()) {
+        if (tickEvent.when() == when)
+            return;
+        eq.deschedule(&tickEvent);
+    }
+    eq.schedule(&tickEvent, when);
+}
+
+void
+TickingObject::deactivate()
+{
+    if (tickEvent.scheduled())
+        eq.deschedule(&tickEvent);
+}
+
+void
 TickingObject::TickEvent::process()
 {
-    if (owner.tick())
-        owner.activate(1);
+    // A tick that asks for the next cycle runs again right here while
+    // nothing queued is due before it (EventQueue::continueInline):
+    // the order is the queue's, without the round trip. A wake that
+    // armed the event during the tick leaves the next tick to the
+    // queue, so the object never ticks twice on one cycle.
+    EventQueue &eq = owner.eq;
+    while (owner.tick()) {
+        if (scheduled() ||
+            !eq.continueInline(eq.curCycle() + 1, priority())) {
+            owner.activate(1);
+            return;
+        }
+    }
 }
 
 std::string

@@ -2,7 +2,9 @@
  * @file
  * Self-scheduling clocked components. A TickingObject owns a tick event;
  * it runs once per cycle while active and deschedules itself when idle,
- * so the event queue can skip dead time.
+ * so the event queue can skip dead time. A tick that asks for the next
+ * cycle while nothing else is due before it continues inline, without
+ * a queue round trip (EventQueue::continueInline).
  */
 
 #ifndef CAPCHECK_SIM_CLOCKED_HH
@@ -80,7 +82,18 @@ class TickingObject : public SimObject
     /** Ensure the object ticks on cycle curCycle() + @p delta. */
     void activate(Cycles delta = 1);
 
+    /** Make cycle @p when (>= curCycle()) the next tick, moving a
+     *  pending tick earlier or later; one already there stays put. */
+    void tickAt(Cycles when);
+
+    /** Cancel the pending tick, if any. */
+    void deactivate();
+
     bool active() const { return tickEvent.scheduled(); }
+
+  protected:
+    /** Tick at @p priority from now on; only while not active. */
+    void setTickPriority(int priority) { tickEvent.setPriority(priority); }
 
   private:
     class TickEvent : public Event

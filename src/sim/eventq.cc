@@ -39,6 +39,15 @@ Event::~Event()
 }
 
 void
+Event::setPriority(int priority)
+{
+    if (_scheduled)
+        panic("changing the priority of scheduled event: %s",
+              description().c_str());
+    _priority = priority;
+}
+
+void
 EventQueue::schedule(Event *event, Cycles when)
 {
     if (event->_scheduled)
@@ -270,6 +279,13 @@ EventQueue::serviceOne()
         advanceTo(event->_when);
     PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
                        "live-count conservation after pop");
+    countDispatch();
+    event->process();
+}
+
+void
+EventQueue::countDispatch()
+{
     // Event-dispatch boundary: a profile session counts the dispatch
     // on sim/dispatch without timing it. The component scopes inside
     // process() time their own work; the rest stays in eventq.run.
@@ -279,13 +295,43 @@ EventQueue::serviceOne()
             prof::registerSite("sim", "dispatch");
         profile->count(dispatchSite);
     }
-    event->process();
+}
+
+bool
+EventQueue::continueInline(Cycles when, int priority)
+{
+    if (!inlineAllowed || when > inlineLimit || when <= _curCycle)
+        return false;
+    if (live != 0) {
+        const Cycles front = frontCycle();
+        if (front < when)
+            return false;
+        if (front == when) {
+            const int front_priority =
+                ringLive > 0 ? ring[front & (ringSize - 1)].head->_priority
+                             : overflow.front().priority;
+            if (front_priority <= priority)
+                return false;
+        }
+    }
+    advanceTo(when);
+    countDispatch();
+    return true;
 }
 
 Cycles
 EventQueue::run(Cycles limit)
 {
     PROF_SCOPE("sim", "eventq.run");
+    // Inline continuation is open for exactly this loop, also when a
+    // SimError unwinds out of it.
+    struct InlineWindow
+    {
+        EventQueue &q;
+        ~InlineWindow() { q.inlineAllowed = false; }
+    } window{*this};
+    inlineAllowed = true;
+    inlineLimit = limit;
     while (live != 0 && frontCycle() <= limit)
         serviceOne();
     // The queue drained or the next event lies beyond the horizon:

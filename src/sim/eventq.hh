@@ -78,6 +78,9 @@ class Event
     Cycles when() const { return _when; }
     int priority() const { return _priority; }
 
+    /** Change the priority; only while not scheduled. */
+    void setPriority(int priority);
+
   private:
     friend class EventQueue;
 
@@ -163,6 +166,21 @@ class EventQueue
     void step();
 
     /**
+     * Inline continuation: may the event being dispatched run again
+     * on cycle @p when at @p priority without a queue round trip? Yes
+     * only inside run(), with @p when (> curCycle()) within its limit,
+     * and while no queued event is ordered at or before (@p when,
+     * @p priority): a fresh schedule would carry the newest sequence,
+     * so any queued event of that cycle and priority goes first. That
+     * is exactly the order the queue would produce. On success, time
+     * advances to @p when (pulling overflow entries and firing the
+     * cycle probe, as a dispatch would) and the run counts one more
+     * dispatch; the caller then runs its work inline. Never inside
+     * step(), whose caller expects one cycle's events.
+     */
+    bool continueInline(Cycles when, int priority);
+
+    /**
      * Fired whenever simulated time advances, with the new cycle.
      * Events within one cycle fire between two notifications; the
      * stats sampler keys its snapshots off this probe.
@@ -201,6 +219,8 @@ class EventQueue
     /** Pop and dispatch the earliest pending event; call right after
      *  frontCycle(). */
     void serviceOne();
+    /** Count one dispatch on sim/dispatch under a profile session. */
+    static void countDispatch();
     /** Advance time to @p when, pull the overflow entries the window
      *  now covers into the ring and notify the cycle probe. */
     void advanceTo(Cycles when);
@@ -263,6 +283,11 @@ class EventQueue
      */
     std::size_t staleCount = 0;
     Cycles _curCycle = 0;
+    /** Last cycle an inline continuation may reach: run()'s limit
+     *  while it runs; outside run() (and inside step()) no inline
+     *  continuation is allowed at all. */
+    Cycles inlineLimit = 0;
+    bool inlineAllowed = false;
     std::uint64_t nextSequence = 0;
     std::size_t live = 0;
     probe::ProbePoint<Cycles> _cycleProbe{"eventq.cycle"};

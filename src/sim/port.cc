@@ -169,11 +169,13 @@ ResponsePort::ResponsePort(SimObject &owner, std::string name,
 }
 
 ResponsePort::ResponsePort(SimObject &owner, std::string name,
-                           TryAcceptFn try_accept, CanAcceptFn can_accept,
-                           std::string protocol)
+                           TryAcceptFn try_accept,
+                           TryAcceptAtFn try_accept_at,
+                           CanAcceptFn can_accept, std::string protocol)
     : PortBase(owner, std::move(name), Role::response,
                std::move(protocol)),
-      tryFn(std::move(try_accept)), canFn(std::move(can_accept))
+      tryFn(std::move(try_accept)), tryAtFn(std::move(try_accept_at)),
+      canFn(std::move(can_accept))
 {
 }
 

@@ -148,8 +148,10 @@ class RequestPort : public PortBase
     bool trySend(const MemRequest &req); // inline below
 
     /**
-     * Offer a request that enters the peer on cycle @p when; only
-     * when peerAcceptsAhead() holds.
+     * Offer a request that enters the peer on cycle @p when (>= the
+     * current cycle); only to a peer that takes requests ahead: a
+     * consumer whose acceptsAhead() holds, or a crossbar master slot
+     * (the beat waits in the slot from @p when on).
      * @return false when the peer is taken on that cycle.
      */
     bool trySendAt(const MemRequest &req, Cycles when); // inline below
@@ -181,16 +183,19 @@ class ResponsePort : public PortBase
 {
   public:
     using TryAcceptFn = std::function<bool(const MemRequest &)>;
+    using TryAcceptAtFn = std::function<bool(const MemRequest &, Cycles)>;
     using CanAcceptFn = std::function<bool()>;
 
     /** Sink backed by the owner's TimingConsumer interface. */
     ResponsePort(SimObject &owner, std::string name,
                  TimingConsumer &consumer, std::string protocol = "mem");
 
-    /** Sink backed by explicit admission functions (slot ports). */
+    /** Sink backed by explicit admission functions (slot ports):
+     *  requests offered now, requests offered for a cycle, and the
+     *  can-accept probe. */
     ResponsePort(SimObject &owner, std::string name,
-                 TryAcceptFn try_accept, CanAcceptFn can_accept,
-                 std::string protocol = "mem");
+                 TryAcceptFn try_accept, TryAcceptAtFn try_accept_at,
+                 CanAcceptFn can_accept, std::string protocol = "mem");
 
     void bind(RequestPort &peer);
 
@@ -201,11 +206,13 @@ class ResponsePort : public PortBase
         return consumer ? consumer->tryAccept(req) : tryFn(req);
     }
 
-    /** Admit a request for cycle @p when (see acceptsAhead()). */
+    /** Admit a request for cycle @p when (see
+     *  RequestPort::trySendAt()). */
     bool
     tryAcceptAt(const MemRequest &req, Cycles when)
     {
-        return consumer->tryAcceptAt(req, when);
+        return consumer ? consumer->tryAcceptAt(req, when)
+                        : tryAtFn(req, when);
     }
 
     /** Whether the owner takes requests for later cycles. */
@@ -236,6 +243,7 @@ class ResponsePort : public PortBase
     /** The owner's admission (consumer-backed ports), else tryFn. */
     TimingConsumer *consumer = nullptr;
     TryAcceptFn tryFn;
+    TryAcceptAtFn tryAtFn;
     CanAcceptFn canFn;
 };
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "protect/checker_bank.hh"
+#include "protect/no_protection.hh"
 
 namespace capcheck::system
 {
@@ -286,6 +287,9 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
     // --- Construct components, in node (= stat-tree) order ---
     std::unordered_map<std::string, protect::ProtectionChecker *>
         checkersByName;
+    // Check stages over checker "none": it allows every beat, so no
+    // stage is built and the edges through it join its neighbours.
+    std::set<std::string> bypassed;
     std::unordered_map<std::string, AxiInterconnect *> xbarsByName;
 
     for (const TopologyNode &node : topo.nodes) {
@@ -394,6 +398,10 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
                     target = &bankp->at(bank);
                 }
             }
+            if (dynamic_cast<protect::NoProtection *>(target)) {
+                bypassed.insert(node.name);
+                continue;
+            }
             platform.checkStages.push_back(
                 std::make_unique<protect::CheckStage>(
                     eq, statRoot, *target, node.name));
@@ -432,8 +440,36 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
     }
 
     // --- Bind the edges (PortError on any mis-wire) ---
-    for (const TopologyEdge &edge : topo.edges)
-        platform.registry.bind(edge.from, edge.to);
+    // An edge into a bypassed stage's port waits for the edge out of
+    // its other port; the two far ends bind directly.
+    std::unordered_map<std::string, std::string> bypassPeer;
+    for (const TopologyEdge &edge : topo.edges) {
+        const auto through = [&](const std::string &end) {
+            return bypassed.count(end.substr(0, end.find('.'))) != 0;
+        };
+        if (through(edge.from))
+            bypassPeer[edge.from] = edge.to;
+        else if (through(edge.to))
+            bypassPeer[edge.to] = edge.from;
+        else
+            platform.registry.bind(edge.from, edge.to);
+    }
+    const auto peer = [&](const std::string &port) -> const std::string & {
+        const auto it = bypassPeer.find(port);
+        if (it == bypassPeer.end()) {
+            throw PortError(PortError::Kind::unbound,
+                            "port '" + port +
+                                "' is not bound to any peer (left "
+                                "unbound by topology '" +
+                                topo.name + "')",
+                            port);
+        }
+        return it->second;
+    };
+    for (const std::string &stage : bypassed) {
+        const std::string &above = peer(stage + ".cpu_side");
+        platform.registry.bind(above, peer(stage + ".mem_side"));
+    }
 
     // --- Completeness: every fixed port must be bound. The
     // accel_side<i> slots bind per wave when trace players exist. ---
@@ -477,6 +513,11 @@ Elaborator::elaborate(const Topology &topo, unsigned num_tasks) const
     // an elaboration error instead of a mid-run surprise.
     for (unsigned t = 0; t < num_tasks; ++t)
         (void)platform.protectionFor(t);
+
+    // Each crossbar settles its place in a cycle's tick order (the
+    // walks above have ruled out a wired cycle).
+    for (const auto &xbar : platform.xbars)
+        xbar->settleOrder();
 
     return platform;
 }

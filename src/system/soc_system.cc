@@ -270,7 +270,7 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
         }
         for (const auto &memctrl : platform.memctrls) {
             memctrl->acceptProbe().attach(
-                [&denied_keys, request_key](const MemAcceptEvent &ev) {
+                [&denied_keys, request_key](const TimedRequest &ev) {
                     const MemRequest &req = *ev.req;
                     INVARIANT(denied_keys.count(request_key(req)) == 0,
                               "denied request (port %u, id %llu) "

@@ -129,7 +129,7 @@ replay(const Scenario &sc)
     std::ostringstream os;
     os << "issue";
     player.issueProbe().attach(
-        [&](const MemRequest &) { os << ' ' << eq.curCycle(); });
+        [&](const TimedRequest &ev) { os << ' ' << ev.cycle; });
     player.start(0);
     eq.run();
 

@@ -2,17 +2,22 @@
  * @file
  * Lockstep oracle for the DMA pipeline. Each seeded scenario builds
  * the same platform twice, once from the production player, check
- * stage and memory controller (responses computed at grant, stamped
- * with their due cycle) and once from the ticking references in
- * tests/oracle/ref_pipeline.hh, and replays the same random traces on
- * both. Scenarios vary:
+ * stage and memory controller (the player computes its ticks and hands
+ * each beat to the crossbar ahead; responses are computed at grant,
+ * stamped with their due cycle; ticks continue inline) and once from
+ * the ticking references in tests/oracle/ref_pipeline.hh, which push
+ * every beat from a player tick and run one queued dispatch at a time
+ * (EventQueue::step() never continues a tick inline). Both replay the
+ * same random traces. Scenarios vary:
  *
- *  - 1-8 players with 1-16 credits, streamed buffers and start cycles;
+ *  - 1-8 players with 1-16 credits, streamed buffers, and start cycles
+ *    early or while other players are mid-trace;
  *  - delays (zero-cycle ones included) and barriers;
  *  - denials by address, check latencies 0-8 and cache-miss walks;
- *  - memory latencies 1-40, one or two memory channels;
+ *  - memory latencies 1-40, one or two memory channels, bursts 1-4;
  *  - a check stage below the crossbar, or one per leaf crossbar above
- *    a root crossbar (the stage that keeps ticking).
+ *    a root crossbar (the stage that keeps ticking, so responses
+ *    arrive after the grant that sent the beat on).
  *
  * Every beat's issue, grant and response cycle, each player's finish
  * cycle and every component stat must agree. A mismatch names the
@@ -147,7 +152,9 @@ makeScenario(Rng &rng)
         }
         ps.spec.timing.maxOutstanding = 1 + rng.nextBounded(16);
         ps.spec.timing.startupCycles = rng.nextBounded(4);
-        ps.start = rng.nextBounded(6);
+        // Most players start together; some join mid-wave.
+        ps.start = rng.nextBool(0.25) ? rng.nextBounded(300)
+                                      : rng.nextBounded(6);
         const unsigned len = rng.nextBounded(40);
         for (unsigned i = 0; i < len; ++i) {
             const std::uint64_t pick = rng.nextBounded(10);
@@ -319,13 +326,24 @@ run(const Scenario &sc)
         }
         const unsigned slot = sc.perLeaf ? p % sc.perLeaf : p;
         live.back()->memSide().bind(leafOf[p]->accelSide(slot));
-        live.back()->issueProbe().attach([&](const MemRequest &req) {
-            log[{req.srcPort, req.id}].issue = eq.curCycle();
-        });
+        if constexpr (std::is_same_v<Player, accel::TracePlayer>) {
+            live.back()->issueProbe().attach([&](const TimedRequest &ev) {
+                log[{ev.req->srcPort, ev.req->id}].issue = ev.cycle;
+            });
+        } else {
+            live.back()->issueProbe().attach([&](const MemRequest &req) {
+                log[{req.srcPort, req.id}].issue = eq.curCycle();
+            });
+        }
     }
     for (unsigned p = 0; p < players; ++p)
         live[p]->start(sc.players[p].start);
-    eq.run();
+    if constexpr (std::is_same_v<Player, accel::TracePlayer>) {
+        eq.run();
+    } else {
+        while (!eq.empty())
+            eq.step();
+    }
 
     Observation obs;
     for (const auto &[key, beat] : log) {

@@ -242,6 +242,52 @@ TEST(TopoFuzz, RandomGraphsRunWithConservedFlightAttribution)
     }
 }
 
+/** Value of the scalar stat @p name in a stats text dump. */
+std::uint64_t
+statValue(const std::string &text, const std::string &name)
+{
+    const std::size_t at = text.find(name + " ");
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no stat " << name;
+        return 0;
+    }
+    return std::stoull(text.substr(at + name.size()));
+}
+
+TEST(TopoFuzz, ZeroLatencyLeafStagesCheckEachBeatOnce)
+{
+    // Zero-cycle checks in stages above a root crossbar (the shape the
+    // pipeline oracle's seed 407715774545 drew). A pass-through that
+    // finds its root slot still full waits in the stage for the next
+    // cycle: each beat is checked once, however long the root makes
+    // it wait.
+    TopoGenParams p;
+    p.accels = 4;
+    p.levels = 2;
+    p.fanout = 2;
+    p.banks = 2;
+    const std::string path =
+        writeTempTopo("zero-latency-leaf-stages", generateTopology(p));
+    SocConfig cfg = config(SystemMode::ccpuCaccel, 4, path);
+    cfg.checkCycles = 0;
+    const RunResult r = SocSystem(cfg).runBenchmark("gemm_ncubed");
+    std::remove(path.c_str());
+
+    EXPECT_TRUE(r.functionallyCorrect);
+    EXPECT_EQ(r.exceptions, 0u);
+    const std::uint64_t checked =
+        statValue(r.statsText, "soc.stage0.checked") +
+        statValue(r.statsText, "soc.stage1.checked");
+    const std::uint64_t root_grants =
+        statValue(r.statsText, "soc.xbar0_0.grants");
+    EXPECT_GT(root_grants, 0u);
+    EXPECT_EQ(checked, root_grants);
+    // The root really made the stages wait.
+    EXPECT_GT(statValue(r.statsText, "soc.stage0.stallCycles") +
+                  statValue(r.statsText, "soc.stage1.stallCycles"),
+              0u);
+}
+
 TEST(TopoFuzz, PermissivenessLatticeHoldsOnARandomTree)
 {
     Rng rng(fuzz::seed() ^ 0x1a77);

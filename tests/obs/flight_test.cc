@@ -93,7 +93,7 @@ TEST(FlightRecorder, AttributesEveryCycleOfAnAllowedFlight)
     FlightRecorder rec(eq, 10, "unit");
 
     const auto req = request(0, 0);
-    at(eq, 10, [&] { rec.onIssue(req); });
+    at(eq, 10, [&] { rec.onIssue(req, eq.curCycle()); });
     at(eq, 13, [&] { rec.onGrant(req); });
     at(eq, 13, [&] { rec.onCheck(req, true, 13, 15); });
     at(eq, 15, [&] { rec.onMemAccept(req, eq.curCycle()); });
@@ -120,7 +120,7 @@ TEST(FlightRecorder, DeniedFlightsNeverTouchMemory)
     FlightRecorder rec(eq, 10, "unit");
 
     const auto req = request(2, 7);
-    at(eq, 5, [&] { rec.onIssue(req); });
+    at(eq, 5, [&] { rec.onIssue(req, eq.curCycle()); });
     at(eq, 6, [&] { rec.onGrant(req); });
     at(eq, 6, [&] { rec.onCheck(req, false, 6, 7); });
     at(eq, 7, [&] {
@@ -143,7 +143,7 @@ TEST(FlightRecorder, CacheOutcomeCorrelatesWithTheNextCheck)
     FlightRecorder rec(eq, 10, "unit");
 
     const auto miss_req = request(0, 0);
-    at(eq, 0, [&] { rec.onIssue(miss_req); });
+    at(eq, 0, [&] { rec.onIssue(miss_req, eq.curCycle()); });
     at(eq, 1, [&] {
         rec.onGrant(miss_req);
         rec.onCacheMiss();
@@ -153,7 +153,7 @@ TEST(FlightRecorder, CacheOutcomeCorrelatesWithTheNextCheck)
     at(eq, 91, [&] { rec.onRespond(dueNow(eq, response(0, 0))); });
 
     const auto hit_req = request(0, 1);
-    at(eq, 92, [&] { rec.onIssue(hit_req); });
+    at(eq, 92, [&] { rec.onIssue(hit_req, eq.curCycle()); });
     at(eq, 93, [&] {
         rec.onGrant(hit_req);
         rec.onCacheHit();
@@ -183,7 +183,7 @@ TEST(FlightRecorder, PassThroughStallOverwritesTheCheckTimestamps)
     // cycle. The last check attempt must win and the hop sum must
     // still telescope.
     const auto req = request(1, 3);
-    at(eq, 0, [&] { rec.onIssue(req); });
+    at(eq, 0, [&] { rec.onIssue(req, eq.curCycle()); });
     at(eq, 2, [&] { rec.onCheck(req, true, 2, 2); });
     at(eq, 3, [&] {
         rec.onCheck(req, true, 3, 3);
@@ -214,12 +214,12 @@ TEST(FlightRecorder, CascadedHopsPartitionThePreCheckWait)
     // (offer, grant) pair, and the pairs sum into hopXbar.
     const auto req = request(0, 0);
     at(eq, 10, [&] {
-        rec.onIssue(req);
-        rec.onOffer(req); // leaf slot entry, same frame as the issue
+        rec.onIssue(req, eq.curCycle());
+        rec.onOffer(req, eq.curCycle()); // leaf slot entry, same frame as the issue
     });
     at(eq, 12, [&] {
         rec.onGrant(req); // leaf arbitration win...
-        rec.onOffer(req); // ...lands the beat in the root's slot
+        rec.onOffer(req, eq.curCycle()); // ...lands the beat in the root's slot
     });
     at(eq, 15, [&] {
         rec.onGrant(req);
@@ -256,14 +256,14 @@ TEST(FlightRecorder, PostCheckHopBoundsTheDrainWindow)
     // offer, and the root wait is charged to hopXbar, not drain.
     const auto req = request(1, 5);
     at(eq, 0, [&] {
-        rec.onIssue(req);
-        rec.onOffer(req);
+        rec.onIssue(req, eq.curCycle());
+        rec.onOffer(req, eq.curCycle());
     });
     at(eq, 2, [&] {
         rec.onGrant(req);
         rec.onCheck(req, true, 2, 4);
     });
-    at(eq, 6, [&] { rec.onOffer(req); }); // left the stage at 6
+    at(eq, 6, [&] { rec.onOffer(req, eq.curCycle()); }); // left the stage at 6
     at(eq, 9, [&] {
         rec.onGrant(req);
         rec.onMemAccept(req, eq.curCycle());
@@ -291,12 +291,12 @@ TEST(FlightRecorder, DeniedMultiHopFlightStillTelescopes)
 
     const auto req = request(2, 9);
     at(eq, 0, [&] {
-        rec.onIssue(req);
-        rec.onOffer(req);
+        rec.onIssue(req, eq.curCycle());
+        rec.onOffer(req, eq.curCycle());
     });
     at(eq, 2, [&] {
         rec.onGrant(req);
-        rec.onOffer(req);
+        rec.onOffer(req, eq.curCycle());
     });
     at(eq, 5, [&] {
         rec.onGrant(req);
@@ -333,12 +333,12 @@ TEST(FlightRecorder, XbarHopsAppearInTheArtefactOnlyForMultiHopTrees)
     // Flight 0: two-level path (slower, sorts first).
     const auto multi = request(0, 0);
     at(eq, 0, [&] {
-        rec.onIssue(multi);
-        rec.onOffer(multi);
+        rec.onIssue(multi, eq.curCycle());
+        rec.onOffer(multi, eq.curCycle());
     });
     at(eq, 2, [&] {
         rec.onGrant(multi);
-        rec.onOffer(multi);
+        rec.onOffer(multi, eq.curCycle());
     });
     at(eq, 5, [&] {
         rec.onGrant(multi);
@@ -350,8 +350,8 @@ TEST(FlightRecorder, XbarHopsAppearInTheArtefactOnlyForMultiHopTrees)
     // Flight 1: the flat single-hop paper shape.
     const auto flat = request(0, 1);
     at(eq, 100, [&] {
-        rec.onIssue(flat);
-        rec.onOffer(flat);
+        rec.onIssue(flat, eq.curCycle());
+        rec.onOffer(flat, eq.curCycle());
     });
     at(eq, 101, [&] {
         rec.onGrant(flat);
@@ -384,6 +384,39 @@ TEST(FlightRecorder, XbarHopsAppearInTheArtefactOnlyForMultiHopTrees)
     EXPECT_EQ(table->elements()[1].at("xbarHops"), nullptr);
 }
 
+TEST(FlightRecorder, IssuesReportedAheadSampleOccupancyAfterTheirCycle)
+{
+    EventQueue eq;
+    FlightRecorder rec(eq, 10, "unit");
+
+    // Players report issues when they compute them. Each issue's
+    // crossbar-occupancy sample is the count after its cycle's
+    // arbitration: A and B issue on cycle 5 (reported on 3), C on 6
+    // (reported on 6, before that cycle's grant of A).
+    const auto a = request(0, 0);
+    const auto b = request(1, 0);
+    const auto c = request(2, 0);
+    at(eq, 3, [&] {
+        rec.onIssue(a, 5);
+        rec.onIssue(b, 5);
+    });
+    at(eq, 6, [&] {
+        rec.onIssue(c, 6);
+        rec.onGrant(a);
+    });
+    at(eq, 7, [&] { rec.onGrant(b); });
+    at(eq, 8, [&] { rec.onGrant(c); });
+    eq.run();
+
+    const auto *occupancy = dynamic_cast<const stats::Histogram *>(
+        rec.statsRoot().find("queues.xbarOccupancy"));
+    ASSERT_NE(occupancy, nullptr);
+    // A: 1, B: 2; C: B still waits after cycle 6's grant of A, so 2.
+    EXPECT_EQ(occupancy->samples(), 3u);
+    EXPECT_EQ(occupancy->sum(), 5u);
+    EXPECT_EQ(occupancy->maxSeen(), 2u);
+}
+
 TEST(FlightRecorder, TopNKeepsTheSlowestFlights)
 {
     EventQueue eq;
@@ -395,7 +428,7 @@ TEST(FlightRecorder, TopNKeepsTheSlowestFlights)
     for (std::uint64_t i = 0; i < 3; ++i) {
         const auto req = request(0, i);
         const Cycles s = start;
-        at(eq, s, [&rec, req] { rec.onIssue(req); });
+        at(eq, s, [&rec, &eq, req] { rec.onIssue(req, eq.curCycle()); });
         at(eq, s, [&rec, req] {
             rec.onGrant(req);
             rec.onCheck(req, true, req.id * 100, req.id * 100);
@@ -426,7 +459,7 @@ TEST(FlightRecorder, HistogramsAggregateIntoTheStatTree)
     for (std::uint64_t i = 0; i < 8; ++i) {
         const auto req = request(0, i);
         const Cycles s = i * 100;
-        at(eq, s, [&rec, req] { rec.onIssue(req); });
+        at(eq, s, [&rec, &eq, req] { rec.onIssue(req, eq.curCycle()); });
         at(eq, s + 1, [&rec, req, s] {
             rec.onGrant(req);
             rec.onCheck(req, true, s + 1, s + 2);
@@ -521,10 +554,17 @@ expectAttributionHolds(const RunRequest &req, const std::string &tag)
     ASSERT_NE(table, nullptr);
     EXPECT_FALSE(table->elements().empty()) << tag;
     for (const json::JsonValue &f : table->elements()) {
-        const double sum = f.at("hops.xbarWait")->asNumber() +
-                           f.at("hops.check")->asNumber() +
-                           f.at("hops.drain")->asNumber() +
-                           f.at("hops.mem")->asNumber();
+        // A path without a check stage (checker "none") has no check
+        // or drain hop.
+        const bool checked = f.at("hops.check") != nullptr;
+        EXPECT_EQ(checked, f.at("hops.drain") != nullptr) << tag;
+        EXPECT_EQ(checked, f.at("checkStart") != nullptr) << tag;
+        double sum = f.at("hops.xbarWait")->asNumber() +
+                     f.at("hops.mem")->asNumber();
+        if (checked) {
+            sum += f.at("hops.check")->asNumber() +
+                   f.at("hops.drain")->asNumber();
+        }
         EXPECT_EQ(sum, f.at("endToEnd")->asNumber()) << tag;
     }
 
@@ -592,6 +632,28 @@ TEST(FlightRecorderIntegration, AttributionHoldsOnUnprotectedPath)
                            config(SystemMode::cpuAccel,
                                   capchecker::Provenance::fine, 0)),
         "passthrough");
+
+    // Checker "none" elaborates no check stage: the flights carry no
+    // check hop, and the latency histograms sample none.
+    const fs::path dir =
+        fs::temp_directory_path() / "capcheck_flight_unchecked";
+    fs::create_directories(dir);
+    const fs::path latency = dir / "run.latency.json";
+    const auto req = RunRequest::single(
+        "aes", config(SystemMode::cpuAccel, capchecker::Provenance::fine,
+                      0));
+    obs::ObsOptions opts;
+    opts.latencyFile = latency.string();
+    opts.runLabel = req.label();
+    req.execute(opts);
+    const auto doc = json::parseJson(slurp(latency));
+    fs::remove_all(dir);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_GT(doc->at("flights.completed")->asNumber(), 0.0);
+    EXPECT_EQ(doc->at("flights.hops.check.samples")->asNumber(), 0.0);
+    EXPECT_EQ(doc->at("flights.hops.drain.samples")->asNumber(), 0.0);
+    EXPECT_EQ(doc->at("flights.hops.mem.samples")->asNumber(),
+              doc->at("flights.completed")->asNumber());
 }
 
 TEST(FlightRecorderIntegration, CacheOutcomesAppearInTheArtefacts)

@@ -92,11 +92,7 @@ RefCheckStage::tryAccept(const MemRequest &req)
     if (latency == 0 && verdict.allowed && pipe.empty()) {
         if (memSidePort.trySend(req))
             return true;
-        // A crossbar below may refuse for many cycles: hand the stall
-        // back upstream. A memory controller below only took a beat
-        // this cycle: wait in the pipe for the next one.
-        if (!memSidePort.peerAcceptsAhead())
-            return false;
+        // Below is taken this cycle: wait in the pipe for the next one.
         due = curCycle() + 1;
     }
     pipe.push_back(Staged{req, verdict.allowed, due});

@@ -10,15 +10,17 @@
  *  - RefCheckStage holds every checked request in a pipe that its
  *    tick drains, one forward per cycle;
  *  - RefTracePlayer takes each response on the cycle it is delivered
- *    and wakes from it on the spot.
+ *    and wakes from it on the spot, and pushes each beat into its
+ *    crossbar slot from the tick that issues it.
  *
  * The production components (accel/trace_player, protect/check_stage,
- * mem/mem_ctrl) compute those cycles at grant instead and must agree
+ * mem/mem_ctrl) compute those cycles instead — the player its ticks,
+ * the stage and controller their cycles at grant — and must agree
  * on every issue, grant and response cycle (see
  * tests/fuzz/pipeline_oracle_fuzz_test.cc). One fix rides along: a
- * zero-latency pass-through that finds the memory controller below
- * taken this cycle waits in the pipe for the next cycle instead of
- * being refused and checked again.
+ * zero-latency pass-through that finds the component below (memory
+ * controller or crossbar) taken this cycle waits in the pipe for the
+ * next cycle instead of being refused and checked again.
  */
 
 #ifndef CAPCHECK_TESTS_ORACLE_REF_PIPELINE_HH

@@ -150,7 +150,7 @@ TEST(CheckStage, DeniedRequestGetsErrorResponse)
     EXPECT_EQ(stage.denials(), 1u);
 }
 
-TEST(CheckStage, ZeroLatencyPropagatesBackpressure)
+TEST(CheckStage, ZeroLatencyHoldsARefusedBeatAndChecksItOnce)
 {
     EventQueue eq;
     stats::StatGroup root("t");
@@ -160,12 +160,21 @@ TEST(CheckStage, ZeroLatencyPropagatesBackpressure)
     CheckStage stage(eq, &root, none);
     stage.memSide().bind(sink.port);
 
-    // With a transparent stage the caller sees the stall directly and
-    // retries (as the interconnect does).
-    LambdaEvent ev([&] { EXPECT_FALSE(stage.tryAccept(makeReq(1))); });
+    // A transparent pass-through that finds the component below taken
+    // keeps the checked beat and forwards it from its next tick that
+    // finds room; the caller is not made to offer it again.
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(1))); });
     eq.schedule(&ev, 1);
+    LambdaEvent unblock([&] { sink.reject_all = false; });
+    eq.schedule(&unblock, 4);
     eq.run();
-    EXPECT_TRUE(sink.accepted.empty());
+    // The unblock runs after the stage's tick on cycle 4.
+    ASSERT_EQ(sink.accepted.size(), 1u);
+    EXPECT_EQ(sink.accepted[0].second, 5u);
+    const auto *checked = dynamic_cast<const stats::Scalar *>(
+        stage.statGroup().find("checked"));
+    ASSERT_NE(checked, nullptr);
+    EXPECT_EQ(checked->value(), 1.0);
 }
 
 TEST(CheckStage, PipelinedStageRetriesWhileDownstreamStalls)
