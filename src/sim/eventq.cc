@@ -1,7 +1,5 @@
 #include "sim/eventq.hh"
 
-#include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <exception>
 
@@ -60,55 +58,11 @@ EventQueue::schedule(Event *event, Cycles when)
               event->description().c_str());
 
     event->_when = when;
-    event->_sequence = nextSequence++;
     event->_scheduled = true;
-    if (when - _curCycle < ringSize) {
-        linkRing(event);
-    } else {
-        overflow.push_back(
-            Entry{when, event->priority(), event->_sequence, event});
-        std::push_heap(overflow.begin(), overflow.end(),
-                       std::greater<>{});
-    }
-    ++live;
-    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
-                       "live-count conservation after schedule");
-}
-
-void
-EventQueue::linkRing(Event *event)
-{
-    const std::size_t pos = event->_when & (ringSize - 1);
-    Bucket &bucket = ring[pos];
-    // Walk back from the tail past the entries of higher priority.
-    // Equal-priority entries stay ahead: a fresh schedule carries the
-    // largest sequence yet, and an entry migrating from the overflow
-    // heap finds its bucket holding only the entries of its cycle that
-    // migrated just before it, in heap order.
-    Event *after = bucket.tail;
-    while (after && after->_priority > event->_priority)
-        after = after->_prev;
-    event->_prev = after;
-    event->_next = after ? after->_next : bucket.head;
-    (event->_next ? event->_next->_prev : bucket.tail) = event;
-    (after ? after->_next : bucket.head) = event;
-    markOccupied(pos);
-    if (ringLive == 0 || event->_when < ringCursor)
-        ringCursor = event->_when;
-    ++ringLive;
-}
-
-void
-EventQueue::unlinkRing(Event *event)
-{
-    const std::size_t pos = event->_when & (ringSize - 1);
-    Bucket &bucket = ring[pos];
-    (event->_prev ? event->_prev->_next : bucket.head) = event->_next;
-    (event->_next ? event->_next->_prev : bucket.tail) = event->_prev;
-    event->_prev = event->_next = nullptr;
-    if (!bucket.head)
-        clearOccupied(pos);
-    --ringLive;
+    heap.emplace_back();
+    siftUp(heap.size() - 1,
+           Entry{when, event->priority(), nextSequence++, event});
+    PARANOID_INVARIANT(wellFormed(), "heap malformed after schedule");
 }
 
 void
@@ -117,26 +71,15 @@ EventQueue::deschedule(Event *event)
     if (!event->_scheduled)
         panic("descheduling non-scheduled event: %s",
               event->description().c_str());
-    if (event->_when - _curCycle < ringSize) {
-        unlinkRing(event);
-    } else {
-        // Far-future entries are deleted lazily: null the Event
-        // pointer in place. The entry is dropped when it surfaces or
-        // by compaction, and never dereferenced, so the owner is free
-        // to destroy a descheduled event immediately.
-        const auto it = std::find_if(
-            overflow.begin(), overflow.end(),
-            [event](const Entry &entry) { return entry.event == event; });
-        INVARIANT(it != overflow.end(), "descheduled event not stored: %s",
-                  event->description().c_str());
-        it->event = nullptr;
-        ++staleCount;
-    }
+    INVARIANT(event->_slot < heap.size() &&
+                  heap[event->_slot].event == event,
+              "descheduled event not stored: %s",
+              event->description().c_str());
+    // The entry leaves the heap at once, so the owner is free to
+    // destroy a descheduled event immediately.
+    removeAt(event->_slot);
     event->_scheduled = false;
-    --live;
-    maybeCompact();
-    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
-                       "live-count conservation after deschedule");
+    PARANOID_INVARIANT(wellFormed(), "heap malformed after deschedule");
 }
 
 void
@@ -148,137 +91,90 @@ EventQueue::reschedule(Event *event, Cycles when)
 }
 
 void
-EventQueue::maybeCompact()
+EventQueue::place(std::size_t slot, const Entry &entry)
 {
-    // Amortized O(1): a compaction costs O(overflow) but only fires
-    // once stale entries exceed live ones, so the next trigger needs
-    // the (now at most half-sized) storage to degrade by half again.
-    // Deschedules and dispatches both check, so the bound holds
-    // between any two queue operations.
-    if (staleCount <= live)
+    heap[slot] = entry;
+    entry.event->_slot = slot;
+}
+
+void
+EventQueue::siftUp(std::size_t slot, const Entry &entry)
+{
+    while (slot > 0) {
+        const std::size_t parent = (slot - 1) / 2;
+        if (!(entry < heap[parent]))
+            break;
+        place(slot, heap[parent]);
+        slot = parent;
+    }
+    place(slot, entry);
+}
+
+void
+EventQueue::siftDown(std::size_t slot, const Entry &entry)
+{
+    const std::size_t size = heap.size();
+    while (2 * slot + 1 < size) {
+        std::size_t child = 2 * slot + 1;
+        if (child + 1 < size && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < entry))
+            break;
+        place(slot, heap[child]);
+        slot = child;
+    }
+    place(slot, entry);
+}
+
+void
+EventQueue::removeAt(std::size_t slot)
+{
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (slot == heap.size())
         return;
-    overflow.erase(std::remove_if(overflow.begin(), overflow.end(),
-                                  [](const Entry &entry) {
-                                      return entry.event == nullptr;
-                                  }),
-                   overflow.end());
-    std::make_heap(overflow.begin(), overflow.end(), std::greater<>{});
-    staleCount = 0;
+    // The last entry refills the hole; it may belong above it (when
+    // the hole was in another subtree) or below it.
+    if (slot > 0 && last < heap[(slot - 1) / 2])
+        siftUp(slot, last);
+    else
+        siftDown(slot, last);
 }
 
-std::size_t
-EventQueue::countRing() const
+bool
+EventQueue::wellFormed() const
 {
-    std::size_t count = 0;
-    for (const Bucket &bucket : ring) {
-        for (const Event *e = bucket.head; e; e = e->_next) {
-            ++count;
-            const Event *next = e->_next;
-            INVARIANT(!next || (next->_when == e->_when &&
-                                (next->_priority > e->_priority ||
-                                 (next->_priority == e->_priority &&
-                                  next->_sequence > e->_sequence))),
-                      "ring bucket out of (priority, sequence) order");
-        }
+    for (std::size_t slot = 0; slot < heap.size(); ++slot) {
+        const Entry &entry = heap[slot];
+        if (entry.event->_slot != slot || !entry.event->_scheduled ||
+            entry.event->_when != entry.when ||
+            (slot > 0 && entry < heap[(slot - 1) / 2]))
+            return false;
     }
-    return count;
-}
-
-std::size_t
-EventQueue::nextOccupied(std::size_t pos) const
-{
-    constexpr std::size_t numWords = ringSize / 64;
-    std::size_t w = pos >> 6;
-    std::uint64_t word =
-        occupied[w] & (~std::uint64_t{0} << (pos & 63));
-    for (std::size_t probed = 0; probed <= numWords; ++probed) {
-        if (word)
-            return (w << 6) +
-                   static_cast<std::size_t>(std::countr_zero(word));
-        w = (w + 1) & (numWords - 1);
-        word = occupied[w];
-    }
-    return ringSize;
-}
-
-Cycles
-EventQueue::frontCycle()
-{
-    if (ringLive == 0) {
-        // Only far-future events remain: the overflow top, once the
-        // descheduled entries that surfaced there are popped.
-        INVARIANT(overflow.size() > staleCount,
-                  "front scan found no event with %zu pending", live);
-        while (overflow.front().event == nullptr) {
-            std::pop_heap(overflow.begin(), overflow.end(),
-                          std::greater<>{});
-            overflow.pop_back();
-            --staleCount;
-        }
-        return overflow.front().when;
-    }
-    // Every ring entry is due before every overflow entry. Advance the
-    // cursor to the first occupied bucket: the occupancy bitmap jumps
-    // straight there, so sparse schedules do not pay a probe per
-    // empty cycle.
-    if (ringCursor < _curCycle)
-        ringCursor = _curCycle;
-    const std::size_t pos = ringCursor & (ringSize - 1);
-    if (!ring[pos].head) {
-        const std::size_t next = nextOccupied(pos);
-        INVARIANT(next < ringSize,
-                  "ring scan found no entry with %zu linked", ringLive);
-        // Cyclic distance forward; every ring entry is within the
-        // window, so the position maps back to one cycle.
-        ringCursor += (next - pos) & (ringSize - 1);
-    }
-    return ringCursor;
+    return true;
 }
 
 void
 EventQueue::advanceTo(Cycles when)
 {
     _curCycle = when;
-    // Overflow entries the window now covers move into the ring, in
-    // heap order, so every ring entry stays due before every overflow
-    // entry.
-    while (!overflow.empty() && overflow.front().when - when < ringSize) {
-        Event *event = overflow.front().event;
-        std::pop_heap(overflow.begin(), overflow.end(), std::greater<>{});
-        overflow.pop_back();
-        if (event)
-            linkRing(event);
-        else
-            --staleCount;
-    }
     _cycleProbe.notify(when);
 }
 
 void
 EventQueue::serviceOne()
 {
-    Event *event;
-    if (ringLive > 0) {
-        event = ring[ringCursor & (ringSize - 1)].head;
-        unlinkRing(event);
-    } else {
-        event = overflow.front().event;
-        std::pop_heap(overflow.begin(), overflow.end(),
-                      std::greater<>{});
-        overflow.pop_back();
-    }
+    Event *const event = heap.front().event;
     INVARIANT(event->_scheduled && event->_when >= _curCycle,
               "event time not monotonic (%llu < %llu)",
               static_cast<unsigned long long>(event->_when),
               static_cast<unsigned long long>(_curCycle));
 
+    removeAt(0);
     event->_scheduled = false;
-    --live;
-    maybeCompact();
     if (event->_when != _curCycle)
         advanceTo(event->_when);
-    PARANOID_INVARIANT(countRing() + overflow.size() == live + staleCount,
-                       "live-count conservation after pop");
+    PARANOID_INVARIANT(wellFormed(), "heap malformed after pop");
     countDispatch();
     event->process();
 }
@@ -302,17 +198,11 @@ EventQueue::continueInline(Cycles when, int priority)
 {
     if (!inlineAllowed || when > inlineLimit || when <= _curCycle)
         return false;
-    if (live != 0) {
-        const Cycles front = frontCycle();
-        if (front < when)
+    if (!heap.empty()) {
+        const Entry &front = heap.front();
+        if (front.when < when ||
+            (front.when == when && front.priority <= priority))
             return false;
-        if (front == when) {
-            const int front_priority =
-                ringLive > 0 ? ring[front & (ringSize - 1)].head->_priority
-                             : overflow.front().priority;
-            if (front_priority <= priority)
-                return false;
-        }
     }
     advanceTo(when);
     countDispatch();
@@ -332,7 +222,7 @@ EventQueue::run(Cycles limit)
     } window{*this};
     inlineAllowed = true;
     inlineLimit = limit;
-    while (live != 0 && frontCycle() <= limit)
+    while (!heap.empty() && heap.front().when <= limit)
         serviceOne();
     // The queue drained or the next event lies beyond the horizon:
     // with a finite limit, time still advances to the horizon (and the
@@ -345,10 +235,10 @@ EventQueue::run(Cycles limit)
 void
 EventQueue::step()
 {
-    if (live == 0)
+    if (heap.empty())
         return;
-    const Cycles cycle = frontCycle();
-    while (live != 0 && frontCycle() == cycle)
+    const Cycles cycle = heap.front().when;
+    while (!heap.empty() && heap.front().when == cycle)
         serviceOne();
 }
 

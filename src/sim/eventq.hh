@@ -8,22 +8,16 @@
  * which keeps the simulation deterministic regardless of container
  * internals.
  *
- * Storage is a calendar queue: a power-of-two ring of per-cycle
- * buckets for events within the ring window, plus a min-heap for the
- * rare far-future events. Each bucket is an intrusive doubly linked
- * list through Event, kept sorted by (priority, sequence): a fresh
- * schedule carries the largest sequence yet, so insertion walks back
- * from the tail only past entries of higher priority, and deschedule
- * unlinks in O(1). It dispatches in exactly the order of one binary
- * heap over every (cycle, priority, sequence) entry —
- * tests/sim/eventq_stress_test.cc drives such a heap as its reference
- * model.
+ * Storage is one indexed binary min-heap over every pending (cycle,
+ * priority, sequence) entry. Each Event records its heap slot, so
+ * deschedule removes its entry in O(log n) and nothing stale is left
+ * behind. tests/sim/eventq_stress_test.cc drives the queue in lockstep
+ * with a sorted-set model as its reference.
  */
 
 #ifndef CAPCHECK_SIM_EVENTQ_HH
 #define CAPCHECK_SIM_EVENTQ_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -85,10 +79,8 @@ class Event
     friend class EventQueue;
 
     Cycles _when = 0;
-    std::uint64_t _sequence = 0;
-    /** Neighbours in the event's ring bucket; unused in overflow. */
-    Event *_prev = nullptr;
-    Event *_next = nullptr;
+    /** Index of the event's entry in the queue's heap while scheduled. */
+    std::size_t _slot = 0;
     int _priority;
     bool _scheduled = false;
 };
@@ -116,13 +108,6 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    /**
-     * Width of the calendar window in cycles: an event due fewer than
-     * ringSize cycles ahead of curCycle() sits in its cycle's ring
-     * bucket; anything later waits in the overflow heap.
-     */
-    static constexpr std::size_t ringSize = 1024;
-
     /** run() limit meaning "no horizon": drain and stop at the last
      *  processed event's cycle. */
     static constexpr Cycles forever = ~Cycles{0};
@@ -140,18 +125,10 @@ class EventQueue
     void reschedule(Event *event, Cycles when);
 
     /** True when no events are pending. */
-    bool empty() const { return live == 0; }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return live; }
-
-    /**
-     * Entries physically held: the pending events plus descheduled
-     * overflow entries not yet purged. The compaction bound:
-     * storedEntries() never exceeds 2 * pending() + 1, however
-     * reschedule-heavy the workload.
-     */
-    std::size_t storedEntries() const { return ringLive + overflow.size(); }
+    std::size_t pending() const { return heap.size(); }
 
     /**
      * Run until the queue drains or @p limit cycles elapse. With a
@@ -173,10 +150,10 @@ class EventQueue
      * @p priority): a fresh schedule would carry the newest sequence,
      * so any queued event of that cycle and priority goes first. That
      * is exactly the order the queue would produce. On success, time
-     * advances to @p when (pulling overflow entries and firing the
-     * cycle probe, as a dispatch would) and the run counts one more
-     * dispatch; the caller then runs its work inline. Never inside
-     * step(), whose caller expects one cycle's events.
+     * advances to @p when (firing the cycle probe, as a dispatch
+     * would) and the run counts one more dispatch; the caller then
+     * runs its work inline. Never inside step(), whose caller expects
+     * one cycle's events.
      */
     bool continueInline(Cycles when, int priority);
 
@@ -188,7 +165,7 @@ class EventQueue
     probe::ProbePoint<Cycles> &cycleProbe() { return _cycleProbe; }
 
   private:
-    /** An overflow heap entry; a null event marks a descheduled one. */
+    /** A heap entry: the event's ordering key next to the event. */
     struct Entry
     {
         Cycles when;
@@ -197,91 +174,39 @@ class EventQueue
         Event *event;
 
         bool
-        operator>(const Entry &other) const
+        operator<(const Entry &other) const
         {
             if (when != other.when)
-                return when > other.when;
+                return when < other.when;
             if (priority != other.priority)
-                return priority > other.priority;
-            return sequence > other.sequence;
+                return priority < other.priority;
+            return sequence < other.sequence;
         }
     };
 
-    /** One cycle's ring entries, sorted by (priority, sequence). */
-    struct Bucket
-    {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
-
-    /** Cycle of the earliest pending event; call only when !empty(). */
-    Cycles frontCycle();
-    /** Pop and dispatch the earliest pending event; call right after
-     *  frontCycle(). */
+    /** Pop and dispatch the earliest pending event; call only when
+     *  !empty(). */
     void serviceOne();
     /** Count one dispatch on sim/dispatch under a profile session. */
     static void countDispatch();
-    /** Advance time to @p when, pull the overflow entries the window
-     *  now covers into the ring and notify the cycle probe. */
+    /** Advance time to @p when and notify the cycle probe. */
     void advanceTo(Cycles when);
-    /** Sorted insert of a scheduled event into its cycle's bucket. */
-    void linkRing(Event *event);
-    void unlinkRing(Event *event);
-    /** Drop descheduled overflow entries wholesale once they
-     *  outnumber pending events. */
-    void maybeCompact();
-    /** Ring entries counted by walking the buckets, checking each
-     *  bucket's order on the way (PARANOID checks). */
-    std::size_t countRing() const;
-    /** First occupied ring position at or cyclically after @p pos;
-     *  ringSize when the whole ring is empty. */
-    std::size_t nextOccupied(std::size_t pos) const;
-    void markOccupied(std::size_t pos)
-    {
-        occupied[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-    }
-    void clearOccupied(std::size_t pos)
-    {
-        occupied[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
-    }
+    /** Remove the entry at @p slot, refilling the hole with the last
+     *  entry. */
+    void removeAt(std::size_t slot);
+    /** Store @p entry at @p slot and record the slot in its event. */
+    void place(std::size_t slot, const Entry &entry);
+    /** Move @p entry from the hole at @p slot towards the root, or
+     *  towards the leaves, until the heap is ordered again. */
+    void siftUp(std::size_t slot, const Entry &entry);
+    void siftDown(std::size_t slot, const Entry &entry);
+    /** Every slot's back-index is right and every parent is ordered
+     *  before its children (PARANOID checks). */
+    bool wellFormed() const;
 
-    /**
-     * The calendar queue. ring[when % ringSize] holds the events due
-     * on cycle `when` for every `when` in [curCycle(), curCycle() +
-     * ringSize), so distinct cycles never collide on a bucket.
-     * Everything further out lands in the overflow min-heap, in full
-     * (cycle, priority, sequence) order, and moves into the ring by
-     * the same sorted insert once time brings its cycle inside the
-     * window. Every ring entry is therefore due before every overflow
-     * entry, and an overflow entry was scheduled before any ring entry
-     * of its cycle (time only advances), so it carries the lower
-     * sequence and the sorted insert keeps the heap's exact order.
-     */
-    std::array<Bucket, ringSize> ring{};
-    /**
-     * Occupancy bitmap over the ring: bit (when % ringSize) is set
-     * while that bucket holds an event. The front scan uses it to jump
-     * to the next non-empty bucket with a count-trailing-zeros walk,
-     * so sparse schedules (delay-heavy workloads with events many
-     * cycles apart) cost O(1) per event instead of a bucket-by-bucket
-     * probe across the gap.
-     */
-    std::array<std::uint64_t, ringSize / 64> occupied{};
-    std::vector<Entry> overflow;
-    /** Lower bound on the earliest cycle holding a ring entry; the
-     *  front scan advances it monotonically and schedule() lowers it,
-     *  so scans amortize to O(1) per cycle of simulated time. */
-    Cycles ringCursor = 0;
-    /** Events currently linked into the ring. */
-    std::size_t ringLive = 0;
-    /**
-     * Descheduled entries still stored in the overflow heap.
-     * Deschedule nulls the entry's Event pointer in place; the entry
-     * is dropped when it surfaces or by compaction, and never
-     * dereferenced, so the owner may destroy a descheduled event at
-     * any time.
-     */
-    std::size_t staleCount = 0;
+    /** Min-heap in (cycle, priority, sequence) order; entry i's
+     *  children sit at 2i + 1 and 2i + 2. */
+    std::vector<Entry> heap;
     Cycles _curCycle = 0;
     /** Last cycle an inline continuation may reach: run()'s limit
      *  while it runs; outside run() (and inside step()) no inline
@@ -289,7 +214,6 @@ class EventQueue
     Cycles inlineLimit = 0;
     bool inlineAllowed = false;
     std::uint64_t nextSequence = 0;
-    std::size_t live = 0;
     probe::ProbePoint<Cycles> _cycleProbe{"eventq.cycle"};
 };
 

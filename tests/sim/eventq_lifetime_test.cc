@@ -1,11 +1,10 @@
 /**
  * @file
- * Event/queue lifetime and lazy-deletion edge cases. The queue deletes
- * lazily — deschedule() leaves a stale entry in the heap, identified by
- * sequence number — so these tests pin down the contract: a descheduled
- * event may be destroyed immediately (its pointer is never touched
- * again), stale entries are invisible to run()/step(), and destroying a
- * still-scheduled event is a hard error.
+ * Event/queue lifetime edge cases. Deschedule removes an event's entry
+ * from the queue at once, so these tests pin down the contract: a
+ * descheduled event may be destroyed immediately (its pointer is never
+ * touched again), descheduled events are invisible to run()/step(),
+ * and destroying a still-scheduled event is a hard error.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,7 @@ namespace
 
 TEST(EventQueueLifetime, DescheduleThenDestroyIsSafe)
 {
-    // The original implementation kept the raw Event* in the heap and
+    // An early implementation kept the raw Event* in the heap and
     // dereferenced it when the entry surfaced — a use-after-free once
     // the owner destroyed the descheduled event. Under ASan this test
     // is the proof that the pointer is no longer touched.
@@ -36,7 +35,7 @@ TEST(EventQueueLifetime, DescheduleThenDestroyIsSafe)
     eq.schedule(doomed.get(), 10);
     eq.schedule(&other, 20);
     eq.deschedule(doomed.get());
-    doomed.reset(); // free while its stale entry is still heap-resident
+    doomed.reset(); // free while other events are still queued
 
     eq.run();
     EXPECT_TRUE(other_fired);
@@ -47,7 +46,7 @@ TEST(EventQueueLifetime, DescheduleThenDestroyIsSafe)
 TEST(EventQueueLifetime, DestroyedEventSlotCanBeReusedImmediately)
 {
     // Same-address reuse: a fresh event allocated where the descheduled
-    // one lived must not be confused with the stale heap entry.
+    // one lived must not be confused with the descheduled one.
     EventQueue eq;
     auto first = std::make_unique<LambdaEvent>([] { FAIL(); });
     eq.schedule(first.get(), 5);
@@ -65,7 +64,7 @@ TEST(EventQueueLifetime, RescheduleToSameCycleMovesBehindPeers)
 {
     // Rescheduling assigns a fresh sequence number, so an event moved
     // to the same cycle fires after same-priority peers that were
-    // already queued — and exactly once, despite its stale entry.
+    // already queued — and exactly once.
     EventQueue eq;
     std::vector<int> order;
     LambdaEvent mover([&] { order.push_back(1); });
@@ -96,14 +95,15 @@ TEST(EventQueueLifetime, StaleEntriesInvisibleToRunLimit)
     EXPECT_EQ(eq.pending(), 1u);
     eq.run(50);
     EXPECT_TRUE(fired);
-    // The stale cycle-100 entry must not hold time below the horizon.
+    // The cancelled cycle-100 event must not hold time below the
+    // horizon.
     EXPECT_EQ(eq.curCycle(), 50u);
     EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueueLifetime, StepSkipsStaleCycleAndProcessesTheLiveOne)
 {
-    // A stale entry at the heap top must not make step() burn a no-op
+    // A cancelled earliest event must not make step() burn a no-op
     // "cycle" on a time that has no live events.
     EventQueue eq;
     bool fired = false;
@@ -126,7 +126,7 @@ TEST(EventQueueLifetime, StepOnDrainedQueueIsANoOp)
     eq.schedule(&cancelled, 5);
     eq.deschedule(&cancelled);
 
-    eq.step(); // only a stale entry remains
+    eq.step(); // only a cancelled event was ever queued
     EXPECT_EQ(eq.curCycle(), 0u);
     EXPECT_TRUE(eq.empty());
 }

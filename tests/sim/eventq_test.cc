@@ -160,8 +160,8 @@ TEST(EventQueue, PendingCountsLiveEvents)
 
 TEST(EventQueue, RescheduleAfterDescheduleViaStaleHeapEntry)
 {
-    // Regression guard for the lazy-deletion scheme: a stale heap entry
-    // must not fire a rescheduled event twice.
+    // A reschedule to the same cycle replaces the event's entry: the
+    // event fires once, not once per schedule.
     EventQueue eq;
     int count = 0;
     LambdaEvent event([&] { ++count; });

@@ -1,13 +1,13 @@
 /**
  * @file
- * Results recorded under the reference simulation kernels — the
+ * Results recorded under reference simulation kernels — a
  * binary-heap event queue, scanning CapTable/CapCache lookups and
- * per-cycle polling DMA replay — before they left production. The
- * production kernels must reproduce them exactly: a digest of the
- * complete wire rendering of each RunResult covers every field that
- * RunResult::operator== compares, stats dumps included.
- * The reference algorithms themselves live on as test oracles
- * (tests/sim/heap_eventq.hh, tests/fuzz/fast_index_fuzz_test.cc).
+ * per-cycle polling DMA replay — before faster kernels replaced
+ * them. The production kernels must reproduce them exactly: a digest
+ * of the complete wire rendering of each RunResult covers every field
+ * that RunResult::operator== compares, stats dumps included.
+ * The scanning lookups live on as test oracles
+ * (tests/fuzz/fast_index_fuzz_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -68,7 +68,7 @@ expectRecorded(const RunRequest &req, const Recorded &want)
 TEST(KernelCompare, FastMatchesRefAcrossModes)
 {
     // The protected mode exercises the CapTable index; the unprotected
-    // one still covers the calendar event queue and retry-wake replay.
+    // one still covers the event queue and retry-wake replay.
     // Both modes dump the same interconnect counters; the cycle
     // breakdown and table occupancy tell them apart.
     const auto request = [](SystemMode mode) {
