@@ -1,6 +1,8 @@
 #include "harness/run_request.hh"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 
 #include "base/logging.hh"
 
@@ -87,9 +89,14 @@ hashConfig(FieldHasher &h, const system::SocConfig &cfg)
 
     // Mixed only when present so every pre-topology hash (and any
     // cached result keyed by it) stays stable for builtin topologies.
+    // The path names the run (label, result JSON); the file's bytes
+    // make an edit in place a new request instead of a stale cache
+    // hit. An unreadable file hashes as empty (the run then fails).
     if (!cfg.topologyFile.empty()) {
         h.str("topology");
         h.str(cfg.topologyFile);
+        std::ifstream in(cfg.topologyFile, std::ios::binary);
+        h.str(std::string(std::istreambuf_iterator<char>(in), {}));
     }
 }
 

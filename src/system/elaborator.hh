@@ -66,9 +66,6 @@ struct Platform
     /** Live entries summed over every owned checker. */
     std::size_t entriesUsed() const;
 
-    /** Beats granted summed over every interconnect. */
-    std::uint64_t beatsGranted() const;
-
     /**
      * The protection backend task @p task's beats pass through, found
      * by walking downstream from its crossbar; nullptr when the path

@@ -434,6 +434,7 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
                 fatal("accelerator task did not finish (deadlock?)");
             last_finish =
                 std::max(last_finish, task.player->finishCycle());
+            result.dmaBeats += task.player->issuedBeats();
         }
         result.kernelCycles = last_finish;
 
@@ -460,7 +461,6 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
         pending = std::move(deferred);
     }
 
-    result.dmaBeats = platform.beatsGranted();
     result.totalCycles =
         result.kernelCycles + result.driverDeallocCycles;
 

@@ -288,6 +288,31 @@ TEST(TopoFuzz, ZeroLatencyLeafStagesCheckEachBeatOnce)
               0u);
 }
 
+TEST(TopoFuzz, DmaBeatsCountEachBeatOnceAtAnyTreeDepth)
+{
+    // A beat crosses one crossbar per level; the result counts the
+    // beats the players issue, so depth must not multiply it.
+    const unsigned tasks = 8;
+    const RunResult flat =
+        SocSystem(config(SystemMode::cpuAccel, tasks, ""))
+            .runBenchmark("aes");
+    EXPECT_GT(flat.dmaBeats, 0u);
+    for (const unsigned levels : {1u, 2u}) {
+        TopoGenParams p;
+        p.accels = tasks;
+        p.levels = levels;
+        p.fanout = 2;
+        const std::string path = writeTempTopo(
+            "beats-l" + std::to_string(levels), generateTopology(p));
+        const RunResult r =
+            SocSystem(config(SystemMode::cpuAccel, tasks, path))
+                .runBenchmark("aes");
+        std::remove(path.c_str());
+        EXPECT_TRUE(r.functionallyCorrect) << topoGenName(p);
+        EXPECT_EQ(r.dmaBeats, flat.dmaBeats) << topoGenName(p);
+    }
+}
+
 TEST(TopoFuzz, PermissivenessLatticeHoldsOnARandomTree)
 {
     Rng rng(fuzz::seed() ^ 0x1a77);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+
+#include <unistd.h>
+
 #include "harness/run_request.hh"
 #include "system/soc_config_builder.hh"
 
@@ -73,6 +79,40 @@ TEST(RunRequest, EveryConfigFieldFeedsTheHash)
     SocConfig drv_cfg = smallConfig();
     drv_cfg.driverCosts.capDerive += 1;
     EXPECT_NE(base.hash(), with(drv_cfg));
+}
+
+TEST(RunRequest, TopologyFileBytesFeedTheHash)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("capcheck-hash-topo-" + std::to_string(::getpid()) + ".json"))
+            .string();
+    const auto write = [&](const char *text) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    };
+    SocConfig cfg = smallConfig();
+    cfg.topologyFile = path;
+    const auto hash = [&] {
+        return RunRequest::single("aes", cfg, 2).hash();
+    };
+
+    write("{\"name\": \"a\"}");
+    const std::uint64_t original = hash();
+    EXPECT_EQ(hash(), original) << "an unchanged file keeps its hash";
+    write("{\"name\": \"a\"}");
+    EXPECT_EQ(hash(), original) << "rewriting the same bytes";
+    write("{\"name\": \"b\"}");
+    EXPECT_NE(hash(), original) << "the file was edited in place";
+
+    // The path stays in the hash: the same bytes elsewhere differ.
+    const std::string copy = path + ".copy.json";
+    std::filesystem::copy_file(
+        path, copy, std::filesystem::copy_options::overwrite_existing);
+    SocConfig moved = cfg;
+    moved.topologyFile = copy;
+    EXPECT_NE(RunRequest::single("aes", moved, 2).hash(), hash());
+    std::remove(copy.c_str());
+    std::remove(path.c_str());
 }
 
 TEST(RunRequest, BenchmarkNameChangesHash)
