@@ -31,7 +31,14 @@
 #     finish; players compute their ticks, and the check stage and
 #     the memory controller their cycles at grant): a player that
 #     dispatches its ticks again, or a component that starts ticking
-#     per cycle, fails it.
+#     per cycle, fails it. The same quick grid on the cascaded
+#     examples/topologies/gen-mega.json (four leaf crossbars under a
+#     root) may not exceed MAX_GEN_MEGA_DISPATCHES_PER_ACCEPT event
+#     dispatches per memory-controller accept (2.1603 measured: one
+#     arbitration per crossbar level per beat, the leaf's queued
+#     because the root's tick runs first on its cycle; a refused
+#     crossbar waits for its refuser's retry). A crossbar that
+#     re-offers a refused beat every cycle again measured 2.5139.
 #  4. Reader tools: `capstat prof report` renders the profiles and
 #     `capstat prof merge` + self-`diff` at tolerance 0 passes — the
 #     merged document is a valid baseline format.
@@ -187,19 +194,27 @@ assert other_share <= MAX_OTHER, \
 EOF
 
 echo "prof_check: [3/5] dispatches per DMA beat"
-python3 - "$work/on-j1/prof" "$work/on-j1/results" <<'EOF'
+mega_dir=$(cd "$(dirname "$0")/.." && pwd)/examples/topologies
+run_grid mega --quick --jobs "$jobs" --prof-out "$work/mega/prof" \
+    --topology "$mega_dir/gen-mega.json" > /dev/null
+python3 - "$work/on-j1/prof" "$work/on-j1/results" "$work/mega/prof" <<'EOF'
 import glob, json, os, sys
 
-# Exact count; raise only with a change that needs more dispatches.
+# Exact counts; raise only with a change that needs more dispatches.
 MAX_DISPATCHES_PER_BEAT = 1.0001
+MAX_GEN_MEGA_DISPATCHES_PER_ACCEPT = 2.1603
 
-prof_dir, results_dir = sys.argv[1], sys.argv[2]
-dispatches = 0
-for path in glob.glob(os.path.join(prof_dir, "run-*.prof.json")):
-    with open(path) as f:
-        for site in json.load(f)["sites"]:
-            if (site["domain"], site["name"]) == ("sim", "dispatch"):
-                dispatches += site["calls"]
+def calls(prof_dir, key):
+    total = 0
+    for path in glob.glob(os.path.join(prof_dir, "run-*.prof.json")):
+        with open(path) as f:
+            for site in json.load(f)["sites"]:
+                if (site["domain"], site["name"]) == key:
+                    total += site["calls"]
+    return total
+
+prof_dir, results_dir, mega_dir = sys.argv[1:4]
+dispatches = calls(prof_dir, ("sim", "dispatch"))
 beats = 0
 for path in glob.glob(os.path.join(results_dir, "run-*.json")):
     with open(path) as f:
@@ -210,6 +225,16 @@ print(f"{dispatches} dispatches / {beats} DMA beats = {ratio:.4f} "
       f"(max {MAX_DISPATCHES_PER_BEAT})")
 assert ratio <= MAX_DISPATCHES_PER_BEAT, \
     f"{ratio:.4f} dispatches per beat exceeds {MAX_DISPATCHES_PER_BEAT}"
+
+dispatches = calls(mega_dir, ("sim", "dispatch"))
+accepts = calls(mega_dir, ("mem", "memctrl.accept"))
+assert accepts > 0, "gen-mega quick grid accepted no memory beats"
+ratio = dispatches / accepts
+print(f"gen-mega: {dispatches} dispatches / {accepts} memory accepts = "
+      f"{ratio:.4f} (max {MAX_GEN_MEGA_DISPATCHES_PER_ACCEPT})")
+assert ratio <= MAX_GEN_MEGA_DISPATCHES_PER_ACCEPT, \
+    f"gen-mega: {ratio:.4f} dispatches per accept exceeds " \
+    f"{MAX_GEN_MEGA_DISPATCHES_PER_ACCEPT}"
 EOF
 
 echo "prof_check: [4/5] capstat prof report / merge / diff"

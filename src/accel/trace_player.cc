@@ -180,20 +180,20 @@ TracePlayer::armResponseWake()
 }
 
 void
-TracePlayer::handleRetry()
+TracePlayer::handleRetry(Cycles when)
 {
-    // The crossbar granted the beat in our slot. The ticks before this
-    // cycle found the slot full; then, where a polling player would be
-    // polling (awaitRetry), tick on this very cycle (the grant runs at
-    // arbitratePrio, a tick at requestPrio — the cycle a per-cycle
-    // poll would issue on). A retry while the player sleeps on a
-    // response-driven precondition must not wake it: the response
-    // wakes it one cycle later, and a same-cycle wake would issue a
-    // cycle early.
+    // The crossbar granted the beat in our slot on @p when, this
+    // cycle. The ticks before it found the slot full; then, where a
+    // polling player would be polling (awaitRetry), tick on the
+    // grant's cycle (the grant runs at arbitratePrio, a tick at
+    // requestPrio — the cycle a per-cycle poll would issue on). A
+    // retry while the player sleeps on a response-driven precondition
+    // must not wake it: the response wakes it one cycle later, and a
+    // same-cycle wake would issue a cycle early.
     catchUp();
     slotFull = false;
     if (awaitRetry)
-        wakeAt(curCycle());
+        wakeAt(when);
     settle();
 }
 

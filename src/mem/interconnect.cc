@@ -20,18 +20,23 @@ AxiInterconnect::AxiInterconnect(EventQueue &eq,
       masters(num_masters), maxBurst(max_burst ? max_burst : 1),
       grants(stats, "grants", "requests granted onto the bus"),
       stallCycles(stats, "stallCycles",
-                  "cycles the winning request could not move downstream")
+                  "cycles the winning request could not move downstream",
+                  [this] {
+                      return static_cast<double>(
+                          waited + (refusedAt == noCycle
+                                        ? 0
+                                        : curCycle() - refusedAt));
+                  })
 {
     if (num_masters == 0)
         fatal("AxiInterconnect needs at least one master");
     for (unsigned i = 0; i < num_masters; ++i) {
         masters[i].port = std::make_unique<ResponsePort>(
             *this, "accel_side" + std::to_string(i),
-            [this, i](const MemRequest &req) { return offer(i, req); },
-            [this, i](const MemRequest &req, Cycles issued) {
-                return offerAt(i, req, issued);
-            },
-            [this, i] { return canOffer(i); });
+            [this, i](const MemRequest &req, Cycles when,
+                      Cycles grantable) {
+                return offerAt(i, req, when, grantable);
+            });
     }
 }
 
@@ -66,9 +71,6 @@ levelsThrough(const PortBase &port, unsigned hops)
 void
 AxiInterconnect::settleOrder()
 {
-    if (ordered)
-        return;
-    ordered = true;
     const unsigned below = levelsThrough(memSidePort, 0);
     if (below >= Event::requestPrio - Event::arbitratePrio)
         fatal("%s: %u crossbar levels below it; at most %d fit between "
@@ -91,49 +93,43 @@ AxiInterconnect::canOffer(unsigned slot) const
 }
 
 bool
-AxiInterconnect::offer(unsigned slot, const MemRequest &req)
-{
-    const Cycles now = curCycle();
-    return enter(slot, req, now, now);
-}
-
-bool
 AxiInterconnect::offerAt(unsigned slot, const MemRequest &req,
-                         Cycles issued)
+                         Cycles when, Cycles grantable)
 {
-    INVARIANT(issued >= curCycle(),
-              "%s: beat (port %u, id %llu) handed over for past cycle "
-              "%llu",
+    INVARIANT(when >= curCycle() && grantable >= when,
+              "%s: beat (port %u, id %llu) handed over for cycle %llu, "
+              "grantable on %llu",
               name().c_str(), req.srcPort,
               static_cast<unsigned long long>(req.id),
-              static_cast<unsigned long long>(issued));
-    return enter(slot, req, issued, issued + 1);
-}
-
-bool
-AxiInterconnect::enter(unsigned slot, const MemRequest &req,
-                       Cycles entered, Cycles eligible)
-{
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(grantable));
     MasterSlot &ms = masters.at(slot);
     if (ms.pending)
         return false;
-    settleOrder();
     ms.pending = req;
-    ms.eligible = eligible;
+    ms.entered = when;
+    ms.grantable = grantable;
     if (req.srcPort >= portToSlot.size())
         portToSlot.resize(req.srcPort + 1, noSlot);
     portToSlot[req.srcPort] = slot;
     ++pendingSlots;
-    _offerProbe.notify(TimedRequest{&*ms.pending, entered});
-    // Arbitrate on the first cycle after this one the beat can win;
-    // during arbitration, the tick's re-arm covers it.
-    if (!arbitrating)
-        activate(std::max(eligible, curCycle() + 1) - curCycle());
+    _offerProbe.notify(TimedRequest{&*ms.pending, when});
+    // Arbitrate on the cycle after the beat entered; during
+    // arbitration, the tick's re-arm covers it. While a grant waits on
+    // a refusal, only a beat that would win ahead of it can change the
+    // next arbitration, from the cycle it is grantable on.
+    const Cycles now = curCycle();
+    if (arbitrating)
+        return true;
+    if (refusedAt == noCycle)
+        activate(when + 1 - now);
+    else if (overtakes(slot))
+        activate(std::max(grantable, now + 1) - now);
     return true;
 }
 
 Cycles
-AxiInterconnect::nextGrantable(Cycles from) const
+AxiInterconnect::nextTick(Cycles from) const
 {
     if (pendingSlots == 0)
         return noCycle;
@@ -141,9 +137,30 @@ AxiInterconnect::nextGrantable(Cycles from) const
     for (const MasterSlot &slot : masters) {
         if (!slot.pending)
             continue;
-        next = std::min(next, std::max(slot.eligible, from));
+        next = std::min(next, std::max(slot.entered + 1, from));
         if (next == from)
             break;
+    }
+    return next;
+}
+
+bool
+AxiInterconnect::overtakes(unsigned slot) const
+{
+    // A burst keeps its owner's beat at the head of arbitration.
+    if (burstLeft > 0)
+        return false;
+    const unsigned n = masters.size();
+    return (slot + n - rrNext) % n < (refusedSlot + n - rrNext) % n;
+}
+
+Cycles
+AxiInterconnect::nextOvertake() const
+{
+    Cycles next = noCycle;
+    for (unsigned slot = 0; slot < masters.size(); ++slot) {
+        if (masters[slot].pending && overtakes(slot))
+            next = std::min(next, masters[slot].grantable);
     }
     return next;
 }
@@ -170,9 +187,27 @@ AxiInterconnect::grantBeat(MasterSlot &slot)
     _grantProbe.notify(*slot.pending);
     slot.pending.reset();
     // The slot is free again: wake the master in case it is waiting to
-    // issue its next beat instead of polling every cycle (the trace
-    // player relies on it; a polling master ignores it).
-    slot.port->sendRetry();
+    // hand over its next beat.
+    slot.port->sendRetry(curCycle());
+}
+
+void
+AxiInterconnect::handleRetry(Cycles when)
+{
+    // A retry for a grant nobody waits on (the parent freed a slot this
+    // crossbar did not find full) changes nothing.
+    if (!arbitrating && refusedAt == noCycle)
+        return;
+    const Cycles now = curCycle();
+    if (arbitrating || when > now) {
+        activate(std::max(when, now + 1) - now);
+        return;
+    }
+    // The parent's grant freed the slot on this cycle: arbitrate again
+    // now, as a per-cycle re-offer after that grant would have.
+    deactivate();
+    if (tick())
+        activate(1);
 }
 
 unsigned
@@ -195,7 +230,14 @@ bool
 AxiInterconnect::tick()
 {
     PROF_SCOPE("xbar", "arbitrate");
+    const Cycles now = curCycle();
     arbitrating = true;
+    // A refused grant ends here: every cycle since it was refused
+    // again, as a re-offer on each of them would have been.
+    if (refusedAt != noCycle) {
+        waited += now - refusedAt;
+        refusedAt = noCycle;
+    }
     // A burst can only continue while its owner still holds a
     // back-to-back beat. If the owner went idle (or the beat it was
     // stalled on was retracted), the leftover burst budget must not
@@ -209,40 +251,42 @@ AxiInterconnect::tick()
             resetBurst();
     }
 
+    // Burst-sticky arbitration keeps the bus with the owner while it
+    // has back-to-back beats and budget left; otherwise round-robin
+    // picks the first waiting master from rrNext. One beat per cycle,
+    // granted or refused.
+    unsigned pick = noSlot;
     if (burstLeft > 0) {
-        // Burst-sticky arbitration: the owner keeps the bus while it
-        // has back-to-back beats and burst budget left.
-        MasterSlot &slot = masters[burstOwner];
-        if (memSidePort.trySend(*slot.pending)) {
-            grantBeat(slot);
-            --burstLeft;
-            if (burstLeft == 0)
-                resetBurst();
-        } else {
-            ++stallCycles;
-        }
+        pick = burstOwner;
     } else {
-        // Round-robin: scan from rrNext for the first waiting master.
         for (unsigned i = 0; i < masters.size(); ++i) {
             const unsigned port = (rrNext + i) % masters.size();
-            MasterSlot &slot = masters[port];
-            if (!ready(slot))
-                continue;
-            if (memSidePort.trySend(*slot.pending)) {
-                grantBeat(slot);
-                rrNext = (port + 1) % masters.size();
+            if (ready(masters[port])) {
+                pick = port;
+                break;
+            }
+        }
+    }
+    if (pick != noSlot) {
+        MasterSlot &slot = masters[pick];
+        if (memSidePort.trySendAt(*slot.pending, now)) {
+            grantBeat(slot);
+            if (burstLeft > 0) {
+                if (--burstLeft == 0)
+                    resetBurst();
+            } else {
+                rrNext = (pick + 1) % masters.size();
                 if (maxBurst > 1) {
-                    burstOwner = port;
+                    burstOwner = pick;
                     burstLeft = maxBurst - 1;
                 }
-            } else {
-                ++stallCycles;
             }
-            break; // one beat per cycle, granted or stalled
+        } else {
+            refusedAt = now;
+            refusedSlot = pick;
         }
     }
 
-    // Keep ticking while any master still holds a request.
     PARANOID_INVARIANT(countPending() == pendingSlots,
                        "slot conservation: %u slots hold a request, "
                        "%u counted pending",
@@ -251,15 +295,24 @@ AxiInterconnect::tick()
                        "burst budget %u exceeds max burst %u", burstLeft,
                        maxBurst);
     arbitrating = false;
-    // Tick again on the next cycle a held beat can be granted on:
-    // right away (inline while nothing else is due first) when one
-    // can, else when the first one handed over ahead becomes eligible.
-    const Cycles next = nextGrantable(curCycle() + 1);
+    // Refused: sleep until the refuser's retry (armed already, or to
+    // come with the parent's grant), or until a beat that would win
+    // ahead of the refused one becomes grantable.
+    if (refusedAt != noCycle) {
+        const Cycles overtake = nextOvertake();
+        if (overtake != noCycle)
+            activate(overtake - now);
+        return false;
+    }
+    // Tick again on the next cycle a held beat calls for: right away
+    // (inline while nothing else is due first) when one is held, else
+    // after the first one handed over ahead enters.
+    const Cycles next = nextTick(now + 1);
     if (next == noCycle)
         return false;
-    if (next == curCycle() + 1)
+    if (next == now + 1)
         return true;
-    activate(next - curCycle());
+    activate(next - now);
     return false;
 }
 

@@ -9,15 +9,16 @@
  * RequestPort. Responses are routed back to the issuing master by the
  * source port id recorded when its beat was offered.
  *
- * A master fills its slot in one of two ways. A pushed beat
- * (tryAccept: a child crossbar or check stage above) takes part in the
- * next arbitration. A trace player computes the cycle it issues each
- * beat on and hands the beat over ahead with that cycle (tryAcceptAt):
- * the beat waits in the slot from that cycle and takes part in
- * arbitration from the next one, because players issue after the
- * cycle's arbitration. The crossbar then ticks only on cycles where a
- * beat can be granted, and a run of back-to-back grants continues
- * inline (TickingObject).
+ * Every master (trace player, check stage, child crossbar) hands its
+ * beat over with the cycle it enters the slot and the first cycle it
+ * can be granted on (offerAt), so timing does not depend on the order
+ * components run in within a cycle. The crossbar ticks only on cycles
+ * a held beat calls for, and back-to-back grants continue inline.
+ * When the component below refuses a grant (a parent crossbar's full
+ * slot, a check stage's admission guard), the crossbar sleeps until
+ * the refuser's retry, or until a beat that would win arbitration
+ * ahead of the refused one can be granted; stallCycles counts the
+ * cycles waited, as a re-offer every cycle would have.
  */
 
 #ifndef CAPCHECK_MEM_INTERCONNECT_HH
@@ -65,37 +66,38 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     RequestPort &memSide() { return memSidePort; }
 
     /**
-     * Offer a request into master slot @p slot (the admission function
-     * behind that slot's accel_side port).
-     * @return false when that slot's buffer is full this cycle.
-     */
-    bool offer(unsigned slot, const MemRequest &req);
-
-    /**
-     * Hand over a request its master issues on cycle @p issued
-     * (>= the current cycle, after that cycle's arbitration): it waits
-     * in slot @p slot from then and can be granted from @p issued + 1.
+     * Hand master slot @p slot a request that enters it on cycle
+     * @p when and can be granted from cycle @p grantable on (behind
+     * the slot's accel_side port).
      * @return false when the slot still holds a request.
      */
-    bool offerAt(unsigned slot, const MemRequest &req, Cycles issued);
+    bool offerAt(unsigned slot, const MemRequest &req, Cycles when,
+                 Cycles grantable);
+
+    /** offerAt() for the current cycle, grantable at once. */
+    bool offer(unsigned slot, const MemRequest &req)
+    {
+        return offerAt(slot, req, curCycle(), curCycle());
+    }
 
     /** True when master slot @p slot can take a request. */
     bool canOffer(unsigned slot) const;
 
     /**
-     * Settle the tick order from the bindings, once: a crossbar ticks
-     * after every crossbar below it on the same cycle
-     * (arbitratePrio + the crossbar levels below it), so a beat a
-     * child grants waits for the parent's next arbitration. A ticking
-     * pipeline got that order from when each tick was scheduled; with
-     * beats handed over ahead it must be explicit. The elaborator
-     * calls it once the topology is wired, a hand-wired crossbar on
-     * its first offer.
+     * Tick after every crossbar below this one on a cycle
+     * (arbitratePrio + the crossbar levels below it). Timing does not
+     * depend on it; it keeps the order of one cycle's grants, and so
+     * of same-cycle Chrome trace events, root first. The elaborator
+     * calls it once the topology is wired.
      */
     void settleOrder();
 
     /** ResponseHandler: deliver a response back to its master. */
     void handleResponse(const MemResponse &resp) override;
+
+    /** ResponseHandler: the component below that refused the last
+     *  grant can take a beat again on cycle @p when. */
+    void handleRetry(Cycles when) override;
 
     bool tick() override;
 
@@ -133,8 +135,10 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     struct MasterSlot
     {
         std::optional<MemRequest> pending;
+        /** Cycle @c pending entered the slot. */
+        Cycles entered = 0;
         /** First cycle arbitration may grant @c pending on. */
-        Cycles eligible = 0;
+        Cycles grantable = 0;
         std::unique_ptr<ResponsePort> port;
     };
 
@@ -144,18 +148,21 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     static constexpr unsigned noSlot = ~0u;
     static constexpr Cycles noCycle = ~Cycles{0};
 
-    /** Put @p req into @p slot, grantable from cycle @p eligible. */
-    bool enter(unsigned slot, const MemRequest &req, Cycles entered,
-               Cycles eligible);
     /** True when @p slot holds a request arbitration may grant now. */
     bool
     ready(const MasterSlot &slot) const
     {
-        return slot.pending && slot.eligible <= curCycle();
+        return slot.pending && slot.grantable <= curCycle();
     }
-    /** Earliest cycle a held request becomes grantable, at least
-     *  @p from; noCycle when no slot holds one. */
-    Cycles nextGrantable(Cycles from) const;
+    /** Next cycle to arbitrate on, at least @p from: the cycle after
+     *  a held request entered; noCycle when no slot holds one. */
+    Cycles nextTick(Cycles from) const;
+    /** Earliest cycle a held beat that would win arbitration ahead of
+     *  the refused one becomes grantable; noCycle when none. */
+    Cycles nextOvertake() const;
+    /** True when slot @p slot comes before the refused slot in the
+     *  round-robin scan (and no burst pins the refused one). */
+    bool overtakes(unsigned slot) const;
     void grantBeat(MasterSlot &slot);
     void resetBurst();
     /** Slots holding a request, recounted (PARANOID checks). */
@@ -184,11 +191,18 @@ class AxiInterconnect : public TickingObject, public ResponseHandler
     /** Inside tick(): a beat handed over now is covered by the
      *  tick's own re-arm. */
     bool arbitrating = false;
-    /** settleOrder() has run. */
-    bool ordered = false;
+
+    /** @{ A refused grant: the cycle of the refusal (noCycle while
+     *  none is outstanding) and the slot refused. */
+    Cycles refusedAt = noCycle;
+    unsigned refusedSlot = 0;
+    /** @} */
+    /** Cycles waited on refusals that have ended. */
+    Cycles waited = 0;
 
     stats::Scalar grants;
-    stats::Scalar stallCycles;
+    /** waited, plus the wait running now. */
+    stats::Formula stallCycles;
 
     probe::ProbePoint<TimedRequest> _offerProbe{"xbar.offer"};
     probe::ProbePoint<MemRequest> _grantProbe{"xbar.grant"};

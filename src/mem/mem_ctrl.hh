@@ -38,18 +38,11 @@ class MemoryController : public SimObject, public TimingConsumer
      */
     ResponsePort &cpuSide() { return cpuSidePort; }
 
-    /** TimingConsumer: accept one request per cycle. */
-    bool tryAccept(const MemRequest &req) override
-    {
-        return tryAcceptAt(req, curCycle());
-    }
-
-    bool acceptsAhead() const override { return true; }
-
     /**
-     * Accept a request on cycle @p when; cycles must not repeat or go
-     * back (one beat per cycle). The response goes upstream before
-     * this returns, due @p when + latency().
+     * TimingConsumer: accept a request on cycle @p when; cycles must
+     * not repeat or go back (one beat per cycle). The response goes
+     * upstream before this returns, due @p when + latency(). It arms
+     * no retry: the components above know the cycles they hand over.
      */
     bool tryAcceptAt(const MemRequest &req, Cycles when) override;
 

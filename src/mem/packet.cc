@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "base/logging.hh"
-
 namespace capcheck
 {
 
@@ -27,13 +25,6 @@ MemRequest::toString() const
        << size << " port=" << srcPort << " task=" << task
        << " obj=" << object;
     return os.str();
-}
-
-bool
-TimingConsumer::tryAcceptAt(const MemRequest &req, Cycles when)
-{
-    panic("consumer cannot accept ahead: %s at cycle %llu",
-          req.toString().c_str(), static_cast<unsigned long long>(when));
 }
 
 } // namespace capcheck

@@ -79,8 +79,8 @@ struct MemResponse
 };
 
 /**
- * Downstream interface: components that accept timed requests
- * (CapChecker, interconnect, memory controller).
+ * Downstream interface: components that accept timed requests (check
+ * stage, router, memory controller).
  */
 class TimingConsumer
 {
@@ -88,26 +88,12 @@ class TimingConsumer
     virtual ~TimingConsumer() = default;
 
     /**
-     * Offer a request this cycle.
-     * @return false when the consumer is busy; the caller retries later.
+     * Take a request that enters this consumer on cycle @p when
+     * (>= the current cycle).
+     * @return false when the consumer cannot take it then; it arms a
+     *         retry for the cycle it can (ResponseHandler::handleRetry).
      */
-    virtual bool tryAccept(const MemRequest &req) = 0;
-
-    /**
-     * True when this consumer, and everything below it, takes a
-     * request for a later cycle through tryAcceptAt(): it and its
-     * downstream only add fixed latencies, so the request's path is
-     * settled the moment it is offered.
-     */
-    virtual bool acceptsAhead() const { return false; }
-
-    /**
-     * Offer a request that enters this consumer on cycle @p when
-     * (>= the current cycle). Only consumers whose acceptsAhead()
-     * holds implement it.
-     * @return false when the consumer is taken on that cycle.
-     */
-    virtual bool tryAcceptAt(const MemRequest &req, Cycles when);
+    virtual bool tryAcceptAt(const MemRequest &req, Cycles when) = 0;
 };
 
 /** Upstream interface: components that receive responses. */
@@ -119,12 +105,13 @@ class ResponseHandler
     virtual void handleResponse(const MemResponse &resp) = 0;
 
     /**
-     * A downstream slot that refused (or may have refused) a request
-     * earlier has freed up this cycle. Purely advisory — a master that
-     * polls every cycle can ignore it; the trace player sleeps between
-     * issues and uses this to wake. Spurious calls must be harmless.
+     * The component below can take a request again from cycle @p when
+     * (>= the current cycle): a crossbar slot freed by its grant, or a
+     * check stage whose admission guard refused. A master that waits
+     * for it instead of offering again every cycle re-offers then.
+     * Spurious calls must be harmless.
      */
-    virtual void handleRetry() {}
+    virtual void handleRetry([[maybe_unused]] Cycles when) {}
 };
 
 } // namespace capcheck

@@ -10,7 +10,10 @@ AddrRouter::AddrRouter(EventQueue &eq, stats::StatGroup *parent_stats,
                        std::uint64_t interleave_bytes, std::string name)
     : SimObject(eq, std::move(name), parent_stats),
       cpuSidePort(*this, "cpu_side",
-                  static_cast<TimingConsumer &>(*this)),
+                  [this](const MemRequest &req, Cycles when,
+                         Cycles grantable) {
+                      return route(req, when, grantable);
+                  }),
       interleave(interleave_bytes ? interleave_bytes
                                   : defaultInterleave)
 {
@@ -33,30 +36,10 @@ AddrRouter::memSide(unsigned channel)
 }
 
 bool
-AddrRouter::tryAccept(const MemRequest &req)
+AddrRouter::route(const MemRequest &req, Cycles when, Cycles grantable)
 {
     const unsigned channel = channelFor(req.addr);
-    if (!channels[channel]->trySend(req))
-        return false;
-    ++*beatsPerChannel[channel];
-    return true;
-}
-
-bool
-AddrRouter::acceptsAhead() const
-{
-    for (const auto &channel : channels) {
-        if (!channel->peerAcceptsAhead())
-            return false;
-    }
-    return true;
-}
-
-bool
-AddrRouter::tryAcceptAt(const MemRequest &req, Cycles when)
-{
-    const unsigned channel = channelFor(req.addr);
-    if (!channels[channel]->trySendAt(req, when))
+    if (!channels[channel]->trySendAt(req, when, grantable))
         return false;
     ++*beatsPerChannel[channel];
     return true;
@@ -66,6 +49,14 @@ void
 AddrRouter::handleResponse(const MemResponse &resp)
 {
     cpuSidePort.sendResponse(resp);
+}
+
+void
+AddrRouter::handleRetry(Cycles when)
+{
+    // Any channel's retry may be the one the component above waits
+    // for; a retry it does not need is harmless.
+    cpuSidePort.sendRetry(when);
 }
 
 std::uint64_t

@@ -23,8 +23,7 @@
 namespace capcheck
 {
 
-class AddrRouter : public SimObject, public TimingConsumer,
-                   public ResponseHandler
+class AddrRouter : public SimObject, public ResponseHandler
 {
   public:
     /** Default interleave granule: one cache-line-sized beat. */
@@ -55,17 +54,16 @@ class AddrRouter : public SimObject, public TimingConsumer,
                                      channels.size());
     }
 
-    /** TimingConsumer: demux the request to its channel, same cycle. */
-    bool tryAccept(const MemRequest &req) override;
-
-    /** True when every channel's downstream accepts ahead. */
-    bool acceptsAhead() const override;
-
-    /** Demux a request for cycle @p when to its channel. */
-    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
+    /** Demux a request to its channel, with its cycles (the
+     *  admission function behind cpu_side; see
+     *  RequestPort::trySendAt()). */
+    bool route(const MemRequest &req, Cycles when, Cycles grantable);
 
     /** ResponseHandler: merge channel responses back upstream. */
     void handleResponse(const MemResponse &resp) override;
+
+    /** ResponseHandler: pass a channel's retry upstream. */
+    void handleRetry(Cycles when) override;
 
     std::uint64_t routedBeats(unsigned channel) const;
 

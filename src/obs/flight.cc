@@ -209,8 +209,8 @@ FlightRecorder::enterCheckQueue(FlightRecord &rec)
 {
     rec.checkCounted = true;
     rec.inCheckQueue = true;
-    // Flights whose exit came before this cycle's acceptance (the
-    // ticking stage leaves at checkPrio, before arbitration) are gone.
+    // Flights whose exit came before this cycle's acceptance are gone
+    // (a crossbar below the stage grants before the one above it).
     while (!checkExits.empty() && checkExits.top() <= eq.curCycle()) {
         checkExits.pop();
         if (checkOccupied > 0)
@@ -218,7 +218,8 @@ FlightRecorder::enterCheckQueue(FlightRecord &rec)
     }
     ++checkOccupied;
     checkOccupancy.sample(checkOccupied);
-    // A computing stage has already reported where the flight leaves.
+    // A flight whose memory acceptance or denial is already known
+    // leaves on its cycle.
     if (rec.sawMem)
         leaveCheckQueue(rec, rec.memAccept);
     else if (rec.responded)

@@ -4,16 +4,13 @@
 
 #include "base/invariant.hh"
 #include "obs/prof.hh"
-#include "base/logging.hh"
 
 namespace capcheck::protect
 {
 
 CheckStage::CheckStage(EventQueue &eq, stats::StatGroup *parent_stats,
                        ProtectionChecker &checker, std::string name)
-    : TickingObject(eq, std::move(name), parent_stats,
-                    Event::checkPrio),
-      checker(checker),
+    : SimObject(eq, std::move(name), parent_stats), checker(checker),
       cpuSidePort(*this, "cpu_side",
                   static_cast<TimingConsumer &>(*this)),
       memSidePort(*this, "mem_side",
@@ -21,41 +18,61 @@ CheckStage::CheckStage(EventQueue &eq, stats::StatGroup *parent_stats,
       checked(stats, "checked", "requests checked"),
       denied(stats, "denied", "requests denied"),
       stallCycles(stats, "stallCycles",
-                  "cycles the stage head waited for downstream")
+                  "cycles the stage head waited for downstream",
+                  [this] {
+                      const Cycles now = curCycle();
+                      const Cycles ready =
+                          waiting.empty() ? now
+                                          : readyCycle(waiting.front());
+                      return static_cast<double>(
+                          waited + std::max(now, ready) - ready);
+                  })
 {
-}
-
-bool
-CheckStage::computesExits()
-{
-    if (timing == Timing::undecided)
-        timing = memSidePort.peerAcceptsAhead() ? Timing::computed
-                                                : Timing::ticked;
-    return timing == Timing::computed;
 }
 
 std::size_t
 CheckStage::depth()
 {
-    if (timing == Timing::ticked)
-        return pipe.size();
     while (!exits.empty() && exits.front() <= curCycle())
         exits.pop_front();
-    return exits.size();
+    return exits.size() + waiting.size();
+}
+
+Cycles
+CheckStage::readyCycle(const Checked &beat) const
+{
+    return std::max(beat.due, lastExit + (lastAllowed ? 1 : 0));
 }
 
 bool
-CheckStage::tryAccept(const MemRequest &req)
+CheckStage::tryAcceptAt(const MemRequest &req, Cycles when)
 {
     PROF_SCOPE("capcheck", "stage.accept");
+    const Cycles now = curCycle();
+    INVARIANT(when == now,
+              "%s: request (id %llu) handed over for cycle %llu on "
+              "cycle %llu; a check stage takes requests on their grant "
+              "cycle",
+              name().c_str(), static_cast<unsigned long long>(req.id),
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(now));
     // One new request per cycle (the check pipeline's issue rate).
-    if (lastAcceptCycle == curCycle())
+    if (lastAcceptCycle == now) {
+        cpuSidePort.sendRetry(now + 1);
         return false;
-    const bool computed = computesExits();
-    if (depth() > checker.checkLatency() + 4)
-        return false; // downstream badly stalled
+    }
+    const std::size_t held = depth();
+    if (held > checker.checkLatency() + 4) {
+        // Downstream badly stalled: retry the crossbar above when the
+        // oldest request leaves (known once a waiting one goes on).
+        if (exits.empty())
+            retryOwed = true;
+        else
+            cpuSidePort.sendRetry(exits.front());
+        return false;
+    }
 
-    lastAcceptCycle = curCycle();
+    lastAcceptCycle = now;
     ++checked;
     const CheckResult verdict = checker.check(req);
     if (!verdict.allowed)
@@ -63,73 +80,64 @@ CheckStage::tryAccept(const MemRequest &req)
 
     const Cycles latency =
         checker.checkLatency() + checker.lastExtraLatency();
-    _timingProbe.notify(CheckTimingEvent{&req, verdict.allowed,
-                                         curCycle(),
-                                         curCycle() + latency});
-    if (computed) {
-        forwardAt(req, verdict.allowed, latency);
-        return true;
-    }
-    Cycles due = curCycle() + latency;
-    if (latency == 0 && verdict.allowed && pipe.empty()) {
-        // Transparent pass-through (the "no method" configuration).
-        if (memSidePort.trySend(req))
-            return true;
-        // The crossbar below is taken: the checked beat waits in the
-        // pipe and leaves from the next tick. Refusing it would make
-        // the crossbar above offer it, and the stage check it, again.
-        due = curCycle() + 1;
-    }
-
-    // The pipe drains strictly FIFO, so a cache-miss walk making an
-    // older entry due *later* than a newer hit is legal (head-of-line
+    _timingProbe.notify(
+        CheckTimingEvent{&req, verdict.allowed, now, now + latency});
+    // Transparent pass-through (the "no method" configuration).
+    const bool pass = latency == 0 && verdict.allowed && held == 0;
+    const Checked beat{req, verdict.allowed,
+                       now + std::max<Cycles>(latency, 1),
+                       pass ? now : noCycle};
+    if (!waiting.empty() || !leave(beat))
+        waiting.push_back(beat);
+    // The pipe leaves strictly FIFO, so a cache-miss walk making an
+    // older request due *later* than a newer hit is legal (head-of-line
     // blocking); what must hold is the structural depth bound enforced
     // by the admission guard above.
-    PARANOID_INVARIANT(pipe.size() <= checker.checkLatency() + 5,
+    PARANOID_INVARIANT(exits.size() + waiting.size() <=
+                           checker.checkLatency() + 5,
                        "check pipeline deeper than its structural bound "
                        "(%zu entries)",
-                       pipe.size());
-    pipe.push_back(Staged{req, verdict.allowed, due});
-    activate(due > curCycle() ? due - curCycle() : 1);
+                       exits.size() + waiting.size());
     return true;
 }
 
-void
-CheckStage::forwardAt(const MemRequest &req, bool allowed, Cycles latency)
+bool
+CheckStage::leave(const Checked &beat)
 {
     const Cycles now = curCycle();
-    if (latency == 0 && allowed && exits.empty() &&
-        memSidePort.trySendAt(req, now)) {
-        // Transparent pass-through (the "no method" configuration).
+    // A pass-through goes on on its accept cycle, after the
+    // arbitration that granted it, unless below took a request then.
+    if (beat.passAt == now && forward(beat, now, now + 1)) {
         lastExit = now;
         lastAllowed = true;
-        return;
+        return true;
     }
-    // The exit the ticked pipe would reach: the verdict's cycle, but
-    // never the accept cycle (the stage's tick there has run) and never
-    // before the request ahead has left, one forward per cycle. A
-    // pass-through the controller refused (it took the request ahead
-    // this cycle) waits here for the next cycle.
-    const Cycles exit =
-        std::max(now + std::max<Cycles>(latency, 1),
-                 lastExit + (lastAllowed ? 1 : 0));
-    PARANOID_INVARIANT(exits.size() <= checker.checkLatency() + 5,
-                       "check pipeline deeper than its structural bound "
-                       "(%zu entries)",
-                       exits.size());
+    // The exit a pipe polled every cycle would reach: when the request
+    // can leave, and for one that waited for the component below, the
+    // cycle after that component freed up.
+    const Cycles ready = readyCycle(beat);
+    const Cycles exit = std::max(ready, now + 1);
+    if (!beat.allowed)
+        deny(beat.req, exit);
+    else if (!forward(beat, exit, exit))
+        return false;
+    waited += exit - ready;
     exits.push_back(exit);
     lastExit = exit;
-    lastAllowed = allowed;
-    if (!allowed) {
-        deny(req, exit);
-        return;
-    }
-    const bool sent = memSidePort.trySendAt(req, exit);
-    INVARIANT(sent,
-              "%s: downstream refused request (id %llu) for its "
-              "computed exit cycle %llu",
-              name().c_str(), static_cast<unsigned long long>(req.id),
-              static_cast<unsigned long long>(exit));
+    lastAllowed = beat.allowed;
+    return true;
+}
+
+bool
+CheckStage::forward(const Checked &beat, Cycles when, Cycles grantable)
+{
+    // The paper's core security property, asserted at the memory
+    // boundary: a request the checker denied is never forwarded.
+    INVARIANT(beat.allowed,
+              "denied request (id %llu) about to cross the memory "
+              "boundary",
+              static_cast<unsigned long long>(beat.req.id));
+    return memSidePort.trySendAt(beat.req, when, grantable);
 }
 
 void
@@ -143,31 +151,17 @@ CheckStage::deny(const MemRequest &req, Cycles due)
     cpuSidePort.sendResponse(resp);
 }
 
-bool
-CheckStage::tick()
+void
+CheckStage::handleRetry(Cycles)
 {
-    while (!pipe.empty() && pipe.front().due <= curCycle()) {
-        Staged &head = pipe.front();
-        if (!head.allowed) {
-            deny(head.req, curCycle());
-            pipe.pop_front();
-            continue;
-        }
-        // The paper's core security property, asserted at the memory
-        // boundary: a request the checker denied is never forwarded.
-        INVARIANT(head.allowed,
-                  "denied request (id %llu) about to cross the memory "
-                  "boundary",
-                  static_cast<unsigned long long>(head.req.id));
-        if (memSidePort.trySend(head.req)) {
-            pipe.pop_front();
-            // Only one forward per cycle (single downstream channel).
-            break;
-        }
-        ++stallCycles;
-        break;
+    // A crossbar below frees its slot on the current cycle.
+    depth();
+    while (!waiting.empty() && leave(waiting.front()))
+        waiting.pop_front();
+    if (retryOwed && !exits.empty()) {
+        retryOwed = false;
+        cpuSidePort.sendRetry(exits.front());
     }
-    return !pipe.empty();
 }
 
 void

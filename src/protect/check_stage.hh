@@ -8,10 +8,13 @@
  *
  * The stage leaves its pipe in FIFO order, at most one forwarded
  * request per cycle, so a request's exit cycle is known when it is
- * accepted. A stage whose downstream accepts ahead (only routers and
- * memory controllers below it) computes that cycle and forwards at
- * once, stamped with it; it never ticks. A stage with a crossbar below
- * it, which can refuse a forward, keeps the pipe and ticks it.
+ * accepted: the stage hands the request on at once, stamped with that
+ * cycle (a denial goes up as a response due then), and never ticks.
+ * A crossbar below it can refuse (its slot still holds the stage's
+ * last request): checked requests then wait, and the next goes on at
+ * that crossbar's grant retry, on the cycle a pipe polled every cycle
+ * would have pushed it. A stage that refuses arms the crossbar above
+ * for the cycle it can accept again.
  */
 
 #ifndef CAPCHECK_PROTECT_CHECK_STAGE_HH
@@ -37,7 +40,7 @@ struct CheckTimingEvent
     Cycles end;
 };
 
-class CheckStage : public TickingObject, public TimingConsumer,
+class CheckStage : public SimObject, public TimingConsumer,
                    public ResponseHandler
 {
   public:
@@ -52,26 +55,23 @@ class CheckStage : public TickingObject, public TimingConsumer,
      */
     ResponsePort &cpuSide() { return cpuSidePort; }
 
-    /** Downstream-facing port (bind to memory or a channel router). */
+    /** Downstream-facing port (bind to memory, a channel router or a
+     *  parent crossbar's slot). */
     RequestPort &memSide() { return memSidePort; }
 
     /** The functional checker this stage wraps (any of the backends). */
     ProtectionChecker &protection() { return checker; }
 
-    bool tryAccept(const MemRequest &req) override;
-    bool tick() override;
-
-    /**
-     * True when the stage computes exit cycles instead of ticking:
-     * everything below it accepts ahead. Decided on the first call,
-     * from the bindings, and fixed from then on: the elaborator calls
-     * it once the topology is wired, a hand-wired stage on its first
-     * request.
-     */
-    bool computesExits();
+    /** TimingConsumer: check a request granted onto the stage on
+     *  cycle @p when (the current cycle). */
+    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
 
     /** ResponseHandler: pass memory responses through, upstream. */
     void handleResponse(const MemResponse &resp) override;
+
+    /** ResponseHandler: the crossbar below granted the stage's beat
+     *  this cycle; the next checked beat goes on. */
+    void handleRetry(Cycles when) override;
 
     /** Fired once per accepted request with its occupancy window. */
     probe::ProbePoint<CheckTimingEvent> &timingProbe()
@@ -86,43 +86,52 @@ class CheckStage : public TickingObject, public TimingConsumer,
     }
 
   private:
-    struct Staged
+    static constexpr Cycles noCycle = ~Cycles{0};
+
+    /** A checked request that has not left the stage yet. */
+    struct Checked
     {
         MemRequest req;
         bool allowed;
+        /** Its verdict's cycle, but never the accept cycle. */
         Cycles due;
+        /** Accept cycle of a transparent pass-through, else noCycle. */
+        Cycles passAt;
     };
 
-    enum class Timing : std::uint8_t
-    {
-        undecided,
-        computed,
-        ticked,
-    };
-
-    /** Requests accepted but not yet left the stage. */
+    /** Requests accepted and not yet left the stage. */
     std::size_t depth();
-    /** Computed timing: send the request on at its exit cycle. */
-    void forwardAt(const MemRequest &req, bool allowed, Cycles latency);
-    /** Send the error response for a denied request up. */
+    /** First cycle @p beat can leave: its due cycle, after the request
+     *  ahead of it (one forward per cycle). */
+    Cycles readyCycle(const Checked &beat) const;
+    /** Pass @p beat on, or deny it, on the first cycle it can leave;
+     *  false when the component below refuses it. */
+    bool leave(const Checked &beat);
+    /** Send an allowed request below: the one forward path. */
+    bool forward(const Checked &beat, Cycles when, Cycles grantable);
     void deny(const MemRequest &req, Cycles due);
 
     ProtectionChecker &checker;
     ResponsePort cpuSidePort;
     RequestPort memSidePort;
-    Timing timing = Timing::undecided;
-    /** Ticked timing: requests inside the stage, oldest first. */
-    std::deque<Staged> pipe;
-    /** Computed timing: exit cycles still ahead, ascending. */
+    /** Exit cycles still ahead of requests that have left, ascending. */
     std::deque<Cycles> exits;
-    /** Computed timing: the last request's exit and verdict. */
+    /** Checked requests the component below has not taken yet, oldest
+     *  (always an allowed one) first. */
+    std::deque<Checked> waiting;
+    /** The last request's exit and verdict. */
     Cycles lastExit = 0;
     bool lastAllowed = false;
-    Cycles lastAcceptCycle = ~Cycles{0};
+    Cycles lastAcceptCycle = noCycle;
+    /** The crossbar above was refused while no exit was known. */
+    bool retryOwed = false;
+    /** Cycles the requests that left waited for the component below. */
+    Cycles waited = 0;
 
     stats::Scalar checked;
     stats::Scalar denied;
-    stats::Scalar stallCycles;
+    /** waited, plus the wait of the oldest request still running. */
+    stats::Formula stallCycles;
 
     probe::ProbePoint<CheckTimingEvent> _timingProbe{
         "checkstage.timing"};

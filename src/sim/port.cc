@@ -169,13 +169,11 @@ ResponsePort::ResponsePort(SimObject &owner, std::string name,
 }
 
 ResponsePort::ResponsePort(SimObject &owner, std::string name,
-                           TryAcceptFn try_accept,
                            TryAcceptAtFn try_accept_at,
-                           CanAcceptFn can_accept, std::string protocol)
+                           std::string protocol)
     : PortBase(owner, std::move(name), Role::response,
                std::move(protocol)),
-      tryFn(std::move(try_accept)), tryAtFn(std::move(try_accept_at)),
-      canFn(std::move(can_accept))
+      tryAtFn(std::move(try_accept_at))
 {
 }
 

@@ -141,30 +141,22 @@ class RequestPort : public PortBase
     void bind(ResponsePort &peer);
 
     /**
-     * Offer a request to the peer this cycle.
-     * @return false when the peer cannot take it (retry later).
+     * Hand the peer a request that enters it on cycle @p when (>= the
+     * current cycle): a memory controller, router or check stage takes
+     * it on that cycle; a crossbar slot holds it from then and can
+     * grant it from @p grantable on. The default, @p when + 1, is a
+     * beat issued or granted after that cycle's arbitration.
+     * @return false when the peer cannot take it; a peer that refuses
+     *         arms a retry (ResponseHandler::handleRetry).
      * @throw PortError{unbound} when no peer is bound.
      */
-    bool trySend(const MemRequest &req); // inline below
-
-    /**
-     * Offer a request that enters the peer on cycle @p when (>= the
-     * current cycle); only to a peer that takes requests ahead: a
-     * consumer whose acceptsAhead() holds, or a crossbar master slot
-     * (the beat waits in the slot from @p when on).
-     * @return false when the peer is taken on that cycle.
-     */
-    bool trySendAt(const MemRequest &req, Cycles when); // inline below
-
-    /** True when the bound peer can take a request this cycle. */
-    bool canSend() const; // inline below
-
-    /**
-     * True when the bound peer and everything below it take requests
-     * for later cycles (TimingConsumer::acceptsAhead()); false when
-     * unbound.
-     */
-    bool peerAcceptsAhead() const;
+    bool trySendAt(const MemRequest &req, Cycles when,
+                   Cycles grantable); // inline below
+    bool
+    trySendAt(const MemRequest &req, Cycles when)
+    {
+        return trySendAt(req, when, when + 1);
+    }
 
     ResponseHandler &responseHandler() const { return handler; }
 
@@ -182,48 +174,28 @@ class RequestPort : public PortBase
 class ResponsePort : public PortBase
 {
   public:
-    using TryAcceptFn = std::function<bool(const MemRequest &)>;
-    using TryAcceptAtFn = std::function<bool(const MemRequest &, Cycles)>;
-    using CanAcceptFn = std::function<bool()>;
+    using TryAcceptAtFn =
+        std::function<bool(const MemRequest &, Cycles, Cycles)>;
 
     /** Sink backed by the owner's TimingConsumer interface. */
     ResponsePort(SimObject &owner, std::string name,
                  TimingConsumer &consumer, std::string protocol = "mem");
 
-    /** Sink backed by explicit admission functions (slot ports):
-     *  requests offered now, requests offered for a cycle, and the
-     *  can-accept probe. */
+    /** Sink backed by an explicit admission function (slot ports),
+     *  called with the request, its entry and grantable cycles. */
     ResponsePort(SimObject &owner, std::string name,
-                 TryAcceptFn try_accept, TryAcceptAtFn try_accept_at,
-                 CanAcceptFn can_accept, std::string protocol = "mem");
+                 TryAcceptAtFn try_accept_at, std::string protocol = "mem");
 
     void bind(RequestPort &peer);
 
-    /** Admit a request into the owner (called via the peer). */
-    bool
-    tryAccept(const MemRequest &req)
-    {
-        return consumer ? consumer->tryAccept(req) : tryFn(req);
-    }
-
-    /** Admit a request for cycle @p when (see
+    /** Admit a request into the owner (see
      *  RequestPort::trySendAt()). */
     bool
-    tryAcceptAt(const MemRequest &req, Cycles when)
+    tryAcceptAt(const MemRequest &req, Cycles when, Cycles grantable)
     {
         return consumer ? consumer->tryAcceptAt(req, when)
-                        : tryAtFn(req, when);
+                        : tryAtFn(req, when, grantable);
     }
-
-    /** Whether the owner takes requests for later cycles. */
-    bool
-    acceptsAhead() const
-    {
-        return consumer && consumer->acceptsAhead();
-    }
-
-    /** Whether the owner could admit a request this cycle. */
-    bool canAccept() const { return canFn ? canFn() : true; }
 
     /**
      * Deliver a response to the peer's ResponseHandler.
@@ -232,19 +204,17 @@ class ResponsePort : public PortBase
     void sendResponse(const MemResponse &resp); // inline below
 
     /**
-     * Notify the peer's ResponseHandler that this endpoint freed up
-     * (ResponseHandler::handleRetry). No-op when unbound — retries are
-     * advisory, so an unbound slot has nobody to wake and nothing to
-     * lose.
+     * Tell the peer's ResponseHandler that this endpoint can take a
+     * request again from cycle @p when on
+     * (ResponseHandler::handleRetry). No-op when unbound: an unbound
+     * slot has nobody to wake.
      */
-    void sendRetry(); // inline below
+    void sendRetry(Cycles when); // inline below
 
   private:
-    /** The owner's admission (consumer-backed ports), else tryFn. */
+    /** The owner's admission (consumer-backed ports), else tryAtFn. */
     TimingConsumer *consumer = nullptr;
-    TryAcceptFn tryFn;
     TryAcceptAtFn tryAtFn;
-    CanAcceptFn canFn;
 };
 
 /*
@@ -256,33 +226,12 @@ class ResponsePort : public PortBase
  */
 
 inline bool
-RequestPort::trySend(const MemRequest &req)
-{
-    if (!_peer) [[unlikely]]
-        requireBound("trySend");
-    return static_cast<ResponsePort *>(_peer)->tryAccept(req);
-}
-
-inline bool
-RequestPort::trySendAt(const MemRequest &req, Cycles when)
+RequestPort::trySendAt(const MemRequest &req, Cycles when, Cycles grantable)
 {
     if (!_peer) [[unlikely]]
         requireBound("trySendAt");
-    return static_cast<ResponsePort *>(_peer)->tryAcceptAt(req, when);
-}
-
-inline bool
-RequestPort::peerAcceptsAhead() const
-{
-    return _peer && static_cast<ResponsePort *>(_peer)->acceptsAhead();
-}
-
-inline bool
-RequestPort::canSend() const
-{
-    if (!_peer) [[unlikely]]
-        requireBound("canSend");
-    return static_cast<ResponsePort *>(_peer)->canAccept();
+    return static_cast<ResponsePort *>(_peer)->tryAcceptAt(req, when,
+                                                           grantable);
 }
 
 inline void
@@ -295,11 +244,12 @@ ResponsePort::sendResponse(const MemResponse &resp)
 }
 
 inline void
-ResponsePort::sendRetry()
+ResponsePort::sendRetry(Cycles when)
 {
     if (!_peer)
         return;
-    static_cast<RequestPort *>(_peer)->responseHandler().handleRetry();
+    static_cast<RequestPort *>(_peer)->responseHandler().handleRetry(
+        when);
 }
 
 /**

@@ -233,7 +233,9 @@ TEST(Interconnect, BurstDoesNotChangeTotalThroughput)
     }
 }
 
-/** Downstream that can be told to refuse beats (a stalled pipeline). */
+/** Downstream that can be told to refuse beats (a stalled pipeline);
+ *  like every refusing component, it retries the crossbar when it can
+ *  take a beat again. */
 class StallableSink : public SimObject, public TimingConsumer
 {
   public:
@@ -244,12 +246,20 @@ class StallableSink : public SimObject, public TimingConsumer
     }
 
     bool
-    tryAccept(const MemRequest &req) override
+    tryAcceptAt(const MemRequest &req, Cycles) override
     {
         if (stalled)
             return false;
         accepted.push_back(req);
         return true;
+    }
+
+    /** Take beats again from this cycle on. */
+    void
+    drain()
+    {
+        stalled = false;
+        port.sendRetry(curCycle());
     }
 
     ResponsePort port;
@@ -307,7 +317,7 @@ TEST(Interconnect, StalledBurstBeatIsRetriedNotLost)
     EXPECT_EQ(sink.accepted.size(), 1u);
     EXPECT_FALSE(xbar.canOffer(0)); // beat still buffered, not dropped
 
-    sink.stalled = false;
+    sink.drain();
     eq.run();
     ASSERT_EQ(sink.accepted.size(), 2u);
     EXPECT_EQ(sink.accepted[1].id, 2u);
@@ -357,7 +367,7 @@ TEST(MemCtrl, PipelinedResponsesPreserveOrderAndLatency)
     for (Cycles c = 1; c <= 5; ++c) {
         events.push_back(std::make_unique<LambdaEvent>([&memctrl, c] {
             MemRequest req = makeReq(0, c);
-            EXPECT_TRUE(memctrl.tryAccept(req));
+            EXPECT_TRUE(memctrl.tryAcceptAt(req, c));
         }));
         eq.schedule(events.back().get(), c);
     }
@@ -379,8 +389,8 @@ TEST(MemCtrl, SecondAcceptSameCycleRejected)
     collector.ports[0]->bind(memctrl.cpuSide());
 
     LambdaEvent ev([&] {
-        EXPECT_TRUE(memctrl.tryAccept(makeReq(0, 1)));
-        EXPECT_FALSE(memctrl.tryAccept(makeReq(0, 2)));
+        EXPECT_TRUE(memctrl.tryAcceptAt(makeReq(0, 1), 1));
+        EXPECT_FALSE(memctrl.tryAcceptAt(makeReq(0, 2), 1));
     });
     eq.schedule(&ev, 1);
     eq.run();
@@ -400,7 +410,7 @@ TEST(MemCtrl, WriteAndReadBeatsCounted)
         const MemCmd cmd = (c % 2) ? MemCmd::read : MemCmd::write;
         events.push_back(std::make_unique<LambdaEvent>(
             [&memctrl, c, cmd] {
-                memctrl.tryAccept(makeReq(0, c, cmd));
+                memctrl.tryAcceptAt(makeReq(0, c, cmd), c);
             }));
         eq.schedule(events.back().get(), c);
     }

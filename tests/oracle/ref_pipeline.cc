@@ -21,8 +21,12 @@ RefMemoryController::RefMemoryController(EventQueue &eq,
 }
 
 bool
-RefMemoryController::tryAccept(const MemRequest &req)
+RefMemoryController::tryAcceptAt(const MemRequest &req, Cycles when)
 {
+    if (when != curCycle())
+        panic("%s: request for cycle %llu on cycle %llu",
+              name().c_str(), static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curCycle()));
     if (lastAcceptCycle == curCycle())
         return false;
     lastAcceptCycle = curCycle();
@@ -73,8 +77,12 @@ RefCheckStage::RefCheckStage(EventQueue &eq,
 }
 
 bool
-RefCheckStage::tryAccept(const MemRequest &req)
+RefCheckStage::tryAcceptAt(const MemRequest &req, Cycles when)
 {
+    if (when != curCycle())
+        panic("%s: request for cycle %llu on cycle %llu",
+              name().c_str(), static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curCycle()));
     if (lastAcceptCycle == curCycle())
         return false;
     if (pipe.size() > checker.checkLatency() + 4)
@@ -90,7 +98,7 @@ RefCheckStage::tryAccept(const MemRequest &req)
         checker.checkLatency() + checker.lastExtraLatency();
     Cycles due = curCycle() + latency;
     if (latency == 0 && verdict.allowed && pipe.empty()) {
-        if (memSidePort.trySend(req))
+        if (memSidePort.trySendAt(req, curCycle()))
             return true;
         // Below is taken this cycle: wait in the pipe for the next one.
         due = curCycle() + 1;
@@ -115,7 +123,7 @@ RefCheckStage::tick()
             pipe.pop_front();
             continue;
         }
-        if (memSidePort.trySend(head.req)) {
+        if (memSidePort.trySendAt(head.req, curCycle())) {
             pipe.pop_front();
             break;
         }
@@ -129,6 +137,109 @@ void
 RefCheckStage::handleResponse(const MemResponse &resp)
 {
     cpuSidePort.sendResponse(resp);
+}
+
+RefCrossbar::RefCrossbar(EventQueue &eq, stats::StatGroup *parent_stats,
+                         unsigned num_masters, unsigned max_burst,
+                         std::string name, unsigned levels_below)
+    : TickingObject(eq, std::move(name), parent_stats,
+                    Event::arbitratePrio + static_cast<int>(levels_below)),
+      memSidePort(*this, "mem_side",
+                  static_cast<ResponseHandler &>(*this)),
+      masters(num_masters), maxBurst(max_burst ? max_burst : 1),
+      grants(stats, "grants", "requests granted onto the bus"),
+      stallCycles(stats, "stallCycles",
+                  "cycles the winning request could not move downstream")
+{
+    if (Event::arbitratePrio + static_cast<int>(levels_below) >=
+        Event::requestPrio)
+        panic("%s: %u crossbar levels below it do not fit between "
+              "arbitration and request priority",
+              this->name().c_str(), levels_below);
+    for (unsigned i = 0; i < num_masters; ++i) {
+        masters[i].port = std::make_unique<ResponsePort>(
+            *this, "accel_side" + std::to_string(i),
+            [this, i](const MemRequest &req, Cycles when, Cycles) {
+                if (when != curCycle())
+                    panic("%s: beat for cycle %llu on cycle %llu",
+                          this->name().c_str(),
+                          static_cast<unsigned long long>(when),
+                          static_cast<unsigned long long>(curCycle()));
+                return offer(i, req);
+            });
+    }
+}
+
+bool
+RefCrossbar::offer(unsigned slot, const MemRequest &req)
+{
+    MasterSlot &ms = masters[slot];
+    if (ms.pending)
+        return false;
+    ms.pending = req;
+    if (req.srcPort >= portToSlot.size())
+        portToSlot.resize(req.srcPort + 1, ~0u);
+    portToSlot[req.srcPort] = slot;
+    activate(1);
+    return true;
+}
+
+void
+RefCrossbar::handleResponse(const MemResponse &resp)
+{
+    _respondProbe.notify(resp);
+    masters[portToSlot.at(resp.srcPort)].port->sendResponse(resp);
+}
+
+void
+RefCrossbar::grantBeat(MasterSlot &slot)
+{
+    ++grants;
+    _grantProbe.notify(*slot.pending);
+    slot.pending.reset();
+    slot.port->sendRetry(curCycle());
+}
+
+bool
+RefCrossbar::tick()
+{
+    if (burstLeft > 0 && !masters[burstOwner].pending) {
+        burstLeft = 0;
+        burstOwner = noOwner;
+    }
+    if (burstLeft > 0) {
+        MasterSlot &slot = masters[burstOwner];
+        if (memSidePort.trySendAt(*slot.pending, curCycle())) {
+            grantBeat(slot);
+            if (--burstLeft == 0)
+                burstOwner = noOwner;
+        } else {
+            ++stallCycles;
+        }
+    } else {
+        for (unsigned i = 0; i < masters.size(); ++i) {
+            const unsigned port = (rrNext + i) % masters.size();
+            MasterSlot &slot = masters[port];
+            if (!slot.pending)
+                continue;
+            if (memSidePort.trySendAt(*slot.pending, curCycle())) {
+                grantBeat(slot);
+                rrNext = (port + 1) % masters.size();
+                if (maxBurst > 1) {
+                    burstOwner = port;
+                    burstLeft = maxBurst - 1;
+                }
+            } else {
+                ++stallCycles;
+            }
+            break;
+        }
+    }
+    for (const MasterSlot &slot : masters) {
+        if (slot.pending)
+            return true;
+    }
+    return false;
 }
 
 RefTracePlayer::RefTracePlayer(EventQueue &eq,
@@ -179,8 +290,6 @@ bool
 RefTracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
                       std::uint32_t size)
 {
-    if (!memSidePort.canSend())
-        return false;
     MemRequest req;
     req.cmd = cmd;
     req.size = size;
@@ -188,9 +297,11 @@ RefTracePlayer::issue(MemCmd cmd, ObjectId obj, std::uint64_t off,
     req.task = taskId;
     req.addr = buffers[obj].base + off;
     req.object = obj;
-    req.id = nextReqId++;
+    req.id = nextReqId;
+    if (!memSidePort.trySendAt(req, curCycle()))
+        return false;
+    ++nextReqId;
     _issueProbe.notify(req);
-    memSidePort.trySend(req);
     ++outstanding;
     ++beatsIssued;
     return true;
@@ -222,7 +333,7 @@ RefTracePlayer::wakeOnResponse(bool denied)
 }
 
 void
-RefTracePlayer::handleRetry()
+RefTracePlayer::handleRetry(Cycles)
 {
     if (awaitRetry)
         activate(0);

@@ -1,22 +1,31 @@
 /**
  * @file
- * Reference DMA pipeline for lockstep tests: the trace player, check
- * stage and memory controller as they were before responses carried
- * their due cycle. Each ticks or schedules an event on the cycle
- * something happens:
+ * Reference DMA pipeline for lockstep tests: the trace player,
+ * crossbar, check stage and memory controller as they were before
+ * hand-overs carried their cycles. Each ticks or schedules an event on
+ * the cycle something happens, and every hand-over happens on the
+ * current cycle:
  *
  *  - RefMemoryController queues every response and delivers it from a
  *    response event on its due cycle;
  *  - RefCheckStage holds every checked request in a pipe that its
- *    tick drains, one forward per cycle;
+ *    tick drains, one forward per cycle, trying a refused head again
+ *    every cycle;
+ *  - RefCrossbar arbitrates every cycle it holds a beat, offering a
+ *    refused grant again on the next one; a crossbar ticks after
+ *    every crossbar below it on a cycle (its priority counts the
+ *    crossbar levels below it), so the order of a cycle's ticks is
+ *    what decides when a beat pushed into a slot can be granted;
  *  - RefTracePlayer takes each response on the cycle it is delivered
  *    and wakes from it on the spot, and pushes each beat into its
  *    crossbar slot from the tick that issues it.
  *
- * The production components (accel/trace_player, protect/check_stage,
- * mem/mem_ctrl) compute those cycles instead — the player its ticks,
- * the stage and controller their cycles at grant — and must agree
- * on every issue, grant and response cycle (see
+ * The production components (accel/trace_player, mem/interconnect,
+ * protect/check_stage, mem/mem_ctrl) compute those cycles instead —
+ * the player its ticks, the stage and controller their cycles at
+ * grant, every hand-over its entry and grantable cycle, refused
+ * components a retry cycle — and must agree on every issue, grant and
+ * response cycle and every stat (see
  * tests/fuzz/pipeline_oracle_fuzz_test.cc). One fix rides along: a
  * zero-latency pass-through that finds the component below (memory
  * controller or crossbar) taken this cycle waits in the pipe for the
@@ -27,6 +36,8 @@
 #define CAPCHECK_TESTS_ORACLE_REF_PIPELINE_HH
 
 #include <deque>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "accel/trace.hh"
@@ -49,10 +60,8 @@ class RefMemoryController : public SimObject, public TimingConsumer
                         Cycles latency, std::string name = "memctrl");
 
     ResponsePort &cpuSide() { return cpuSidePort; }
-    bool tryAccept(const MemRequest &req) override;
-    /** Fixed latency: tells the reference stage a controller is below
-     *  it (it never accepts ahead itself). */
-    bool acceptsAhead() const override { return true; }
+    /** Accepts on the current cycle only (@p when). */
+    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
 
   private:
     class RespondEvent : public Event
@@ -95,7 +104,8 @@ class RefCheckStage : public TickingObject, public TimingConsumer,
     ResponsePort &cpuSide() { return cpuSidePort; }
     RequestPort &memSide() { return memSidePort; }
 
-    bool tryAccept(const MemRequest &req) override;
+    /** Accepts on the current cycle only (@p when). */
+    bool tryAcceptAt(const MemRequest &req, Cycles when) override;
     bool tick() override;
     void handleResponse(const MemResponse &resp) override;
 
@@ -116,6 +126,59 @@ class RefCheckStage : public TickingObject, public TimingConsumer,
     stats::Scalar checked;
     stats::Scalar denied;
     stats::Scalar stallCycles;
+};
+
+/**
+ * Crossbar that arbitrates every cycle it holds a beat. Beats enter
+ * its slots on the current cycle and are grantable at once; whether
+ * that cycle's arbitration has already run decides when they win.
+ */
+class RefCrossbar : public TickingObject, public ResponseHandler
+{
+  public:
+    /** @p levels_below: crossbar levels on the path below it (its
+     *  place in a cycle's tick order). */
+    RefCrossbar(EventQueue &eq, stats::StatGroup *parent_stats,
+                unsigned num_masters, unsigned max_burst,
+                std::string name, unsigned levels_below);
+
+    ResponsePort &accelSide(unsigned slot) { return *masters[slot].port; }
+    RequestPort &memSide() { return memSidePort; }
+
+    void handleResponse(const MemResponse &resp) override;
+    bool tick() override;
+
+    probe::ProbePoint<MemRequest> &grantProbe() { return _grantProbe; }
+    probe::ProbePoint<MemResponse> &respondProbe()
+    {
+        return _respondProbe;
+    }
+
+  private:
+    struct MasterSlot
+    {
+        std::optional<MemRequest> pending;
+        std::unique_ptr<ResponsePort> port;
+    };
+
+    static constexpr unsigned noOwner = ~0u;
+
+    bool offer(unsigned slot, const MemRequest &req);
+    void grantBeat(MasterSlot &slot);
+
+    RequestPort memSidePort;
+    std::vector<MasterSlot> masters;
+    std::vector<unsigned> portToSlot;
+    unsigned rrNext = 0;
+    unsigned maxBurst;
+    unsigned burstLeft = 0;
+    unsigned burstOwner = noOwner;
+
+    stats::Scalar grants;
+    stats::Scalar stallCycles;
+
+    probe::ProbePoint<MemRequest> _grantProbe{"xbar.grant"};
+    probe::ProbePoint<MemResponse> _respondProbe{"xbar.respond"};
 };
 
 /**
@@ -144,7 +207,7 @@ class RefTracePlayer : public TickingObject, public ResponseHandler
     probe::ProbePoint<MemRequest> &issueProbe() { return _issueProbe; }
 
     void handleResponse(const MemResponse &resp) override;
-    void handleRetry() override;
+    void handleRetry(Cycles when) override;
     bool tick() override;
 
   private:

@@ -12,7 +12,8 @@ namespace capcheck::protect
 namespace
 {
 
-/** Terminal consumer recording accept cycles. */
+/** Terminal consumer recording accept cycles; one that refuses
+ *  retries the stage once it takes requests again. */
 class Sink : public SimObject, public TimingConsumer
 {
   public:
@@ -23,12 +24,19 @@ class Sink : public SimObject, public TimingConsumer
     }
 
     bool
-    tryAccept(const MemRequest &req) override
+    tryAcceptAt(const MemRequest &req, Cycles when) override
     {
         if (reject_all)
             return false;
-        accepted.push_back({req.id, eq.curCycle()});
+        accepted.push_back({req.id, when});
         return true;
+    }
+
+    void
+    unblock()
+    {
+        reject_all = false;
+        port.sendRetry(curCycle());
     }
 
     ResponsePort port;
@@ -80,7 +88,7 @@ TEST(CheckStage, PassThroughWithZeroLatency)
     CheckStage stage(eq, &root, none);
     stage.memSide().bind(sink.port);
 
-    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(1))); });
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(1), eq.curCycle())); });
     eq.schedule(&ev, 5);
     eq.run();
 
@@ -103,7 +111,7 @@ TEST(CheckStage, AddsConfiguredLatency)
     CheckStage stage(eq, &root, checker);
     stage.memSide().bind(sink.port);
 
-    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(1))); });
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(1), eq.curCycle())); });
     eq.schedule(&ev, 10);
     eq.run();
 
@@ -121,8 +129,8 @@ TEST(CheckStage, OneAcceptPerCycle)
     stage.memSide().bind(sink.port);
 
     LambdaEvent ev([&] {
-        EXPECT_TRUE(stage.tryAccept(makeReq(1)));
-        EXPECT_FALSE(stage.tryAccept(makeReq(2)));
+        EXPECT_TRUE(stage.tryAcceptAt(makeReq(1), eq.curCycle()));
+        EXPECT_FALSE(stage.tryAcceptAt(makeReq(2), eq.curCycle()));
     });
     eq.schedule(&ev, 1);
     eq.run();
@@ -139,7 +147,7 @@ TEST(CheckStage, DeniedRequestGetsErrorResponse)
     Upstream upstream(eq, &root);
     stage.cpuSide().bind(upstream.port);
 
-    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(7))); });
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(7), eq.curCycle())); });
     eq.schedule(&ev, 1);
     eq.run();
 
@@ -161,14 +169,15 @@ TEST(CheckStage, ZeroLatencyHoldsARefusedBeatAndChecksItOnce)
     stage.memSide().bind(sink.port);
 
     // A transparent pass-through that finds the component below taken
-    // keeps the checked beat and forwards it from its next tick that
-    // finds room; the caller is not made to offer it again.
-    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(1))); });
+    // keeps the checked beat and forwards it once that component
+    // retries; the caller is not made to offer it again.
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(1), eq.curCycle())); });
     eq.schedule(&ev, 1);
-    LambdaEvent unblock([&] { sink.reject_all = false; });
+    LambdaEvent unblock([&] { sink.unblock(); });
     eq.schedule(&unblock, 4);
     eq.run();
-    // The unblock runs after the stage's tick on cycle 4.
+    // The sink frees up on cycle 4, after a pipe polled that cycle
+    // would have tried it: the beat goes on on cycle 5.
     ASSERT_EQ(sink.accepted.size(), 1u);
     EXPECT_EQ(sink.accepted[0].second, 5u);
     const auto *checked = dynamic_cast<const stats::Scalar *>(
@@ -191,16 +200,15 @@ TEST(CheckStage, PipelinedStageRetriesWhileDownstreamStalls)
     CheckStage stage(eq, &root, checker);
     stage.memSide().bind(sink.port);
 
-    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAccept(makeReq(1))); });
+    LambdaEvent ev([&] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(1), eq.curCycle())); });
     eq.schedule(&ev, 1);
-    // The unblock event runs before the stage's tick that cycle, so
-    // the head can be delivered on cycle 6.
-    LambdaEvent unblock([&] { sink.reject_all = false; });
+    // The sink frees up on cycle 6: the head goes on the cycle after.
+    LambdaEvent unblock([&] { sink.unblock(); });
     eq.schedule(&unblock, 6);
     eq.run();
 
     ASSERT_EQ(sink.accepted.size(), 1u);
-    EXPECT_GE(sink.accepted[0].second, 6u);
+    EXPECT_EQ(sink.accepted[0].second, 7u);
 }
 
 TEST(CheckStage, BackpressureWhenPipeFills)
@@ -219,7 +227,7 @@ TEST(CheckStage, BackpressureWhenPipeFills)
     for (Cycles c = 1; c <= 12; ++c) {
         events.push_back(std::make_unique<LambdaEvent>([&stage,
                                                         &accepted, c] {
-            accepted += stage.tryAccept(makeReq(c));
+            accepted += stage.tryAcceptAt(makeReq(c), c);
         }));
         eq.schedule(events.back().get(), c);
     }
@@ -243,7 +251,7 @@ TEST(CheckStage, PipelinesBackToBackRequests)
     std::vector<std::unique_ptr<LambdaEvent>> events;
     for (Cycles c = 1; c <= 5; ++c) {
         events.push_back(std::make_unique<LambdaEvent>(
-            [&stage, c] { EXPECT_TRUE(stage.tryAccept(makeReq(c))); },
+            [&stage, c] { EXPECT_TRUE(stage.tryAcceptAt(makeReq(c), c)); },
             Event::arbitratePrio));
         eq.schedule(events.back().get(), c);
     }

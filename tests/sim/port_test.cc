@@ -53,7 +53,7 @@ class Consumer : public SimObject, public TimingConsumer
     }
 
     bool
-    tryAccept(const MemRequest &req) override
+    tryAcceptAt(const MemRequest &req, Cycles) override
     {
         if (reject_all)
             return false;
@@ -102,11 +102,10 @@ TEST_F(PortFixture, BoundPairForwardsRequestsAndResponses)
     ASSERT_TRUE(consumer.port.bound());
     EXPECT_EQ(producer.port.peerBase(), &consumer.port);
 
-    EXPECT_TRUE(producer.port.canSend());
-    EXPECT_TRUE(producer.port.trySend(makeReq(42)));
+    EXPECT_TRUE(producer.port.trySendAt(makeReq(42), 0));
 
     // Same-frame forwarding: the request landed and the echo response
-    // came back before trySend returned.
+    // came back before trySendAt returned.
     ASSERT_EQ(consumer.accepted.size(), 1u);
     EXPECT_EQ(consumer.accepted[0].id, 42u);
     ASSERT_EQ(producer.responses.size(), 1u);
@@ -117,14 +116,14 @@ TEST_F(PortFixture, BackpressurePropagatesThroughThePort)
 {
     producer.port.bind(consumer.port);
     consumer.reject_all = true;
-    EXPECT_FALSE(producer.port.trySend(makeReq(1)));
+    EXPECT_FALSE(producer.port.trySendAt(makeReq(1), 0));
     EXPECT_TRUE(consumer.accepted.empty());
 }
 
 TEST_F(PortFixture, UnboundSendIsAStructuredError)
 {
     try {
-        producer.port.trySend(makeReq(1));
+        producer.port.trySendAt(makeReq(1), 0);
         FAIL() << "expected PortError";
     } catch (const PortError &e) {
         EXPECT_EQ(e.kind(), PortError::Kind::unbound);
@@ -181,7 +180,10 @@ TEST_F(PortFixture, ProtocolMismatchIsRejected)
         {
         }
 
-        bool tryAccept(const MemRequest &) override { return true; }
+        bool tryAcceptAt(const MemRequest &, Cycles) override
+        {
+            return true;
+        }
 
         ResponsePort port;
     };
@@ -204,7 +206,7 @@ TEST_F(PortFixture, UnbindSeversBothSidesAndIsRebindable)
 
     // Both endpoints are free again.
     producer.port.bind(consumer.port);
-    EXPECT_TRUE(producer.port.trySend(makeReq(7)));
+    EXPECT_TRUE(producer.port.trySendAt(makeReq(7), 0));
 }
 
 TEST_F(PortFixture, DestructionUnbindsThePeer)
@@ -218,7 +220,7 @@ TEST_F(PortFixture, DestructionUnbindsThePeer)
     // players die at the end of every wave).
     EXPECT_FALSE(consumer.port.bound());
     producer.port.bind(consumer.port);
-    EXPECT_TRUE(producer.port.trySend(makeReq(8)));
+    EXPECT_TRUE(producer.port.trySendAt(makeReq(8), 0));
 }
 
 TEST_F(PortFixture, DuplicatePortNameOnOneOwnerIsRejected)
@@ -248,7 +250,7 @@ TEST_F(PortFixture, RegistryResolvesDottedNamesAndBinds)
     EXPECT_EQ(&registry.port("producer.mem_side"), &producer.port);
 
     registry.bind("producer.mem_side", "consumer.cpu_side");
-    EXPECT_TRUE(producer.port.trySend(makeReq(3)));
+    EXPECT_TRUE(producer.port.trySendAt(makeReq(3), 0));
     ASSERT_EQ(consumer.accepted.size(), 1u);
 
     const std::vector<std::string> names = registry.names();
