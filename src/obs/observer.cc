@@ -101,24 +101,19 @@ RunObserver::attachChecker(capchecker::CapChecker &checker,
     if (!tracing())
         return;
 
-    checker.cacheHitProbe().attach(
-        [this, label](const capchecker::CapCacheEvent &) {
-            ++cacheHits;
+    // One capCache counter series, bumped by hits and misses alike.
+    const auto cache_counter = [this, label](std::uint64_t &count) {
+        return [this, label, &count](const capchecker::CapCacheEvent &) {
+            ++count;
             std::ostringstream series;
             series << "{\"hits\":" << cacheHits
                    << ",\"misses\":" << cacheMisses << "}";
             chromeTrace.counter(track(label), "capCache", eq.curCycle(),
                                 series.str());
-        });
-    checker.cacheMissProbe().attach(
-        [this, label](const capchecker::CapCacheEvent &) {
-            ++cacheMisses;
-            std::ostringstream series;
-            series << "{\"hits\":" << cacheHits
-                   << ",\"misses\":" << cacheMisses << "}";
-            chromeTrace.counter(track(label), "capCache", eq.curCycle(),
-                                series.str());
-        });
+        };
+    };
+    checker.cacheHitProbe().attach(cache_counter(cacheHits));
+    checker.cacheMissProbe().attach(cache_counter(cacheMisses));
     checker.evictProbe().attach(
         [this, label,
          &checker](const capchecker::CapEvictEvent &ev) {
@@ -188,7 +183,7 @@ RunObserver::recordDueMemBeats(Cycles now)
 }
 
 void
-RunObserver::attachXbar(AxiInterconnect &xbar)
+RunObserver::attachXbar(AxiInterconnect &xbar, std::vector<bool> entry_ports)
 {
     if (recording()) {
         xbar.offerProbe().attach([this](const TimedRequest &ev) {
@@ -203,7 +198,10 @@ RunObserver::attachXbar(AxiInterconnect &xbar)
     }
     if (!tracing())
         return;
-    xbar.grantProbe().attach([this](const MemRequest &) {
+    xbar.grantProbe().attach([this, ports = std::move(entry_ports)](
+                                 const MemRequest &req) {
+        if (req.srcPort >= ports.size() || !ports[req.srcPort])
+            return;
         ++xbarGrants;
         if (xbarGrants == 1 || xbarGrants % counterStride == 0) {
             std::ostringstream series;

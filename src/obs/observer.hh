@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/probe.hh"
 #include "base/types.hh"
@@ -73,14 +74,16 @@ class RunObserver
      * @{ Attach to a component's probe points. The observer must
      * outlive the component (the component's probe points hold the
      * listener closures, so they drop them first on teardown).
-     * @p label names the component's trace track.
+     * @p label names the component's trace track. xbarGrants counts
+     * only the grants of @p entry_ports, whose beats enter the
+     * crossbar tree at @p xbar, so a cascade counts each beat once.
      */
     void attachChecker(capchecker::CapChecker &checker,
                        const std::string &label = "CapChecker");
     void attachCheckStage(protect::CheckStage &stage,
                           const std::string &label = "CapChecker");
     void attachMemory(MemoryController &mem);
-    void attachXbar(AxiInterconnect &xbar);
+    void attachXbar(AxiInterconnect &xbar, std::vector<bool> entry_ports);
     void attachPlayer(accel::TracePlayer &player);
     void attachDriver(driver::Driver &drv);
     /** @} */
@@ -94,9 +97,6 @@ class RunObserver
 
     const ChromeTrace &trace() const { return chromeTrace; }
     const AuditLog &audit() const { return auditLog; }
-
-    /** The flight recorder, or nullptr when flight recording is off. */
-    const FlightRecorder *flightRecorder() const { return flights.get(); }
 
     /**
      * Emit valid-but-empty outputs for runs that never build an

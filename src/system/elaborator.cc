@@ -177,9 +177,8 @@ Platform::protectionFor(TaskId task) const
 }
 
 capchecker::CapChecker *
-Platform::checkerFor(TaskId task) const
+Platform::checkerFor(protect::ProtectionChecker *protection, TaskId task)
 {
-    protect::ProtectionChecker *protection = protectionFor(task);
     if (!protection)
         return nullptr;
     if (auto *bank = dynamic_cast<protect::CheckerBank *>(protection))

@@ -76,11 +76,13 @@ struct Platform
     protect::ProtectionChecker *protectionFor(TaskId task) const;
 
     /**
-     * The CapChecker the driver must program for @p task: the bank
-     * member for a CheckerBank, the checker itself for a CapChecker,
-     * nullptr for the schemes the driver does not program.
+     * The CapChecker the driver must program for @p task behind its
+     * @p protection (protectionFor(task)): the bank member for a
+     * CheckerBank, the checker itself for a CapChecker, nullptr for
+     * the schemes the driver does not program.
      */
-    capchecker::CapChecker *checkerFor(TaskId task) const;
+    static capchecker::CapChecker *
+    checkerFor(protect::ProtectionChecker *protection, TaskId task);
 
     /**
      * Deterministic text rendering of the elaborated graph: every

@@ -1,8 +1,10 @@
 #include "system/soc_system.hh"
 
 #include <algorithm>
+#include <numeric>
+#include <set>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
 
 #include "accel/accelerator.hh"
 #include "base/invariant.hh"
@@ -71,7 +73,307 @@ makeRunMemory(std::uint64_t mem_bytes, std::uint64_t guard_bytes)
     return RunMemory(mem_bytes, guard_bytes);
 }
 
+/** What preparing one task leaves for the run. */
+struct PreparedTask
+{
+    accel::InstanceTrace trace; ///< DMA trace (accelerator runs)
+    Cycles initCycles = 0;      ///< input generation (untimed)
+    Cycles kernelCycles = 0;    ///< the run on the core (CPU-only runs)
+    bool correct = false;       ///< the output check's verdict
+};
+
+/**
+ * One task's workload work, the same in every configuration: input
+ * generation on a plain CPU, the functional run under @p run_acc (a
+ * TraceAccessor records the accelerator's DMA trace, a CpuAccessor
+ * times the core) and the output check. Taking the trace or the
+ * cycles drains @p run_acc's logged stores into @p mem before the
+ * check reads it. The kernel object lives only as long as this call.
+ */
+template <class RunAccessor>
+PreparedTask
+prepareTask(const std::string &benchmark,
+            const std::vector<BufferMapping> &buffers, TaggedMemory &mem,
+            Rng &rng, RunAccessor &run_acc, const CpuCostParams &costs)
+{
+    const auto kernel = workloads::createKernel(benchmark);
+    PreparedTask task;
+
+    CpuAccessor init_acc(mem, buffers, /*cheri=*/false, costs);
+    {
+        PROF_SCOPE("workload", "init");
+        kernel->init(init_acc, rng);
+    }
+    task.initCycles = init_acc.cycles();
+
+    {
+        PROF_SCOPE("workload", "functional");
+        kernel->run(run_acc);
+    }
+    if constexpr (std::is_same_v<RunAccessor, accel::TraceAccessor>)
+        task.trace = run_acc.take();
+    else
+        task.kernelCycles = run_acc.cycles();
+
+    CpuAccessor check_acc(mem, buffers, /*cheri=*/false, costs);
+    {
+        PROF_SCOPE("workload", "check");
+        task.correct = kernel->check(check_acc);
+    }
+    return task;
+}
+
+/** Elaborate @p soc's topology under the setup/elaborate site. */
+Platform
+elaboratePlatform(const SocSystem &soc, EventQueue &eq,
+                  stats::StatGroup &stat_root, std::size_t num_tasks)
+{
+    PROF_SCOPE("setup", "elaborate");
+    const Topology topo = soc.topology();
+    if (!topo.hasPlatform()) {
+        fatal("topology '%s' has no platform components but mode "
+              "%s uses accelerators",
+              topo.name.c_str(), systemModeName(soc.config().mode));
+    }
+    return Elaborator(eq, &stat_root, soc.config())
+        .elaborate(topo, static_cast<unsigned>(num_tasks));
+}
+
 } // namespace
+
+/** An accelerator run: the platform and the state its waves share. */
+class SocSystem::AcceleratorRun
+{
+  public:
+    /** Build the platform (Fig. 2) and attach the watchers to it. */
+    AcceleratorRun(const SocSystem &soc, const std::vector<std::string> &pools,
+                   unsigned num_tasks, unsigned instances_per_pool)
+        : cfg(soc.cfg),
+          memory(makeRunMemory(cfg.memBytes, cfg.guardBytes)),
+          observer(soc.obsOpts.any() ? std::make_unique<obs::RunObserver>(
+                                           soc.obsOpts, eq, statRoot)
+                                     : nullptr),
+          platform(elaboratePlatform(soc, eq, statRoot, num_tasks)),
+          rng(cfg.seed)
+    {
+        // With a tag-clearing checker interposed, the raw tag-preserving
+        // DMA path does not exist in the modelled hardware; arm the
+        // barrier so any use of it trips an invariant.
+        if (platform.clearsTagsOnWrite())
+            memory.mem.setDmaTagBarrier(true);
+
+        // PARANOID end-to-end security invariant, independent of the
+        // CheckStage's internal routing: a request the active checker
+        // denied must never be observed entering the memory controller.
+        const auto watch = [this](capchecker::CapChecker &cc,
+                                  const std::string &label) {
+            if (paranoidChecks) {
+                cc.checkResultProbe().attach(
+                    [this](const capchecker::CheckResultEvent &ev) {
+                        if (!ev.allowed)
+                            denied.emplace(ev.req->srcPort, ev.req->id);
+                    });
+            }
+            if (observer)
+                observer->attachChecker(cc, label);
+        };
+        // The one walk over the CapCheckers: a bank's members trace as
+        // "CapChecker#p".
+        for (const auto &owned : platform.checkers) {
+            if (auto *bank =
+                    dynamic_cast<protect::CheckerBank *>(owned.get())) {
+                for (unsigned p = 0; p < bank->size(); ++p)
+                    watch(bank->at(p), "CapChecker#" + std::to_string(p));
+            } else if (auto *cc = dynamic_cast<capchecker::CapChecker *>(
+                           owned.get())) {
+                watch(*cc, "CapChecker");
+            }
+        }
+        for (const auto &stage : platform.checkStages) {
+            if (observer)
+                observer->attachCheckStage(*stage);
+        }
+        for (const auto &memctrl : platform.memctrls) {
+            if (paranoidChecks) {
+                memctrl->acceptProbe().attach([this](const TimedRequest &ev) {
+                    const MemRequest &req = *ev.req;
+                    INVARIANT(!denied.count({req.srcPort, req.id}),
+                              "denied request (port %u, id %llu) reached "
+                              "the memory controller",
+                              req.srcPort,
+                              static_cast<unsigned long long>(req.id));
+                });
+            }
+            if (observer)
+                observer->attachMemory(*memctrl);
+        }
+        for (const auto &xbar : platform.xbars) {
+            // Task t's player masters port t, which enters the
+            // crossbar tree at the task's attach crossbar.
+            std::vector<bool> entry_ports(num_tasks);
+            for (unsigned t = 0; t < num_tasks; ++t)
+                entry_ports[t] = platform.attachOf(t).xbar == xbar.get();
+            if (observer)
+                observer->attachXbar(*xbar, std::move(entry_ports));
+        }
+
+        for (const std::string &name : pools) {
+            accels.push_back(std::make_unique<accel::Accelerator>(
+                name, workloads::kernelSpec(name), instances_per_pool));
+        }
+        result.benchmark = pools.size() == 1 ? pools[0] : "mixed";
+        result.mode = cfg.mode;
+        result.numTasks = num_tasks;
+        result.functionallyCorrect = true;
+    }
+
+    /**
+     * Allocate and prepare as many of @p pending as the driver can
+     * place (Fig. 6 (1)), replay them on the timed platform and tear
+     * them down. @return the tasks deferred to a later wave.
+     */
+    std::vector<unsigned>
+    runWave(const std::vector<unsigned> &pending)
+    {
+        std::vector<LiveTask> wave;
+        std::vector<unsigned> deferred;
+        Cycles alloc_end = waveStart;
+        for (const unsigned t : pending) {
+            accel::Accelerator &accel = *accels[t % accels.size()];
+            // The driver programs whichever backend the task's
+            // downstream path reaches: a cap table, page mappings or
+            // regions.
+            protect::ProtectionChecker *protection =
+                platform.protectionFor(t);
+            drivers.push_back(std::make_unique<driver::Driver>(
+                memory.mem, memory.heap, memory.tree,
+                modeUsesCheriCpu(cfg.mode),
+                Platform::checkerFor(protection, t),
+                dynamic_cast<protect::Iommu *>(protection),
+                dynamic_cast<protect::Iopmp *>(protection), cfg.driverCosts));
+            LiveTask task;
+            task.driver = drivers.back().get();
+            if (observer)
+                observer->attachDriver(*task.driver);
+
+            auto handle = task.driver->allocateTask(accel, t, memory.app);
+            if (!handle) {
+                // Out of FUs or table entries: defer to a later wave.
+                deferred.push_back(t);
+                continue;
+            }
+            task.handle = std::move(*handle);
+            alloc_end += task.handle.allocCycles;
+            result.driverAllocCycles += task.handle.allocCycles;
+
+            accel::TraceAccessor tracer(memory.mem, accel.spec(),
+                                        task.handle.buffers);
+            PreparedTask prepared =
+                prepareTask(accel.name(), task.handle.buffers, memory.mem,
+                            rng, tracer, cfg.cpuCosts);
+            result.initCycles += prepared.initCycles;
+            result.functionallyCorrect &= prepared.correct;
+
+            const bool checked = modeUsesCapChecker(cfg.mode);
+            using enum capchecker::Provenance;
+            task.player = std::make_unique<accel::TracePlayer>(
+                eq, &statRoot, accel.name() + "#" + std::to_string(t),
+                accel.spec(), std::move(prepared.trace),
+                task.handle.buffers, t, /*port=*/t,
+                accel::AddressingMode{
+                    .objectMetadata = checked && cfg.provenance == fine,
+                    .objectInAddress = checked && cfg.provenance == coarse});
+            const Platform::TaskAttach &attach = platform.attachOf(t);
+            bindPorts(task.player->memSide(),
+                      attach.xbar->accelSide(attach.slot));
+            if (observer)
+                observer->attachPlayer(*task.player);
+            wave.push_back(std::move(task));
+        }
+        if (wave.empty())
+            fatal("driver cannot allocate any task (table of %u "
+                  "entries too small for a single task?)",
+                  cfg.capTableEntries);
+
+        // The driver programs tasks one after another over MMIO; the
+        // measured region starts the wave's instances together once
+        // setup completes (the bare-metal testbed's protocol).
+        for (LiveTask &task : wave)
+            task.player->start(alloc_end);
+        if (modeUsesCapChecker(cfg.mode)) {
+            result.peakTableEntries =
+                std::max(result.peakTableEntries, platform.entriesUsed());
+        }
+
+        // --- Timing simulation of this wave ---
+        eq.run();
+
+        // --- Teardown (Fig. 6 (2)). The output checks ran when the
+        // tasks were prepared: nothing timed writes tagged memory. ---
+        Cycles last_finish = alloc_end;
+        for (LiveTask &task : wave) {
+            if (!task.player->done())
+                fatal("accelerator task did not finish (deadlock?)");
+            last_finish =
+                std::max(last_finish, task.player->finishCycle());
+            result.dmaBeats += task.player->issuedBeats();
+            const bool failed = task.player->failed();
+            result.exceptions += failed;
+            result.driverDeallocCycles +=
+                task.driver->deallocateTask(task.handle, failed);
+        }
+        result.kernelCycles = waveStart = last_finish;
+        return deferred;
+    }
+
+    /** Close the books: total cycles, observer outputs, stats dumps. */
+    RunResult
+    finish()
+    {
+        result.totalCycles =
+            result.kernelCycles + result.driverDeallocCycles;
+        if (observer)
+            observer->finalize(result.totalCycles);
+        if (cfg.collectStats) {
+            std::ostringstream os;
+            statRoot.dump(os);
+            result.statsText = os.str();
+
+            std::ostringstream js;
+            json::JsonWriter jw(js);
+            statRoot.dumpJson(jw);
+            result.statsJson = js.str();
+        }
+        return std::move(result);
+    }
+
+  private:
+    /** A task between allocation and teardown. */
+    struct LiveTask
+    {
+        driver::TaskHandle handle;
+        std::unique_ptr<accel::TracePlayer> player;
+        driver::Driver *driver = nullptr;
+    };
+
+    const SocConfig &cfg;
+    RunMemory memory;
+    EventQueue eq;
+    stats::StatGroup statRoot{"soc"};
+    // Declared before the components so it outlives them: probe
+    // points hold listener closures referencing the observer, and the
+    // components drop those closures first on teardown.
+    std::unique_ptr<obs::RunObserver> observer;
+    Platform platform;
+    /** PARANOID: (srcPort, id) of each request a checker denied. */
+    std::set<std::pair<PortId, std::uint64_t>> denied;
+    std::vector<std::unique_ptr<accel::Accelerator>> accels;
+    /** One trusted-driver context per allocation attempt. */
+    std::vector<std::unique_ptr<driver::Driver>> drivers;
+    Rng rng;
+    RunResult result;
+    Cycles waveStart = 0; ///< where the next wave's driver setup starts
+};
 
 SocSystem::SocSystem(const SocConfig &config) : cfg(config)
 {
@@ -88,32 +390,19 @@ SocSystem::topology() const
 RunResult
 SocSystem::runBenchmark(const std::string &benchmark, unsigned num_tasks)
 {
-    if (num_tasks == 0)
-        num_tasks = cfg.numInstances;
-
-    std::vector<TaskPlan> plan;
-    for (unsigned t = 0; t < num_tasks; ++t)
-        plan.push_back(TaskPlan{benchmark, 0});
-
-    if (!modeUsesAccel(cfg.mode))
-        return runCpuOnly(plan);
-    return runWithAccelerators(plan, {benchmark}, cfg.numInstances);
+    return run({benchmark}, num_tasks ? num_tasks : cfg.numInstances,
+               cfg.numInstances);
 }
 
 RunResult
 SocSystem::runMixed(const std::vector<std::string> &benchmarks)
 {
-    std::vector<TaskPlan> plan;
-    for (unsigned i = 0; i < benchmarks.size(); ++i)
-        plan.push_back(TaskPlan{benchmarks[i], i});
-
-    if (!modeUsesAccel(cfg.mode))
-        return runCpuOnly(plan);
-    return runWithAccelerators(plan, benchmarks, 1);
+    return run(benchmarks, static_cast<unsigned>(benchmarks.size()), 1);
 }
 
 RunResult
-SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
+SocSystem::runCpuOnly(const std::vector<std::string> &pools,
+                      unsigned num_tasks)
 {
     const bool cheri = modeUsesCheriCpu(cfg.mode);
 
@@ -121,23 +410,22 @@ SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
     const cheri::Capability authority = tree.capOf(app);
 
     RunResult result;
-    result.benchmark = plan.size() == 1 ? plan[0].benchmark : "mixed";
+    result.benchmark = num_tasks == 1 ? pools[0] : "mixed";
     result.mode = cfg.mode;
-    result.numTasks = static_cast<unsigned>(plan.size());
+    result.numTasks = num_tasks;
     result.functionallyCorrect = true;
 
+    // The tasks run one after another on the core.
     Rng rng(cfg.seed);
-    for (const TaskPlan &task : plan) {
-        const auto kernel = workloads::createKernel(task.benchmark);
-        const workloads::KernelSpec &spec = kernel->spec();
-
+    for (unsigned t = 0; t < num_tasks; ++t) {
+        const std::string &benchmark = pools[t % pools.size()];
         // Allocate buffers and derive capabilities (on a CHERI CPU).
         std::vector<BufferMapping> buffers;
-        for (const workloads::BufferDef &def : spec.buffers) {
+        for (const workloads::BufferDef &def :
+             workloads::kernelSpec(benchmark).buffers) {
             const auto base = heap.allocate(def.size);
             if (!base)
-                fatal("cpu run: out of heap for %s",
-                      task.benchmark.c_str());
+                fatal("cpu run: out of heap for %s", benchmark.c_str());
             BufferMapping mapping;
             mapping.base = *base;
             mapping.size = def.size;
@@ -146,30 +434,14 @@ SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
             buffers.push_back(mapping);
         }
 
-        // Input generation (untimed region, common to all configs).
-        CpuAccessor init_acc(mem, buffers, /*cheri=*/false,
-                             cfg.cpuCosts);
-        {
-            PROF_SCOPE("workload", "init");
-            kernel->init(init_acc, rng);
-        }
-        result.initCycles += init_acc.cycles();
-
         // Timed region: the kernel itself.
         CpuAccessor acc(mem, buffers, cheri, cfg.cpuCosts);
         acc.chargeTaskSetup();
-        {
-            PROF_SCOPE("workload", "functional");
-            kernel->run(acc);
-        }
-        result.kernelCycles += acc.cycles();
-
-        CpuAccessor check_acc(mem, buffers, /*cheri=*/false,
-                              cfg.cpuCosts);
-        {
-            PROF_SCOPE("workload", "check");
-            result.functionallyCorrect &= kernel->check(check_acc);
-        }
+        const PreparedTask prepared =
+            prepareTask(benchmark, buffers, mem, rng, acc, cfg.cpuCosts);
+        result.initCycles += prepared.initCycles;
+        result.kernelCycles += prepared.kernelCycles;
+        result.functionallyCorrect &= prepared.correct;
 
         for (const BufferMapping &buf : buffers)
             heap.free(buf.base);
@@ -183,301 +455,25 @@ SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
 }
 
 RunResult
-SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
-                               const std::vector<std::string> &pools,
-                               unsigned instances_per_pool)
+SocSystem::run(const std::vector<std::string> &pools, unsigned num_tasks,
+               unsigned instances_per_pool)
 {
-    const bool cheri = modeUsesCheriCpu(cfg.mode);
-    const bool with_checker = modeUsesCapChecker(cfg.mode);
-
-    // --- Platform (Fig. 2) ---
-    auto [mem, heap, tree, app] =
-        makeRunMemory(cfg.memBytes, cfg.guardBytes);
-
-    EventQueue eq;
-    stats::StatGroup stat_root("soc");
-
-    // Declared before the components so it outlives them: probe
-    // points hold listener closures referencing the observer, and the
-    // components drop those closures first on teardown.
-    std::unique_ptr<obs::RunObserver> observer;
-    if (obsOpts.any())
-        observer =
-            std::make_unique<obs::RunObserver>(obsOpts, eq, stat_root);
-
-    // --- Elaborate the platform graph from the topology ---
-    Platform platform = [&] {
-        PROF_SCOPE("setup", "elaborate");
-        const Topology topo = topology();
-        if (!topo.hasPlatform()) {
-            fatal("topology '%s' has no platform components but mode "
-                  "%s uses accelerators",
-                  topo.name.c_str(), systemModeName(cfg.mode));
-        }
-        return Elaborator(eq, &stat_root, cfg)
-            .elaborate(topo, static_cast<unsigned>(plan.size()));
-    }();
-
-    // The checker the driver programs for a given task. Topology
-    // protect nodes can also declare the iommu/iopmp schemes; the
-    // driver programs whichever backend the task's downstream path
-    // actually reaches (page mappings, regions, or a cap table).
-    auto checker_for = [&](TaskId task) -> capchecker::CapChecker * {
-        return platform.checkerFor(task);
-    };
-    auto iommu_for = [&](TaskId task) -> protect::Iommu * {
-        return dynamic_cast<protect::Iommu *>(
-            platform.protectionFor(task));
-    };
-    auto iopmp_for = [&](TaskId task) -> protect::Iopmp * {
-        return dynamic_cast<protect::Iopmp *>(
-            platform.protectionFor(task));
-    };
-
-    // With a tag-clearing checker interposed, the raw tag-preserving
-    // DMA path does not exist in the modelled hardware; arm the
-    // barrier so any use of it trips an invariant.
-    if (platform.clearsTagsOnWrite())
-        mem.setDmaTagBarrier(true);
-
-    // Paranoid end-to-end security invariant, independent of the
-    // CheckStage's internal routing: a request the active checker
-    // denied must never be observed entering the memory controller.
-    // Keyed by (srcPort, id) — request ids are per-master counters.
-    std::unordered_set<std::uint64_t> denied_keys;
-    if (paranoidChecks) {
-        const auto request_key = [](const MemRequest &req) {
-            return (static_cast<std::uint64_t>(req.srcPort) << 48) ^
-                   req.id;
-        };
-        const auto watch = [&](capchecker::CapChecker &cc) {
-            cc.checkResultProbe().attach(
-                [&denied_keys, request_key](
-                    const capchecker::CheckResultEvent &ev) {
-                    if (!ev.allowed)
-                        denied_keys.insert(request_key(*ev.req));
-                });
-        };
-        for (const auto &owned : platform.checkers) {
-            if (auto *bank = dynamic_cast<protect::CheckerBank *>(
-                    owned.get())) {
-                for (unsigned p = 0; p < bank->size(); ++p)
-                    watch(bank->at(p));
-            } else if (auto *cc = dynamic_cast<capchecker::CapChecker *>(
-                           owned.get())) {
-                watch(*cc);
-            }
-        }
-        for (const auto &memctrl : platform.memctrls) {
-            memctrl->acceptProbe().attach(
-                [&denied_keys, request_key](const TimedRequest &ev) {
-                    const MemRequest &req = *ev.req;
-                    INVARIANT(denied_keys.count(request_key(req)) == 0,
-                              "denied request (port %u, id %llu) "
-                              "reached the memory controller",
-                              req.srcPort,
-                              static_cast<unsigned long long>(req.id));
-                });
-        }
-    }
-
-    if (observer) {
-        for (const auto &owned : platform.checkers) {
-            if (auto *bank = dynamic_cast<protect::CheckerBank *>(
-                    owned.get())) {
-                for (unsigned p = 0; p < bank->size(); ++p)
-                    observer->attachChecker(bank->at(p),
-                                            "CapChecker#" +
-                                                std::to_string(p));
-            } else if (auto *cc = dynamic_cast<capchecker::CapChecker *>(
-                           owned.get())) {
-                observer->attachChecker(*cc);
-            }
-        }
-        for (const auto &stage : platform.checkStages)
-            observer->attachCheckStage(*stage);
-        for (const auto &memctrl : platform.memctrls)
-            observer->attachMemory(*memctrl);
-        for (const auto &xbar : platform.xbars)
-            observer->attachXbar(*xbar);
-    }
-
-    std::vector<std::unique_ptr<accel::Accelerator>> accels;
-    for (const std::string &name : pools) {
-        accels.push_back(std::make_unique<accel::Accelerator>(
-            name, workloads::kernelSpec(name), instances_per_pool));
-    }
-
-    // One trusted-driver context per task (with per-accelerator
-    // checkers each context programs its own checker over MMIO).
-    std::vector<std::unique_ptr<driver::Driver>> drivers;
-
-    // --- Task setup: functional execution + trace extraction ---
-    RunResult result;
-    result.benchmark = pools.size() == 1 ? pools[0] : "mixed";
-    result.mode = cfg.mode;
-    result.numTasks = static_cast<unsigned>(plan.size());
-    result.functionallyCorrect = true;
-
-    accel::AddressingMode addressing;
-    addressing.objectMetadata =
-        with_checker &&
-        cfg.provenance == capchecker::Provenance::fine;
-    addressing.objectInAddress =
-        with_checker &&
-        cfg.provenance == capchecker::Provenance::coarse;
-
-    struct LiveTask
-    {
-        unsigned planIndex = 0;
-        std::unique_ptr<workloads::Kernel> kernel;
-        driver::TaskHandle handle;
-        std::unique_ptr<accel::TracePlayer> player;
-        driver::Driver *driver = nullptr;
-    };
+    if (!modeUsesAccel(cfg.mode))
+        return runCpuOnly(pools, num_tasks);
+    AcceleratorRun accel_run(*this, pools, num_tasks, instances_per_pool);
 
     // Tasks run in waves: the driver allocates as many as resources
     // (functional units, capability-table entries) allow; when it
     // would stall (Fig. 6's "stalls until one becomes available"), the
     // current wave runs to completion and its deallocations free the
     // resources for the next wave. With the paper's 256-entry table
-    // every benchmark fits in a single wave.
-    Rng rng(cfg.seed);
-    std::vector<unsigned> pending(plan.size());
-    for (unsigned t = 0; t < plan.size(); ++t)
-        pending[t] = t;
-
-    Cycles wave_start = 0;
-    while (!pending.empty()) {
-        std::vector<LiveTask> wave;
-        std::vector<unsigned> deferred;
-        Cycles alloc_end = wave_start;
-
-        for (const unsigned t : pending) {
-            LiveTask task;
-            task.planIndex = t;
-            task.kernel = workloads::createKernel(plan[t].benchmark);
-            accel::Accelerator &accel =
-                *accels.at(plan[t].accelIndex);
-
-            drivers.push_back(std::make_unique<driver::Driver>(
-                mem, heap, tree, cheri, checker_for(t), iommu_for(t),
-                iopmp_for(t), cfg.driverCosts));
-            task.driver = drivers.back().get();
-            if (observer)
-                observer->attachDriver(*task.driver);
-
-            auto handle = task.driver->allocateTask(accel, t, app);
-            if (!handle) {
-                // Out of FUs or table entries: defer to a later wave.
-                deferred.push_back(t);
-                continue;
-            }
-            task.handle = std::move(*handle);
-
-            // Application-side input initialization on the CPU
-            // (untimed region, identical across configurations).
-            CpuAccessor init_acc(mem, task.handle.buffers,
-                                 /*cheri=*/false, cfg.cpuCosts);
-            {
-                PROF_SCOPE("workload", "init");
-                task.kernel->init(init_acc, rng);
-            }
-            result.initCycles += init_acc.cycles();
-
-            // Functional execution under the trace recorder.
-            accel::TraceAccessor tracer(mem, accel.spec(),
-                                        task.handle.buffers);
-            {
-                PROF_SCOPE("workload", "functional");
-                task.kernel->run(tracer);
-            }
-
-            task.player = std::make_unique<accel::TracePlayer>(
-                eq, &stat_root,
-                plan[t].benchmark + "#" + std::to_string(t),
-                accel.spec(), tracer.take(), task.handle.buffers, t,
-                /*port=*/t, addressing);
-            const Platform::TaskAttach &attach = platform.attachOf(t);
-            bindPorts(task.player->memSide(),
-                      attach.xbar->accelSide(attach.slot));
-            if (observer)
-                observer->attachPlayer(*task.player);
-
-            alloc_end += task.handle.allocCycles;
-            result.driverAllocCycles += task.handle.allocCycles;
-            wave.push_back(std::move(task));
-        }
-
-        if (wave.empty())
-            fatal("driver cannot allocate any task (table of %u "
-                  "entries too small for a single task?)",
-                  cfg.capTableEntries);
-
-        // The driver programs tasks one after another over MMIO; the
-        // measured region starts the wave's instances together once
-        // setup completes (the bare-metal testbed's protocol).
-        for (LiveTask &task : wave)
-            task.player->start(alloc_end);
-
-        if (with_checker) {
-            result.peakTableEntries = std::max(
-                result.peakTableEntries, platform.entriesUsed());
-        }
-
-        // --- Timing simulation of this wave ---
-        eq.run();
-
-        Cycles last_finish = alloc_end;
-        for (LiveTask &task : wave) {
-            if (!task.player->done())
-                fatal("accelerator task did not finish (deadlock?)");
-            last_finish =
-                std::max(last_finish, task.player->finishCycle());
-            result.dmaBeats += task.player->issuedBeats();
-        }
-        result.kernelCycles = last_finish;
-
-        // Functional verification before buffers are released.
-        for (LiveTask &task : wave) {
-            CpuAccessor check_acc(mem, task.handle.buffers,
-                                  /*cheri=*/false, cfg.cpuCosts);
-            {
-                PROF_SCOPE("workload", "check");
-                result.functionallyCorrect &=
-                    task.kernel->check(check_acc);
-            }
-        }
-
-        // --- Teardown (Fig. 6 (2)) ---
-        for (LiveTask &task : wave) {
-            const bool failed = task.player->failed();
-            result.exceptions += failed;
-            result.driverDeallocCycles +=
-                task.driver->deallocateTask(task.handle, failed);
-        }
-
-        wave_start = last_finish;
-        pending = std::move(deferred);
-    }
-
-    result.totalCycles =
-        result.kernelCycles + result.driverDeallocCycles;
-
-    if (observer)
-        observer->finalize(result.totalCycles);
-
-    if (cfg.collectStats) {
-        std::ostringstream os;
-        stat_root.dump(os);
-        result.statsText = os.str();
-
-        std::ostringstream js;
-        json::JsonWriter jw(js);
-        stat_root.dumpJson(jw);
-        result.statsJson = js.str();
-    }
-    return result;
+    // every benchmark fits in a single wave. A deferred task draws its
+    // inputs from the Rng when its wave allocates it.
+    std::vector<unsigned> pending(num_tasks);
+    std::iota(pending.begin(), pending.end(), 0u);
+    while (!pending.empty())
+        pending = accel_run.runWave(pending);
+    return accel_run.finish();
 }
 
 } // namespace capcheck::system

@@ -5,6 +5,11 @@
  * configured protection interposer, and one or more accelerator
  * functional-unit pools — and runs MachSuite benchmarks on it in any
  * of the five evaluation configurations.
+ *
+ * One step prepares every task: input generation, the functional run
+ * and the output check. A CPU-only run times the functional run on the
+ * core; an accelerator run records its DMA trace and replays it on the
+ * timed platform in waves of Fig. 6's allocate/execute/deallocate flow.
  */
 
 #ifndef CAPCHECK_SYSTEM_SOC_SYSTEM_HH
@@ -35,7 +40,6 @@ class SocSystem
      * no timed platform; they emit valid-but-empty outputs.
      */
     void setObsOptions(obs::ObsOptions opts) { obsOpts = std::move(opts); }
-    const obs::ObsOptions &obsOptions() const { return obsOpts; }
 
     /**
      * Run @p num_tasks concurrent copies of one benchmark (default:
@@ -58,23 +62,19 @@ class SocSystem
      */
     Topology topology() const;
 
-    /** topology() as deterministic JSON (--dump-topology output). */
-    std::string dumpTopologyJson() const
-    {
-        return topology().toJsonText();
-    }
-
   private:
-    struct TaskPlan
-    {
-        std::string benchmark;
-        unsigned accelIndex = 0;
-    };
+    /** An accelerator run's platform and the state its waves share. */
+    class AcceleratorRun;
 
-    RunResult runCpuOnly(const std::vector<TaskPlan> &plan);
-    RunResult runWithAccelerators(const std::vector<TaskPlan> &plan,
-                                  const std::vector<std::string> &pools,
-                                  unsigned instances_per_pool);
+    /**
+     * Run @p num_tasks tasks round-robin over @p pools, one benchmark
+     * each: on the core, or on @p instances_per_pool accelerator
+     * instances per pool.
+     */
+    RunResult run(const std::vector<std::string> &pools, unsigned num_tasks,
+                  unsigned instances_per_pool);
+    RunResult runCpuOnly(const std::vector<std::string> &pools,
+                         unsigned num_tasks);
 
     SocConfig cfg;
     obs::ObsOptions obsOpts;

@@ -313,6 +313,44 @@ TEST(TopoFuzz, DmaBeatsCountEachBeatOnceAtAnyTreeDepth)
     }
 }
 
+TEST(TopoFuzz, TraceCountsEachGrantOnceOnACascade)
+{
+    // The Chrome trace's xbarGrants counter counts a beat at the
+    // crossbar it enters the tree through, not once per level. The
+    // counter samples every 256th grant, so its largest value lies
+    // within one stride below the beats the players issued.
+    const unsigned tasks = 8;
+    TopoGenParams p;
+    p.accels = tasks;
+    p.levels = 2;
+    p.fanout = 2;
+    const std::string path =
+        writeTempTopo("trace-grants", generateTopology(p));
+    const fs::path trace =
+        fs::temp_directory_path() / "capcheck_trace_grants.json";
+    obs::ObsOptions obs;
+    obs.traceFile = trace.string();
+    const RunResult r =
+        harness::RunRequest::single(
+            "gemm_ncubed", config(SystemMode::ccpuCaccel, tasks, path),
+            tasks)
+            .execute(obs);
+    std::remove(path.c_str());
+    const auto events = json::parseJsonFile(trace.string());
+    fs::remove(trace);
+    ASSERT_TRUE(events.has_value());
+
+    double grants = 0;
+    for (const json::JsonValue &ev : events->elements()) {
+        const json::JsonValue *name = ev.get("name");
+        if (name && name->asString() == "xbarGrants")
+            grants = std::max(grants, ev.at("args.grants")->asNumber());
+    }
+    EXPECT_TRUE(r.functionallyCorrect);
+    EXPECT_GT(grants + 256, static_cast<double>(r.dmaBeats));
+    EXPECT_LE(grants, static_cast<double>(r.dmaBeats));
+}
+
 TEST(TopoFuzz, PermissivenessLatticeHoldsOnARandomTree)
 {
     Rng rng(fuzz::seed() ^ 0x1a77);
