@@ -133,6 +133,19 @@ class InstanceTrace
         return decode(ops[i]);
     }
 
+    /** Equal when both decode to the same records. */
+    bool
+    operator==(const InstanceTrace &other) const
+    {
+        if (size() != other.size())
+            return false;
+        for (std::size_t i = 0; i < size(); ++i) {
+            if (at(i) != other.at(i))
+                return false;
+        }
+        return true;
+    }
+
     /** True when the last op is a barrier (callers coalesce them). */
     bool
     endsWithBarrier() const

@@ -12,7 +12,7 @@ namespace capcheck::accel
 TracePlayer::TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
                          std::string name,
                          const workloads::KernelSpec &spec,
-                         InstanceTrace trace,
+                         std::shared_ptr<const InstanceTrace> trace,
                          std::vector<BufferMapping> buffers, TaskId task,
                          PortId port, AddressingMode addressing)
     : TickingObject(eq, std::move(name), parent_stats,
@@ -360,11 +360,11 @@ TracePlayer::body()
       }
 
       case Phase::body: {
-        if (opIndex >= trace.size()) {
+        if (opIndex >= trace->size()) {
             startStream(Phase::streamOut);
             return true;
         }
-        const TraceRecord op = trace.at(opIndex);
+        const TraceRecord op = trace->at(opIndex);
         switch (op.kind) {
           case TraceRecord::Kind::delay:
             ++opIndex;
@@ -393,11 +393,11 @@ TracePlayer::body()
                 skippedAfter = at;
                 return false;
             }
-            if (opIndex >= trace.size()) {
+            if (opIndex >= trace->size()) {
                 // The phase transition is clocked off the next tick.
                 return true;
             }
-            const TraceRecord::Kind next = trace.at(opIndex).kind;
+            const TraceRecord::Kind next = trace->at(opIndex).kind;
             // A barrier waits at least on the beat just issued.
             if (next == TraceRecord::Kind::barrier ||
                 (next == TraceRecord::Kind::access &&

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "accel/trace.hh"
@@ -68,7 +69,7 @@ class TracePlayer : public TickingObject, public ResponseHandler
      */
     TracePlayer(EventQueue &eq, stats::StatGroup *parent_stats,
                 std::string name, const workloads::KernelSpec &spec,
-                InstanceTrace trace,
+                std::shared_ptr<const InstanceTrace> trace,
                 std::vector<BufferMapping> buffers, TaskId task,
                 PortId port, AddressingMode addressing);
 
@@ -164,7 +165,8 @@ class TracePlayer : public TickingObject, public ResponseHandler
     void settle();
 
     const workloads::KernelSpec &spec;
-    InstanceTrace trace;
+    /** Shared: equal tasks of a sweep replay one recorded trace. */
+    std::shared_ptr<const InstanceTrace> trace;
     std::vector<BufferMapping> buffers;
     TaskId taskId;
     PortId port;

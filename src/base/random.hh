@@ -51,6 +51,11 @@ class Rng
     /** Bernoulli draw with probability @p p. */
     bool nextBool(double p = 0.5);
 
+    /** The generator's state: equal states draw equal sequences. */
+    const std::array<std::uint64_t, 4> &state() const { return s; }
+
+    bool operator==(const Rng &) const = default;
+
   private:
     std::uint64_t rotl(std::uint64_t x, int k) const;
 

@@ -40,6 +40,8 @@ struct CpuCostParams
     unsigned cheriTagMissInterval = 2;
     /** CHERI: capability derivation cost per buffer at task setup. */
     Cycles cheriCapSetup = 12;
+
+    bool operator==(const CpuCostParams &) const = default;
 };
 
 /** A buffer's location in shared memory. */
@@ -48,6 +50,8 @@ struct BufferMapping
     Addr base = 0;
     std::uint64_t size = 0;
     cheri::Capability cap; ///< CPU-held capability for the buffer
+
+    bool operator==(const BufferMapping &) const = default;
 };
 
 /**

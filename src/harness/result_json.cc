@@ -423,6 +423,8 @@ manifestJson(const std::string &sweep_name,
         w.key("workers").value(profile->workers);
         w.key("executed").value(std::uint64_t{profile->executed});
         w.key("cacheHits").value(std::uint64_t{profile->cacheHits});
+        w.key("tasksPrepared").value(profile->tasksPrepared);
+        w.key("tasksReused").value(profile->tasksReused);
         w.key("simWallMillis").value(profile->simWallMillis);
         w.key("sweepWallMillis").value(profile->sweepWallMillis);
         w.key("runWall").beginObject();

@@ -88,6 +88,12 @@ struct SweepProfile
     std::uint64_t executed = 0;
     /** Requests served from the result cache. */
     std::uint64_t cacheHits = 0;
+    /** @{ Task preparations of the fresh simulations, counted per
+     *  job family by exact key: distinct tasks, and preparations that
+     *  repeat one (served from the family's task memo). */
+    std::uint64_t tasksPrepared = 0;
+    std::uint64_t tasksReused = 0;
+    /** @} */
     /** Sum of per-simulation wall times (all workers). */
     double simWallMillis = 0;
     /** Wall-clock of the whole batch, submission to last join. */

@@ -172,12 +172,15 @@ RunRequest::execute() const
 }
 
 system::RunResult
-RunRequest::execute(const obs::ObsOptions &obs_opts) const
+RunRequest::execute(const obs::ObsOptions &obs_opts,
+                    system::TaskMemo *memo) const
 {
     if (benchmarks.empty())
         fatal("RunRequest: no benchmark named");
     system::SocSystem soc(config);
     soc.setObsOptions(obs_opts);
+    if (memo)
+        soc.setTaskMemo(memo, label());
     if (isMixed())
         return soc.runMixed(benchmarks);
     return soc.runBenchmark(benchmarks.front(), numTasks);

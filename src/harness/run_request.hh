@@ -73,8 +73,11 @@ struct RunRequest
      * execute() with observability outputs (Chrome trace, stat
      * samples, audit log) enabled for the run. The files depend only
      * on the request and simulated time, never on host threading.
+     * With a @p memo, the run's tasks are prepared through it; the
+     * result is the same.
      */
-    system::RunResult execute(const obs::ObsOptions &obs_opts) const;
+    system::RunResult execute(const obs::ObsOptions &obs_opts,
+                              system::TaskMemo *memo = nullptr) const;
 
     bool operator==(const RunRequest &other) const;
 };

@@ -1,7 +1,6 @@
 #include "harness/sweep_runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -14,12 +13,28 @@
 #include "base/logging.hh"
 #include "obs/prof.hh"
 #include "system/soc_config_builder.hh"
+#include "system/task_memo.hh"
 
 namespace capcheck::harness
 {
 
 namespace
 {
+
+/**
+ * The pending jobs sharing a benchmark list and a seed. Their runs
+ * prepare many of the same tasks, so one worker claims the family and
+ * runs its jobs back to back, and they share one task memo that dies
+ * with the family's last job. The family key only schedules: the
+ * memo's exact key decides every reuse.
+ */
+struct Family
+{
+    std::vector<std::size_t> jobs; ///< indices into the jobs, most tasks first
+    std::size_t next = 0;          ///< the next job to hand out
+    std::size_t unfinished = 0;    ///< jobs not yet finished
+    std::unique_ptr<system::TaskMemo> memo;
+};
 
 /** One unique simulation point within a batch. */
 struct Job
@@ -115,20 +130,80 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
             pendingJobs.push_back(j);
     }
 
+    // Group the pending jobs into families, in order of first
+    // appearance, each run with the most tasks first: a run with fewer
+    // tasks of the same benchmarks and seed prepares a prefix of them.
+    std::vector<Family> families;
+    std::map<std::pair<std::vector<std::string>, std::uint64_t>, std::size_t>
+        familyOf;
+    for (const std::size_t j : pendingJobs) {
+        const RunRequest &req = *jobs[j].request;
+        const auto [it, fresh] = familyOf.try_emplace(
+            {req.benchmarks, req.config.seed}, families.size());
+        if (fresh)
+            families.emplace_back();
+        families[it->second].jobs.push_back(j);
+    }
+    for (Family &family : families) {
+        std::stable_sort(family.jobs.begin(), family.jobs.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return jobs[a].request->numTasks >
+                                    jobs[b].request->numTasks;
+                         });
+        family.unfinished = family.jobs.size();
+        std::vector<system::RunKind> kinds;
+        for (const std::size_t j : family.jobs)
+            kinds.push_back(system::runKindOf(jobs[j].request->config.mode));
+        family.memo = std::make_unique<system::TaskMemo>(kinds);
+    }
+
     createObsDirs(opts);
 
     std::mutex progress_mtx;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
+    std::mutex sched_mtx;
+    std::size_t nextFamily = 0;
+    std::uint64_t tasksPrepared = 0;
+    std::uint64_t tasksReused = 0;
+    std::size_t done = 0;
     const std::size_t total = pendingJobs.size();
 
+    // Hand out a job: the next of the worker's own family; else the
+    // first of an unclaimed family, which becomes the worker's own;
+    // else, once every family is claimed, one job stolen from the
+    // family with the most jobs left. @return false when none is left.
+    const auto take = [&](std::size_t &own, Family *&family,
+                          std::size_t &job) {
+        std::scoped_lock lock(sched_mtx);
+        const auto jobsLeft = [&](std::size_t f) {
+            return families[f].jobs.size() - families[f].next;
+        };
+        std::size_t from = own;
+        if (from >= families.size() || jobsLeft(from) == 0) {
+            if (nextFamily < families.size()) {
+                from = own = nextFamily++;
+            } else {
+                from = families.size();
+                for (std::size_t f = 0; f < families.size(); ++f) {
+                    if (jobsLeft(f) > 0 &&
+                        (from == families.size() ||
+                         jobsLeft(f) > jobsLeft(from)))
+                        from = f;
+                }
+                if (from == families.size())
+                    return false;
+            }
+        }
+        family = &families[from];
+        job = family->jobs[family->next++];
+        return true;
+    };
+
     auto worker = [&]() {
-        while (true) {
-            const std::size_t slot =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= total)
-                return;
-            Job &job = jobs[pendingJobs[slot]];
+        std::size_t own = families.size();
+        Family *family = nullptr;
+        std::size_t j = 0;
+        while (take(own, family, j)) {
+            Job &job = jobs[j];
 
             const obs::ObsOptions obsOpts =
                 obsOptionsFor(opts, *job.request);
@@ -144,7 +219,8 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                 std::optional<prof::ProfileSession> session;
                 if (job.profile)
                     session.emplace(*job.profile);
-                job.result = job.request->execute(obsOpts);
+                job.result =
+                    job.request->execute(obsOpts, family->memo.get());
             } catch (const SimError &e) {
                 job.error = e.what();
             }
@@ -153,8 +229,17 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                 std::chrono::duration<double, std::milli>(t1 - t0)
                     .count();
 
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
+            std::size_t finished;
+            {
+                // The family's last job takes its memo down with it.
+                std::scoped_lock lock(sched_mtx);
+                finished = ++done;
+                if (--family->unfinished == 0) {
+                    tasksPrepared += family->memo->tasksPrepared();
+                    tasksReused += family->memo->tasksReused();
+                    family->memo.reset();
+                }
+            }
             if (opts.progress) {
                 std::scoped_lock lock(progress_mtx);
                 *opts.progress
@@ -229,6 +314,8 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     profile.workers = nthreads == 0 ? 1 : nthreads;
     profile.executed = total;
     profile.cacheHits = requests.size() - total;
+    profile.tasksPrepared = tasksPrepared;
+    profile.tasksReused = tasksReused;
     for (const std::size_t j : pendingJobs)
         profile.simWallMillis += jobs[j].wallMillis;
     profile.sweepWallMillis =
@@ -261,7 +348,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         *opts.progress << "[sweep " << sweep_name << "] "
                        << requests.size() << " requests: "
                        << profile.executed << " executed, "
-                       << profile.cacheHits << " cached, wall="
+                       << profile.cacheHits << " cached, tasks="
+                       << profile.tasksPrepared << " prepared/"
+                       << profile.tasksReused << " reused, wall="
                        << static_cast<std::uint64_t>(
                               profile.sweepWallMillis)
                        << "ms, jobs=" << profile.workers

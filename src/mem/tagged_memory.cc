@@ -103,6 +103,20 @@ TaggedMemory::tagAt(Addr addr) const
     return tags[addr / capGranule];
 }
 
+bool
+TaggedMemory::tagged(Addr addr, std::uint64_t len) const
+{
+    if (len == 0)
+        return false;
+    checkRange(addr, len);
+    const std::uint64_t last = (addr + len - 1) / capGranule;
+    for (std::uint64_t g = addr / capGranule; g <= last; ++g) {
+        if (tags[g])
+            return true;
+    }
+    return false;
+}
+
 std::uint64_t
 TaggedMemory::countTags() const
 {

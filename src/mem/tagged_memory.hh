@@ -143,6 +143,9 @@ class TaggedMemory
     /** Tag of the granule containing @p addr. */
     bool tagAt(Addr addr) const;
 
+    /** True when any granule overlapping [addr, addr+len) is tagged. */
+    bool tagged(Addr addr, std::uint64_t len) const;
+
     /** Clear the tags of all granules overlapping [addr, addr+len). */
     void
     clearTags(Addr addr, std::uint64_t len)

@@ -9,6 +9,10 @@
 
 #include "base/json.hh"
 
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
+
 namespace capcheck::prof
 {
 
@@ -16,13 +20,56 @@ namespace
 {
 
 std::uint64_t
-nowNanos()
+steadyNanos()
 {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
+
+#if defined(__x86_64__)
+
+/** The profiler's clock: the time-stamp counter. */
+std::uint64_t
+nowTicks()
+{
+    return __rdtsc();
+}
+
+/** Both clocks read together at process start: the calibration's
+ *  origin. */
+const std::pair<std::uint64_t, std::uint64_t> clockOrigin{__rdtsc(),
+                                                          steadyNanos()};
+
+/** Nanoseconds per TSC tick, measured against steady_clock over the
+ *  process's life so far. */
+double
+nanosPerTick()
+{
+    const std::uint64_t ticks = __rdtsc() - clockOrigin.first;
+    const std::uint64_t nanos = steadyNanos() - clockOrigin.second;
+    return ticks > 0 ? static_cast<double>(nanos) /
+                           static_cast<double>(ticks)
+                     : 0.0;
+}
+
+#else
+
+/** The profiler's clock: steady_clock nanoseconds. */
+std::uint64_t
+nowTicks()
+{
+    return steadyNanos();
+}
+
+double
+nanosPerTick()
+{
+    return 1.0;
+}
+
+#endif
 
 /** Process-global site registry; append-only, mutex-guarded. */
 struct SiteRegistry {
@@ -99,7 +146,7 @@ RunProfile::enter(SiteId site)
     Frame frame;
     frame.site = site;
     frame.node = trieChild(parent, site);
-    frame.startNanos = nowNanos();
+    frame.startTicks = nowTicks();
     stack.push_back(frame);
 }
 
@@ -108,21 +155,42 @@ RunProfile::exit()
 {
     const Frame frame = stack.back();
     stack.pop_back();
-    const std::uint64_t now = nowNanos();
+    const std::uint64_t now = nowTicks();
     const std::uint64_t elapsed =
-        now >= frame.startNanos ? now - frame.startNanos : 0;
+        now >= frame.startTicks ? now - frame.startTicks : 0;
     const std::uint64_t self =
-        elapsed >= frame.childNanos ? elapsed - frame.childNanos : 0;
+        elapsed >= frame.childTicks ? elapsed - frame.childTicks : 0;
     PerSite &totals = perSite[frame.site];
-    totals.selfNanos += self;
+    totals.selfTicks += self;
     --totals.active;
     // Recursion guard: only outermost activations contribute to the
     // site total, so recursive scopes never exceed wall time.
     if (totals.active == 0)
-        totals.totalNanos += elapsed;
-    trie[frame.node].selfNanos += self;
+        totals.totalTicks += elapsed;
+    trie[frame.node].selfTicks += self;
     if (!stack.empty())
-        stack.back().childNanos += elapsed;
+        stack.back().childTicks += elapsed;
+}
+
+void
+RunProfile::closeWindow(std::uint64_t window_ticks)
+{
+    // Truncating each figure keeps any sum of converted self times at
+    // or below the converted window: the books stay closed.
+    const double scale = nanosPerTick();
+    const auto nanos = [scale](std::uint64_t &ticks) {
+        const auto converted = static_cast<std::uint64_t>(
+            static_cast<double>(ticks) * scale);
+        ticks = 0;
+        return converted;
+    };
+    wall += nanos(window_ticks);
+    for (PerSite &totals : perSite) {
+        totals.selfNanos += nanos(totals.selfTicks);
+        totals.totalNanos += nanos(totals.totalTicks);
+    }
+    for (TrieNode &node : trie)
+        node.selfNanos += nanos(node.selfTicks);
 }
 
 void
@@ -299,14 +367,14 @@ RunProfile::foldedText() const
 
 ProfileSession::ProfileSession(RunProfile &profile)
     : prof(profile), prev(installCurrent(&profile)),
-      startNanos(nowNanos())
+      startTicks(nowTicks())
 {
 }
 
 ProfileSession::~ProfileSession()
 {
-    const std::uint64_t now = nowNanos();
-    prof.addWallNanos(now >= startNanos ? now - startNanos : 0);
+    const std::uint64_t now = nowTicks();
+    prof.closeWindow(now >= startTicks ? now - startTicks : 0);
     installCurrent(prev);
 }
 

@@ -7,8 +7,15 @@
  * the core, then optimize the hot site" loop has an instrument. Scopes
  * are declared with PROF_SCOPE(domain, name) and cost one thread-local
  * load plus a predictable branch when profiling is disabled — the
- * steady_clock is only read while a ProfileSession is active on the
- * current thread.
+ * clock is only read while a ProfileSession is active on the current
+ * thread.
+ *
+ * The clock is the time-stamp counter on x86-64 (one instruction; the
+ * invariant TSC of constant_tsc/nonstop_tsc hosts) and steady_clock
+ * nanoseconds on every other target, chosen at build time. Scopes
+ * accumulate ticks; each session window converts its ticks to
+ * nanoseconds once, when it closes, rounding every figure down, so
+ * the self times of a window never sum past its wall time.
  *
  * Attribution model: every scope site is registered once per process
  * under a (domain, name) key. A RunProfile accumulates per-site
@@ -108,8 +115,12 @@ class RunProfile
     /** Host nanoseconds spent inside ProfileSession windows. */
     std::uint64_t wallNanos() const { return wall; }
 
-    /** Add @p nanos of session window time (ProfileSession dtor). */
-    void addWallNanos(std::uint64_t nanos) { wall += nanos; }
+    /**
+     * Close a session window of @p window_ticks (ProfileSession dtor):
+     * add it to the wall time and convert every tick accumulated
+     * since the last window into nanoseconds.
+     */
+    void closeWindow(std::uint64_t window_ticks);
 
     /** Fold @p other's sites, stacks and wall time into this buffer. */
     void merge(const RunProfile &other);
@@ -147,13 +158,16 @@ class RunProfile
         std::uint64_t totalNanos = 0;
         std::uint64_t calls = 0;
         std::uint32_t active = 0;
+        /** Ticks of the open window, not yet converted. */
+        std::uint64_t selfTicks = 0;
+        std::uint64_t totalTicks = 0;
     };
 
     struct Frame {
         SiteId site = invalidSite;
         std::uint32_t node = 0;
-        std::uint64_t childNanos = 0;
-        std::uint64_t startNanos = 0;
+        std::uint64_t childTicks = 0;
+        std::uint64_t startTicks = 0;
     };
 
     /** Call-stack trie node; node 0 is the root sentinel. */
@@ -161,6 +175,7 @@ class RunProfile
         std::uint32_t parent = 0;
         SiteId site = invalidSite;
         std::uint64_t selfNanos = 0;
+        std::uint64_t selfTicks = 0; ///< open window, not yet converted
         std::vector<std::uint32_t> children;
     };
 
@@ -237,7 +252,7 @@ class ProfileSession
   private:
     RunProfile &prof;
     RunProfile *prev;
-    std::uint64_t startNanos;
+    std::uint64_t startTicks;
 };
 
 } // namespace capcheck::prof

@@ -4,12 +4,10 @@
 #include <numeric>
 #include <set>
 #include <sstream>
-#include <type_traits>
 
 #include "accel/accelerator.hh"
-#include "base/invariant.hh"
-#include "accel/trace_accessor.hh"
 #include "accel/trace_player.hh"
+#include "base/invariant.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "cheri/captree.hh"
@@ -24,6 +22,7 @@
 #include "protect/checker_bank.hh"
 #include "protect/no_protection.hh"
 #include "system/elaborator.hh"
+#include "system/task_memo.hh"
 #include "workloads/kernel.hh"
 
 namespace capcheck::system
@@ -73,56 +72,6 @@ makeRunMemory(std::uint64_t mem_bytes, std::uint64_t guard_bytes)
     return RunMemory(mem_bytes, guard_bytes);
 }
 
-/** What preparing one task leaves for the run. */
-struct PreparedTask
-{
-    accel::InstanceTrace trace; ///< DMA trace (accelerator runs)
-    Cycles initCycles = 0;      ///< input generation (untimed)
-    Cycles kernelCycles = 0;    ///< the run on the core (CPU-only runs)
-    bool correct = false;       ///< the output check's verdict
-};
-
-/**
- * One task's workload work, the same in every configuration: input
- * generation on a plain CPU, the functional run under @p run_acc (a
- * TraceAccessor records the accelerator's DMA trace, a CpuAccessor
- * times the core) and the output check. Taking the trace or the
- * cycles drains @p run_acc's logged stores into @p mem before the
- * check reads it. The kernel object lives only as long as this call.
- */
-template <class RunAccessor>
-PreparedTask
-prepareTask(const std::string &benchmark,
-            const std::vector<BufferMapping> &buffers, TaggedMemory &mem,
-            Rng &rng, RunAccessor &run_acc, const CpuCostParams &costs)
-{
-    const auto kernel = workloads::createKernel(benchmark);
-    PreparedTask task;
-
-    CpuAccessor init_acc(mem, buffers, /*cheri=*/false, costs);
-    {
-        PROF_SCOPE("workload", "init");
-        kernel->init(init_acc, rng);
-    }
-    task.initCycles = init_acc.cycles();
-
-    {
-        PROF_SCOPE("workload", "functional");
-        kernel->run(run_acc);
-    }
-    if constexpr (std::is_same_v<RunAccessor, accel::TraceAccessor>)
-        task.trace = run_acc.take();
-    else
-        task.kernelCycles = run_acc.cycles();
-
-    CpuAccessor check_acc(mem, buffers, /*cheri=*/false, costs);
-    {
-        PROF_SCOPE("workload", "check");
-        task.correct = kernel->check(check_acc);
-    }
-    return task;
-}
-
 /** Elaborate @p soc's topology under the setup/elaborate site. */
 Platform
 elaboratePlatform(const SocSystem &soc, EventQueue &eq,
@@ -148,7 +97,7 @@ class SocSystem::AcceleratorRun
     /** Build the platform (Fig. 2) and attach the watchers to it. */
     AcceleratorRun(const SocSystem &soc, const std::vector<std::string> &pools,
                    unsigned num_tasks, unsigned instances_per_pool)
-        : cfg(soc.cfg),
+        : soc(soc), cfg(soc.cfg),
           memory(makeRunMemory(cfg.memBytes, cfg.guardBytes)),
           observer(soc.obsOpts.any() ? std::make_unique<obs::RunObserver>(
                                            soc.obsOpts, eq, statRoot)
@@ -266,11 +215,10 @@ class SocSystem::AcceleratorRun
             alloc_end += task.handle.allocCycles;
             result.driverAllocCycles += task.handle.allocCycles;
 
-            accel::TraceAccessor tracer(memory.mem, accel.spec(),
-                                        task.handle.buffers);
-            PreparedTask prepared =
-                prepareTask(accel.name(), task.handle.buffers, memory.mem,
-                            rng, tracer, cfg.cpuCosts);
+            PreparedTask prepared = soc.prepare(
+                {accel.name(), RunKind::trace, task.handle.buffers,
+                 cfg.cpuCosts},
+                memory.mem, rng, t);
             result.initCycles += prepared.initCycles;
             result.functionallyCorrect &= prepared.correct;
 
@@ -356,6 +304,7 @@ class SocSystem::AcceleratorRun
         driver::Driver *driver = nullptr;
     };
 
+    const SocSystem &soc;
     const SocConfig &cfg;
     RunMemory memory;
     EventQueue eq;
@@ -385,6 +334,15 @@ SocSystem::topology() const
     if (!cfg.topologyFile.empty())
         return Topology::loadFile(cfg.topologyFile);
     return Topology::builtin(cfg.mode);
+}
+
+PreparedTask
+SocSystem::prepare(const TaskWork &work, TaggedMemory &mem, Rng &rng,
+                   unsigned task) const
+{
+    if (memo)
+        return memo->prepare(work, mem, rng, memoLabel, task);
+    return prepareTask(work, mem, rng);
 }
 
 RunResult
@@ -434,11 +392,9 @@ SocSystem::runCpuOnly(const std::vector<std::string> &pools,
             buffers.push_back(mapping);
         }
 
-        // Timed region: the kernel itself.
-        CpuAccessor acc(mem, buffers, cheri, cfg.cpuCosts);
-        acc.chargeTaskSetup();
-        const PreparedTask prepared =
-            prepareTask(benchmark, buffers, mem, rng, acc, cfg.cpuCosts);
+        const PreparedTask prepared = prepare(
+            {benchmark, runKindOf(cfg.mode), buffers, cfg.cpuCosts},
+            mem, rng, t);
         result.initCycles += prepared.initCycles;
         result.kernelCycles += prepared.kernelCycles;
         result.functionallyCorrect &= prepared.correct;

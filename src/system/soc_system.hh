@@ -7,7 +7,8 @@
  * of the five evaluation configurations.
  *
  * One step prepares every task: input generation, the functional run
- * and the output check. A CPU-only run times the functional run on the
+ * and the output check (prepareTask, or a TaskMemo that replays equal
+ * tasks of other runs). A CPU-only run times the functional run on the
  * core; an accelerator run records its DMA trace and replays it on the
  * timed platform in waves of Fig. 6's allocate/execute/deallocate flow.
  */
@@ -22,6 +23,7 @@
 
 #include "obs/options.hh"
 #include "system/run_result.hh"
+#include "system/task_memo.hh"
 #include "system/topology.hh"
 
 namespace capcheck::system
@@ -40,6 +42,18 @@ class SocSystem
      * no timed platform; they emit valid-but-empty outputs.
      */
     void setObsOptions(obs::ObsOptions opts) { obsOpts = std::move(opts); }
+
+    /**
+     * Prepare subsequent runs' tasks through @p memo (nullptr: prepare
+     * every task afresh). @p label names the run in the memo's
+     * cross-check failures.
+     */
+    void
+    setTaskMemo(TaskMemo *memo, std::string label)
+    {
+        this->memo = memo;
+        memoLabel = std::move(label);
+    }
 
     /**
      * Run @p num_tasks concurrent copies of one benchmark (default:
@@ -76,8 +90,14 @@ class SocSystem
     RunResult runCpuOnly(const std::vector<std::string> &pools,
                          unsigned num_tasks);
 
+    /** Prepare task @p task of a run, through the memo when set. */
+    PreparedTask prepare(const TaskWork &work, TaggedMemory &mem, Rng &rng,
+                         unsigned task) const;
+
     SocConfig cfg;
     obs::ObsOptions obsOpts;
+    TaskMemo *memo = nullptr;
+    std::string memoLabel;
 };
 
 } // namespace capcheck::system

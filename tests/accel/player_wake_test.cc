@@ -122,7 +122,8 @@ replay(const Scenario &sc)
             break;
         }
     }
-    TracePlayer player(eq, &root, "p0", spec, trace,
+    TracePlayer player(eq, &root, "p0", spec,
+                       std::make_shared<const InstanceTrace>(trace),
                        {{extBase, 256, {}}, {streamBase, 4096, {}}}, 0, 0,
                        AddressingMode{});
     player.memSide().bind(xbar.accelSide(0));

@@ -59,6 +59,13 @@ mappings()
     return {{0x1000, 64, {}}, {0x2000, 64, {}}};
 }
 
+/** A player's shared copy of @p trace. */
+std::shared_ptr<const InstanceTrace>
+shared(InstanceTrace trace)
+{
+    return std::make_shared<const InstanceTrace>(std::move(trace));
+}
+
 TEST(TracePlayer, RunsStreamsAndBodyToCompletion)
 {
     protect::NoProtection none;
@@ -71,7 +78,7 @@ TEST(TracePlayer, RunsStreamsAndBodyToCompletion)
     trace.barrier();
 
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                        mappings(), 0, 0, AddressingMode{});
     player.memSide().bind(plat.xbar.accelSide(0));
     bool done_cb = false;
@@ -93,7 +100,7 @@ TEST(TracePlayer, StartDelayDefersIssue)
     Platform plat(none);
     InstanceTrace trace;
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                        mappings(), 0, 0, AddressingMode{});
     player.memSide().bind(plat.xbar.accelSide(0));
     player.start(100);
@@ -112,7 +119,7 @@ TEST(TracePlayer, DelaysExtendRuntime)
         InstanceTrace trace;
         trace.delay(delay);
         const KernelSpec spec = makeSpec();
-        TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+        TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                            mappings(), 0, 0, AddressingMode{});
         player.memSide().bind(plat.xbar.accelSide(0));
         player.start(0);
@@ -135,7 +142,7 @@ TEST(TracePlayer, MaxOutstandingThrottlesIssue)
         for (unsigned i = 0; i < 8; ++i)
             trace.access(MemCmd::read, 1, 0, 8);
         const KernelSpec spec = makeSpec(credits);
-        TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+        TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                            mappings(), 0, 0, AddressingMode{});
         player.memSide().bind(plat.xbar.accelSide(0));
         player.start(0);
@@ -155,7 +162,7 @@ TEST(TracePlayer, DeniedBeatAbortsInstance)
     InstanceTrace trace;
     trace.access(MemCmd::read, 1, 0, 8);
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                        mappings(), 0, 0, AddressingMode{});
     player.memSide().bind(plat.xbar.accelSide(0));
     player.start(0);
@@ -182,7 +189,7 @@ TEST(TracePlayer, FineMetadataTravelsWithRequests)
     InstanceTrace trace;
     trace.access(MemCmd::read, 1, 16, 8);
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                        mappings(), 0, 0, AddressingMode{});
     player.memSide().bind(plat.xbar.accelSide(0));
     player.start(0);
@@ -214,7 +221,7 @@ TEST(TracePlayer, CoarseAddressingFoldsObjectIntoAddress)
     addressing.objectMetadata = false;
     addressing.objectInAddress = true;
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, trace,
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared(trace),
                        mappings(), 0, 0, addressing);
     player.memSide().bind(plat.xbar.accelSide(0));
     player.start(0);
@@ -237,7 +244,7 @@ TEST(TracePlayer, TwoPlayersShareTheBus)
         static const KernelSpec spec = makeSpec(8);
         auto player = std::make_unique<TracePlayer>(
             plat.eq, &plat.root, "p" + std::to_string(port), spec,
-            trace, mappings(), port, port, AddressingMode{});
+            shared(trace), mappings(), port, port, AddressingMode{});
         player->memSide().bind(plat.xbar.accelSide(port));
         return player;
     };
@@ -259,7 +266,7 @@ TEST(TracePlayer, DoubleStartPanics)
     protect::NoProtection none;
     Platform plat(none);
     const KernelSpec spec = makeSpec();
-    TracePlayer player(plat.eq, &plat.root, "p0", spec, InstanceTrace{},
+    TracePlayer player(plat.eq, &plat.root, "p0", spec, shared({}),
                        mappings(), 0, 0, AddressingMode{});
     player.memSide().bind(plat.xbar.accelSide(0));
     player.start(0);

@@ -394,8 +394,9 @@ run(const Scenario &sc)
         if constexpr (production) {
             live.push_back(std::make_unique<Player>(
                 eq, &root, "p" + std::to_string(p), ps.spec,
-                std::move(trace), buffers, p, p,
-                accel::AddressingMode{}));
+                std::make_shared<const accel::InstanceTrace>(
+                    std::move(trace)),
+                buffers, p, p, accel::AddressingMode{}));
         } else {
             live.push_back(std::make_unique<Player>(
                 eq, &root, "p" + std::to_string(p), ps.spec,

@@ -73,7 +73,8 @@ TEST_F(AttackIntegration, MaliciousDmaIsBlockedBenignTaskUnaffected)
                                 benign_handle->buffers);
     benign_kernel->run(tracer);
     accel::TracePlayer benign_player(
-        eq, &stat_root, "benign", benign_accel.spec(), tracer.take(),
+        eq, &stat_root, "benign", benign_accel.spec(),
+        std::make_shared<const accel::InstanceTrace>(tracer.take()),
         benign_handle->buffers, 0, 0, accel::AddressingMode{});
     benign_player.memSide().bind(xbar.accelSide(0));
 
@@ -89,7 +90,8 @@ TEST_F(AttackIntegration, MaliciousDmaIsBlockedBenignTaskUnaffected)
                     attacker_handle->buffers[0].size + i * 8, 8);
     }
     accel::TracePlayer attacker_player(
-        eq, &stat_root, "attacker", attacker_accel.spec(), evil,
+        eq, &stat_root, "attacker", attacker_accel.spec(),
+        std::make_shared<const accel::InstanceTrace>(evil),
         attacker_handle->buffers, 1, 1, accel::AddressingMode{});
     attacker_player.memSide().bind(xbar.accelSide(1));
 
@@ -147,7 +149,8 @@ TEST_F(AttackIntegration, ForgedObjectMetadataCannotCrossTasks)
     ASSERT_FALSE(evil.empty());
 
     accel::TracePlayer attacker_player(
-        eq, &stat_root, "attacker", attacker_accel.spec(), evil,
+        eq, &stat_root, "attacker", attacker_accel.spec(),
+        std::make_shared<const accel::InstanceTrace>(evil),
         attacker_handle->buffers, 1, 1, accel::AddressingMode{});
     attacker_player.memSide().bind(xbar.accelSide(1));
     attacker_player.start(0);
