@@ -21,7 +21,6 @@
 
 #include "base/table.hh"
 #include "bench/args.hh"
-#include "harness/sweep_runner.hh"
 #include "service/sweep_service.hh"
 #include "system/soc_config_builder.hh"
 #include "system/soc_system.hh"
@@ -106,23 +105,6 @@ makeSweeper(int argc, char **argv)
 {
     return Sweeper(parseOptions(argc, argv).sweep);
 }
-
-/** @{ Legacy helpers, kept so out-of-tree harness code still builds.
- *  New code should use makeSweeper(): a SweepRunner constructed here
- *  always simulates in-process and ignores --server. */
-inline harness::SweepRunner::Options
-toRunnerOptions(const BenchOptions &opts)
-{
-    return opts.sweep;
-}
-
-inline harness::SweepRunner
-makeRunner(int argc, char **argv)
-{
-    return harness::SweepRunner(toRunnerOptions(parseOptions(argc,
-                                                             argv)));
-}
-/** @} */
 
 /**
  * Validated SocConfig for @p mode with default platform parameters.

@@ -14,7 +14,8 @@
 #    a service-latency document that self-diffs green at tolerance 0;
 #  - the Prometheus exposition must satisfy the counter conservation
 #    identities (received = admitted + rejected; admitted = executed +
-#    cacheHitsMem + cacheHitsDisk + coalesced + failed);
+#    cacheHitsMem + cacheHitsDisk + coalesced + failed), and carry the
+#    task-memo counters, with at least one task preparation reused;
 #  - every "complete" event in the JSONL log must have span segments
 #    summing exactly to its end-to-end time.
 # Set SERVICE_ARTIFACTS=DIR to keep the telemetry files for upload.
@@ -160,6 +161,9 @@ assert received == admitted + rejected, (received, admitted, rejected)
 assert admitted == outcomes, (admitted, outcomes)
 assert admitted > 0, "daemon admitted nothing"
 assert c("span_endToEnd_count") == admitted
+for name in ("tasks_prepared", "tasks_reused"):
+    assert "capcheck_" + name in counters, "no counter " + name
+assert c("tasks_reused") > 0, "the daemon reused no task preparation"
 
 completes = 0
 with open(sys.argv[2]) as f:
@@ -175,7 +179,9 @@ with open(sys.argv[2]) as f:
         assert ev["traceId"].startswith("service-check#"), ev
 assert completes == admitted, (completes, admitted)
 print(f"conservation OK: {int(admitted)} requests, "
-      f"{completes} spans sum exactly")
+      f"{completes} spans sum exactly, tasks="
+      f"{int(c('tasks_prepared'))} prepared/"
+      f"{int(c('tasks_reused'))} reused")
 EOF
 
 echo "== byte compare of run JSON and every daemon-written artefact =="

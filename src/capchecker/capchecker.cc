@@ -108,7 +108,6 @@ CapChecker::check(const MemRequest &req)
     PROF_SCOPE("capcheck", "check");
     ++_checks;
     lastWalk = 0;
-    _checkStartProbe.notify(CheckStartedEvent{&req});
 
     const auto decided = [&](protect::CheckResult result) {
         _checkResultProbe.notify(

@@ -57,12 +57,6 @@ struct ExceptionRecord
     /** @} */
 };
 
-/** Payload of the check-start probe. */
-struct CheckStartedEvent
-{
-    const MemRequest *req;
-};
-
 /** Payload of the check-result probe. */
 struct CheckResultEvent
 {
@@ -156,10 +150,6 @@ class CapChecker : public protect::ProtectionChecker
     std::uint64_t checksDenied() const { return _denied; }
 
     /** @{ Probe points (near-zero cost with no listener attached). */
-    probe::ProbePoint<CheckStartedEvent> &checkStartProbe()
-    {
-        return _checkStartProbe;
-    }
     probe::ProbePoint<CheckResultEvent> &checkResultProbe()
     {
         return _checkResultProbe;
@@ -200,8 +190,6 @@ class CapChecker : public protect::ProtectionChecker
     std::uint64_t _checks = 0;
     std::uint64_t _denied = 0;
 
-    probe::ProbePoint<CheckStartedEvent> _checkStartProbe{
-        "capchecker.checkStart"};
     probe::ProbePoint<CheckResultEvent> _checkResultProbe{
         "capchecker.checkResult"};
     probe::ProbePoint<ExceptionRecord> _exceptionProbe{

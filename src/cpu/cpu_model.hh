@@ -89,9 +89,6 @@ class CpuAccessor : public workloads::MemoryAccessor
     bool cheriEnabled() const { return cheri; }
     const CpuCostParams &costParams() const { return params; }
 
-    /** Flush the cache (between sequential tasks on the same core). */
-    void flushCache() { drain(); cache.flush(); }
-
   private:
     void consume(const Event *events, std::size_t n) override;
     void unwindowed(Event::Kind kind, ObjectId obj, std::uint64_t off,

@@ -75,7 +75,8 @@ Driver::allocateTask(accel::Accelerator &accel, TaskId task,
             for (const BufferMapping &buf : handle.buffers)
                 heap.free(buf.base);
             accel.releaseInstance(*instance);
-            _cycles += cycles;
+            if (mmio)
+                mmio->resetCycles();
             return std::nullopt;
         }
 
@@ -111,7 +112,6 @@ Driver::allocateTask(accel::Accelerator &accel, TaskId task,
                     tree.remove(handle.taskNode);
                 }
                 accel.releaseInstance(*instance);
-                _cycles += cycles + mmio->cyclesUsed();
                 mmio->resetCycles();
                 return std::nullopt;
             }
@@ -167,7 +167,6 @@ Driver::allocateTask(accel::Accelerator &accel, TaskId task,
         mmio->resetCycles();
     }
     handle.allocCycles = cycles;
-    _cycles += cycles;
     return handle;
 }
 
@@ -224,7 +223,6 @@ Driver::deallocateTask(TaskHandle &handle, bool had_exception)
         had_exception, cycles});
     handle.buffers.clear();
     handle.bufferNodes.clear();
-    _cycles += cycles;
     return cycles;
 }
 

@@ -117,12 +117,6 @@ class Driver
      */
     Cycles deallocateTask(TaskHandle &handle, bool had_exception);
 
-    /** Total driver cycles consumed since construction. */
-    Cycles cyclesUsed() const { return _cycles; }
-
-    cheri::CapTree &capTree() { return tree; }
-    const DriverCostParams &costs() const { return params; }
-
     /** @{ Probe points for capability lifecycle observation. */
     probe::ProbePoint<CapInstallEvent> &installProbe()
     {
@@ -146,7 +140,6 @@ class Driver
     protect::Iommu *iommu;
     protect::Iopmp *iopmp;
     DriverCostParams params;
-    Cycles _cycles = 0;
 
     probe::ProbePoint<CapInstallEvent> _installProbe{
         "driver.capInstall"};

@@ -46,7 +46,6 @@ class RegionAllocator
     std::uint64_t sizeOf(Addr addr) const;
 
     std::uint64_t bytesAllocated() const { return allocated; }
-    std::uint64_t bytesTotal() const { return size; }
     std::size_t liveAllocations() const { return live.size(); }
 
   private:

@@ -174,7 +174,6 @@ class TaggedMemory
      * into memory.
      */
     void setDmaTagBarrier(bool armed) { dmaTagBarrier = armed; }
-    bool dmaTagBarrierArmed() const { return dmaTagBarrier; }
 
   private:
     void

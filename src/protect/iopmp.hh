@@ -42,8 +42,6 @@ class Iopmp : public ProtectionChecker
     /** Clear all regions belonging to @p task. */
     void removeTaskRegions(TaskId task);
 
-    unsigned regionLimit() const { return limit; }
-
     CheckResult check(const MemRequest &req) override;
     std::size_t entriesUsed() const override;
     SchemeProperties properties() const override;

@@ -32,8 +32,6 @@ class InProcessService : public SweepService
 
     bool ping() override { return true; }
 
-    harness::SweepRunner &sweepRunner() { return runner; }
-
   private:
     harness::SweepRunner runner;
 };

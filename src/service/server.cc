@@ -48,6 +48,10 @@ ServiceInstruments::ServiceInstruments(obs::MetricsRegistry &r)
           "Requests coalesced onto an in-flight simulation")),
       workerBusyMicros(r.counter("worker.busyMicros",
                                  "Cumulative worker simulation time")),
+      tasksPrepared(r.counter("tasks.prepared",
+                              "Distinct task preparations")),
+      tasksReused(r.counter(
+          "tasks.reused", "Task preparations served from a batch's memo")),
       framesIn(r.counter("frames.in", "Frames received")),
       framesOut(r.counter("frames.out", "Frames sent")),
       bytesIn(r.counter("bytes.in",
@@ -403,11 +407,13 @@ Server::serveClient(const std::shared_ptr<Client> &client)
             }
         }
         self = std::move(client->reader);
-    }
-    if (opts.log) {
-        *opts.log << "[capcheckd] client " << client->id
-                  << " disconnected\n";
-        opts.log->flush();
+        // Past this block a detached reader must not touch the
+        // server: stop() may already be tearing it down.
+        if (opts.log) {
+            *opts.log << "[capcheckd] client " << client->id
+                      << " disconnected\n";
+            opts.log->flush();
+        }
     }
     if (self.joinable())
         self.detach();
@@ -567,8 +573,10 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
             batchLocal.emplace(h, unit);
             fresh.push_back(unit);
         }
-        for (const auto &unit : fresh)
-            queue.push_back(unit);
+        queue.push(fresh, [](const std::shared_ptr<Unit> &unit)
+                              -> const harness::RunRequest & {
+            return unit->request();
+        });
         ins.queueDepth.set(static_cast<std::int64_t>(queue.size()));
     }
     for (std::size_t k = 0; k < fresh.size(); ++k)
@@ -633,23 +641,27 @@ Server::recordHostProfile(const prof::RunProfile &profile)
 void
 Server::workerLoop()
 {
+    harness::FamilyQueue<std::shared_ptr<Unit>>::Lease lease;
     while (true) {
         std::shared_ptr<Unit> unit;
+        // The waiter the unit runs for. Coalescing appends waiters
+        // under the lock, so it is read here, not from the unit later.
+        Unit::Waiter first;
         {
             std::unique_lock lock(mtx);
             wake.wait(lock,
                       [this] { return stopping || !queue.empty(); });
-            if (queue.empty())
+            if (!queue.take(lease))
                 return; // stopping and drained
-            unit = queue.front();
-            queue.pop_front();
             ins.queueDepth.set(
                 static_cast<std::int64_t>(queue.size()));
+            unit = std::move(lease.item);
+            first = unit->waiters.front();
         }
 
-        const harness::RunRequest &req = unit->request();
-        const harness::SweepOptions &batchOpts =
-            unit->waiters.front().batch->options;
+        const harness::RunRequest &req =
+            first.batch->requests[first.index];
+        const harness::SweepOptions &batchOpts = first.batch->options;
 
         system::RunResult result;
         std::string error;
@@ -664,8 +676,8 @@ Server::workerLoop()
             // scope: a profiled full grid takes 2.4-2.7x the host time
             // of an unprofiled one (4 workers, shared 4-vCPU host).
             const prof::ProfileSession session(hostProfile);
-            result = req.execute(
-                harness::obsOptionsFor(batchOpts, req));
+            result = req.execute(harness::obsOptionsFor(batchOpts, req),
+                                 lease.memo.get());
         } catch (const SimError &e) {
             error = e.what();
         } catch (const std::exception &e) {
@@ -696,6 +708,10 @@ Server::workerLoop()
             // Coalescing window closes here: the hash is out of
             // `pending`, so no waiter can be added after this swap.
             waiters.swap(unit->waiters);
+            if (const auto counts = queue.finish(lease)) {
+                ins.tasksPrepared.inc(counts->prepared);
+                ins.tasksReused.inc(counts->reused);
+            }
         }
 
         for (std::size_t k = 0; k < waiters.size(); ++k) {

@@ -15,6 +15,11 @@
  * hash already simulating gains a waiter instead of a second queue
  * entry, and every waiter beyond the first reports status "cached" —
  * the same attribution rule SweepRunner applies at submission time.
+ *
+ * The work queue is the harness::FamilyQueue SweepRunner uses: an
+ * admitted batch's fresh units are pushed as that batch's families,
+ * so the runs of one batch that share a benchmark list and a seed
+ * share a task memo, which their last unit frees.
  */
 
 #ifndef CAPCHECK_SERVICE_SERVER_HH
@@ -23,7 +28,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "harness/disk_cache.hh"
+#include "harness/family_queue.hh"
 #include "harness/result_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
@@ -122,6 +127,11 @@ struct ServiceInstruments
     /** @} */
 
     obs::MetricsRegistry::Counter &workerBusyMicros;
+    /** @{ Task preparations, summed from each family's memo when the
+     *  family's last unit finishes. */
+    obs::MetricsRegistry::Counter &tasksPrepared;
+    obs::MetricsRegistry::Counter &tasksReused;
+    /** @} */
     /** @{ FrameMeter mirrors, synced on snapshot/exposition. */
     obs::MetricsRegistry::Counter &framesIn;
     obs::MetricsRegistry::Counter &framesOut;
@@ -260,7 +270,8 @@ class Server
     bool running = false;
     bool stopping = false;
 
-    std::deque<std::shared_ptr<Unit>> queue;
+    /** Units waiting for a worker, by (batch, family). */
+    harness::FamilyQueue<std::shared_ptr<Unit>> queue;
     /** hash → unit queued or executing, for coalescing. */
     std::map<std::uint64_t, std::shared_ptr<Unit>> pending;
     std::vector<std::shared_ptr<Client>> clients;

@@ -103,7 +103,7 @@ class SocSystem::AcceleratorRun
                                            soc.obsOpts, eq, statRoot)
                                      : nullptr),
           platform(elaboratePlatform(soc, eq, statRoot, num_tasks)),
-          rng(cfg.seed)
+          drivers(num_tasks), rng(cfg.seed)
     {
         // With a tag-clearing checker interposed, the raw tag-preserving
         // DMA path does not exist in the modelled hardware; arm the
@@ -189,21 +189,25 @@ class SocSystem::AcceleratorRun
         Cycles alloc_end = waveStart;
         for (const unsigned t : pending) {
             accel::Accelerator &accel = *accels[t % accels.size()];
-            // The driver programs whichever backend the task's
-            // downstream path reaches: a cap table, page mappings or
-            // regions.
-            protect::ProtectionChecker *protection =
-                platform.protectionFor(t);
-            drivers.push_back(std::make_unique<driver::Driver>(
-                memory.mem, memory.heap, memory.tree,
-                modeUsesCheriCpu(cfg.mode),
-                Platform::checkerFor(protection, t),
-                dynamic_cast<protect::Iommu *>(protection),
-                dynamic_cast<protect::Iopmp *>(protection), cfg.driverCosts));
+            std::unique_ptr<driver::Driver> &drv = drivers[t];
+            if (!drv) {
+                // The driver programs whichever backend the task's
+                // downstream path reaches: a cap table, page mappings
+                // or regions. A deferred task keeps its driver.
+                protect::ProtectionChecker *protection =
+                    platform.protectionFor(t);
+                drv = std::make_unique<driver::Driver>(
+                    memory.mem, memory.heap, memory.tree,
+                    modeUsesCheriCpu(cfg.mode),
+                    Platform::checkerFor(protection, t),
+                    dynamic_cast<protect::Iommu *>(protection),
+                    dynamic_cast<protect::Iopmp *>(protection),
+                    cfg.driverCosts);
+                if (observer)
+                    observer->attachDriver(*drv);
+            }
             LiveTask task;
-            task.driver = drivers.back().get();
-            if (observer)
-                observer->attachDriver(*task.driver);
+            task.driver = drv.get();
 
             auto handle = task.driver->allocateTask(accel, t, memory.app);
             if (!handle) {
@@ -317,7 +321,8 @@ class SocSystem::AcceleratorRun
     /** PARANOID: (srcPort, id) of each request a checker denied. */
     std::set<std::pair<PortId, std::uint64_t>> denied;
     std::vector<std::unique_ptr<accel::Accelerator>> accels;
-    /** One trusted-driver context per allocation attempt. */
+    /** One trusted-driver context per task, built at its first
+     *  allocation attempt. */
     std::vector<std::unique_ptr<driver::Driver>> drivers;
     Rng rng;
     RunResult result;

@@ -105,9 +105,9 @@ struct Topology
     const TopologyNode *findNode(const std::string &node_name) const;
 
     /**
-     * The canonical builtin for @p mode — the exact platform
-     * runWithAccelerators() used to assemble by hand, so elaborating
-     * it reproduces today's artifacts byte for byte.
+     * The canonical builtin for @p mode: the platform the paper
+     * evaluates in that configuration. Elaborating it reproduces the
+     * pinned results (BENCH_grid.sha256) byte for byte.
      */
     static Topology builtin(SystemMode mode);
 

@@ -20,6 +20,8 @@
 #include "system/task_memo.hh"
 #include "workloads/kernel.hh"
 
+#include "fig11_batch.hh"
+
 using namespace capcheck;
 using namespace capcheck::harness;
 using system::RunKind;
@@ -39,22 +41,6 @@ SocConfigBuilder
 statsConfig(SystemMode mode, std::uint64_t seed)
 {
     return SocConfigBuilder().mode(mode).seed(seed).collectStats(true);
-}
-
-/** Fig. 11's batch: gemm_ncubed at 1-8 tasks in three modes. */
-std::vector<RunRequest>
-fig11Batch()
-{
-    std::vector<RunRequest> requests;
-    for (unsigned tasks = 1; tasks <= 8; ++tasks) {
-        for (const SystemMode mode :
-             {SystemMode::cpu, SystemMode::ccpuAccel,
-              SystemMode::ccpuCaccel}) {
-            requests.push_back(RunRequest::single(
-                "gemm_ncubed", statsConfig(mode, 1).build(), tasks));
-        }
-    }
-    return requests;
 }
 
 /** Every request run on its own, without a memo. */
@@ -147,9 +133,7 @@ TEST(TaskMemo, CostsAndWavesMatchColdRuns)
 
 TEST(TaskMemo, Fig11BatchReusesItsTasks)
 {
-    // The 8-task runs prepare 8 tasks for the plain core and 8 for
-    // both accelerator modes; every other preparation is a prefix of
-    // those: 3 x (1 + ... + 8) = 108 preparations, 16 distinct.
+    // 108 preparations, 16 distinct (fig11_batch.hh).
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) / "task_memo_fig11";
     std::filesystem::remove_all(dir);

@@ -22,6 +22,7 @@
 
 #include "base/json.hh"
 #include "harness/result_json.hh"
+#include "harness/sweep_runner.hh"
 #include "service/frame.hh"
 #include "service/inprocess.hh"
 #include "service/remote.hh"
@@ -30,6 +31,8 @@
 #include "service/sweep_service.hh"
 #include "service/wire.hh"
 #include "system/soc_config_builder.hh"
+
+#include "../harness/fig11_batch.hh"
 
 using namespace capcheck;
 using namespace capcheck::service;
@@ -265,6 +268,35 @@ TEST(Service, RemoteMatchesInProcessByteForByte)
     const auto stats = remote.stats();
     EXPECT_EQ(stats.executed, batch.size());
     EXPECT_EQ(stats.activeClients, 1u);
+}
+
+TEST(Service, DaemonPreparesEachDistinctTaskOncePerBatch)
+{
+    const auto batch = harness::fig11Batch();
+    SweepOptions cold;
+    cold.jobs = 2;
+    cold.cacheEnabled = false;
+    const auto local = harness::SweepRunner(cold).run(batch);
+
+    TempDir dir;
+    Daemon daemon(dir, 2);
+    RemoteService remote(
+        SweepOptions{}.withServerSocket(daemon.server.socketPath()));
+    const auto remoteOut = remote.submit(batch, "fig11");
+
+    ASSERT_EQ(remoteOut.size(), local.size());
+    for (std::size_t i = 0; i < local.size(); ++i) {
+        EXPECT_EQ(harness::runJson(batch[i], remoteOut[i].result),
+                  harness::runJson(batch[i], local[i].result))
+            << batch[i].label();
+        EXPECT_EQ(remoteOut[i].result.statsText, local[i].result.statsText)
+            << batch[i].label();
+    }
+
+    // 108 preparations, 16 distinct (fig11_batch.hh).
+    const obs::MetricsSnapshot m = daemon.server.stats().metrics;
+    EXPECT_EQ(m.counterValue("tasks.prepared"), 16u);
+    EXPECT_EQ(m.counterValue("tasks.reused"), 92u);
 }
 
 TEST(Service, MixedCachedAndFreshBatchesAgreeAcrossClients)
