@@ -7,7 +7,10 @@
 # flight tables and latency summaries), a sink the daemon does not
 # write (--prof-out) must be refused with --server, and a daemon
 # restarted on the same --cache-dir must serve the whole batch from
-# the disk cache without executing a single simulation.
+# the disk cache without executing a single simulation. The sweep
+# manifests must agree too, outside their wall-clock fields (the
+# "profile" block and each entry's "wallMillis"), and the remote ones
+# must report task preparations reused by the daemon.
 #
 # The daemon runs with its telemetry on, and the gate also covers it:
 #  - `capstat live --once` must render a non-empty dashboard and write
@@ -189,6 +192,36 @@ diff -r "$WORK/local" "$WORK/remote" --exclude='*.manifest.json'
 for sink in trace audit flight lat; do
     diff -r "$WORK/local-$sink" "$WORK/remote-$sink"
 done
+
+echo "== manifests agree outside their wall-clock fields =="
+python3 - "$WORK/local" "$WORK/remote" <<'EOF'
+import glob, json, os, sys
+
+def deterministic(v):
+    if isinstance(v, dict):
+        return {k: deterministic(x) for k, x in v.items()
+                if k not in ("profile", "wallMillis")}
+    if isinstance(v, list):
+        return [deterministic(x) for x in v]
+    return v
+
+local, remote = sys.argv[1], sys.argv[2]
+names = sorted(os.path.basename(p)
+               for p in glob.glob(local + "/*.manifest.json"))
+assert names, "no manifests in " + local
+assert names == sorted(os.path.basename(p) for p in
+                       glob.glob(remote + "/*.manifest.json")), names
+reused = 0
+for name in names:
+    with open(os.path.join(local, name)) as f:
+        a = json.load(f)
+    with open(os.path.join(remote, name)) as f:
+        b = json.load(f)
+    assert deterministic(a) == deterministic(b), name
+    reused += b["profile"]["tasksReused"]
+assert reused > 0, "remote manifests report no task preparation reused"
+print(f"manifests OK: {len(names)} agree, remote tasksReused={reused}")
+EOF
 
 echo "== capstat diff --tolerance 0 =="
 "$BUILD/tools/capstat" merge -o "$WORK/remote.json" \

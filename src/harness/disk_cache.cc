@@ -1,7 +1,6 @@
 #include "harness/disk_cache.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,15 +21,6 @@ namespace capcheck::harness
 
 namespace
 {
-
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
 
 /** The hash encoded in an entry file name; nullopt for foreign files. */
 std::optional<std::uint64_t>

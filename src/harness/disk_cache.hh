@@ -51,9 +51,6 @@ class DiskResultCache
     /** Occupancy plus lifetime hit/lookup/eviction counters. */
     CacheStats stats() const;
 
-    const std::string &directory() const { return dir; }
-    std::uint64_t maxBytes() const { return byteCap; }
-
     /** The entry file for @p hash (inside the cache directory). */
     std::string pathFor(std::uint64_t hash) const;
 

@@ -1,5 +1,7 @@
 #include "harness/result_json.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 
 namespace capcheck::harness
@@ -392,6 +394,39 @@ SweepProfile::utilization() const
     return simWallMillis / (sweepWallMillis * workers);
 }
 
+void
+writeCacheStatsJson(json::JsonWriter &w, const CacheStats &c)
+{
+    w.beginObject();
+    w.key("entries").value(c.entries);
+    w.key("bytes").value(c.bytes);
+    w.key("hits").value(c.hits);
+    w.key("lookups").value(c.lookups);
+    w.key("evictions").value(c.evictions);
+    w.endObject();
+}
+
+void
+SweepProfile::tally(const std::vector<RunOutcome> &outcomes)
+{
+    std::vector<double> walls;
+    for (const RunOutcome &o : outcomes) {
+        if (!o.cacheHit)
+            walls.push_back(o.wallMillis);
+    }
+    executed = walls.size();
+    cacheHits = outcomes.size() - walls.size();
+    simWallMillis = std::accumulate(walls.begin(), walls.end(), 0.0);
+    // Per-run wall-clock spread: a grid with one pathological point
+    // looks healthy as a sum; min/p50/max makes the skew visible.
+    if (!walls.empty()) {
+        std::sort(walls.begin(), walls.end());
+        runWallMinMillis = walls.front();
+        runWallP50Millis = walls[walls.size() / 2];
+        runWallMaxMillis = walls.back();
+    }
+}
+
 std::string
 manifestJson(const std::string &sweep_name,
              const std::vector<RunOutcome> &outcomes,
@@ -433,21 +468,12 @@ manifestJson(const std::string &sweep_name,
         w.key("maxMillis").value(profile->runWallMaxMillis);
         w.endObject();
         w.key("workerUtilization").value(profile->utilization());
-        const auto writeCacheStats = [&w](const CacheStats &c) {
-            w.beginObject();
-            w.key("entries").value(std::uint64_t{c.entries});
-            w.key("bytes").value(std::uint64_t{c.bytes});
-            w.key("hits").value(std::uint64_t{c.hits});
-            w.key("lookups").value(std::uint64_t{c.lookups});
-            w.key("evictions").value(std::uint64_t{c.evictions});
-            w.endObject();
-        };
         w.key("cache").beginObject();
         w.key("memory");
-        writeCacheStats(profile->memCache);
-        if (profile->diskCachePresent) {
+        writeCacheStatsJson(w, profile->cache.memory);
+        if (profile->cache.diskPresent) {
             w.key("disk");
-            writeCacheStats(profile->diskCache);
+            writeCacheStatsJson(w, profile->cache.disk);
         }
         w.endObject();
         w.endObject();

@@ -75,6 +75,10 @@ std::optional<system::RunResult>
 resultFromWireJson(const json::JsonValue &v, std::string *error);
 /** @} */
 
+/** One cache's counters as a JSON object in value position (sweep
+ *  manifests and the capcheckd stats frame). */
+void writeCacheStatsJson(json::JsonWriter &w, const CacheStats &c);
+
 /**
  * Host-side execution profile of one sweep batch. Everything in here
  * is wall-clock metadata: useful for tuning --jobs, excluded from the
@@ -106,11 +110,15 @@ struct SweepProfile
     double runWallMaxMillis = 0;
     /** @} */
 
-    /** In-memory result-cache counters after the batch. */
-    CacheStats memCache;
-    /** Disk-cache counters after the batch (when one is attached). */
-    CacheStats diskCache;
-    bool diskCachePresent = false;
+    /** Result-cache counters of both levels after the batch. */
+    TierStats cache;
+
+    /**
+     * Fill the fields the outcomes decide: executed, cacheHits,
+     * simWallMillis and the runWall spread (each fresh outcome
+     * carries its run's wall time).
+     */
+    void tally(const std::vector<RunOutcome> &outcomes);
 
     /**
      * simWall / (sweepWall * workers): 1.0 means every worker

@@ -1,10 +1,14 @@
 #include "harness/run_request.hh"
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 
 #include "base/logging.hh"
+#include "obs/prof.hh"
+#include "system/soc_config_builder.hh"
 
 namespace capcheck::harness
 {
@@ -139,12 +143,29 @@ RunRequest::hash() const
 }
 
 std::string
-RunRequest::hashHex() const
+firstInvalid(const std::vector<RunRequest> &requests)
+{
+    for (const RunRequest &req : requests) {
+        const std::string errors = system::validationErrors(req.config);
+        if (!errors.empty())
+            return "invalid request [" + req.label() + "]: " + errors;
+    }
+    return {};
+}
+
+std::string
+hashHex(std::uint64_t hash)
 {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash()));
+                  static_cast<unsigned long long>(hash));
     return buf;
+}
+
+std::string
+RunRequest::hashHex() const
+{
+    return harness::hashHex(hash());
 }
 
 std::string
@@ -195,6 +216,26 @@ RunRequest::operator==(const RunRequest &other) const
     // benchmark lists are caught here).
     return benchmarks == other.benchmarks &&
            numTasks == other.numTasks && hash() == other.hash();
+}
+
+TimedRun
+runTimed(const RunRequest &request, const obs::ObsOptions &obs_opts,
+         system::TaskMemo *memo, prof::RunProfile *profile)
+{
+    TimedRun run;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        std::optional<prof::ProfileSession> session;
+        if (profile)
+            session.emplace(*profile);
+        run.result = request.execute(obs_opts, memo);
+    } catch (const std::exception &e) {
+        run.error = e.what();
+    }
+    run.wallMillis = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    return run;
 }
 
 } // namespace capcheck::harness

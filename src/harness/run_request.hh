@@ -17,6 +17,11 @@
 #include "system/run_result.hh"
 #include "system/soc_system.hh"
 
+namespace capcheck::prof
+{
+class RunProfile;
+} // namespace capcheck::prof
+
 namespace capcheck::harness
 {
 
@@ -81,6 +86,35 @@ struct RunRequest
 
     bool operator==(const RunRequest &other) const;
 };
+
+/** "invalid request [LABEL]: ERRORS" for the first of @p requests
+ *  whose configuration does not validate; empty when all do. */
+std::string firstInvalid(const std::vector<RunRequest> &requests);
+
+/** @p hash as 16 lowercase hex digits, the spelling of every file
+ *  name, wire field and span that names a request. */
+std::string hashHex(std::uint64_t hash);
+
+/** One request run through runTimed(). */
+struct TimedRun
+{
+    system::RunResult result;
+    /** What the run threw; empty when it succeeded. */
+    std::string error;
+    /** Host wall-clock of the run. */
+    double wallMillis = 0;
+};
+
+/**
+ * The one way SweepRunner and capcheckd run a request: execute it
+ * with @p obs_opts and @p memo, under a profile session on @p profile
+ * when that is non-null, timing the wall clock and turning a thrown
+ * error into TimedRun::error. The session covers exactly this run, on
+ * this thread, so the profile's scopes hit a private buffer.
+ */
+TimedRun runTimed(const RunRequest &request,
+                  const obs::ObsOptions &obs_opts, system::TaskMemo *memo,
+                  prof::RunProfile *profile);
 
 } // namespace capcheck::harness
 

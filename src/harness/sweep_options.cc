@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <thread>
 
 #include "base/logging.hh"
 #include "harness/run_request.hh"
@@ -100,6 +101,14 @@ obsOptionsFor(const SweepOptions &opts, const RunRequest &request)
         oo.runLabel = request.label();
     }
     return oo;
+}
+
+unsigned
+resolveJobs(unsigned jobs)
+{
+    if (jobs == 0)
+        jobs = std::thread::hardware_concurrency();
+    return jobs == 0 ? 1 : jobs;
 }
 
 void

@@ -46,6 +46,14 @@ struct CacheStats
     std::uint64_t evictions = 0;
 };
 
+/** Both levels of a CacheTier: memory, and disk when one is attached. */
+struct TierStats
+{
+    CacheStats memory;
+    CacheStats disk;
+    bool diskPresent = false;
+};
+
 struct SweepOptions
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
@@ -187,6 +195,10 @@ const std::string &obsDir(const SweepOptions &opts, const ObsSink &sink);
  */
 obs::ObsOptions obsOptionsFor(const SweepOptions &opts,
                               const RunRequest &request);
+
+/** Worker threads for @p jobs: 0 = std::thread::hardware_concurrency(),
+ *  and at least 1. */
+unsigned resolveJobs(unsigned jobs);
 
 /** Create every artefact directory @p opts selects, before any worker
  *  writes into one; warns about each that cannot be created. */

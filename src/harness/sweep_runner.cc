@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "base/logging.hh"
 #include "harness/family_queue.hh"
+#include "harness/sweep_report.hh"
 #include "obs/prof.hh"
-#include "system/soc_config_builder.hh"
 
 namespace capcheck::harness
 {
@@ -25,11 +24,8 @@ namespace
 struct Job
 {
     const RunRequest *request = nullptr;
-    system::RunResult result;
-    double wallMillis = 0;
+    TimedRun run;
     bool fromCache = false;
-    /** SimError raised inside the worker, re-thrown on the caller. */
-    std::string error;
     /** Host-time profile; one buffer per job, touched by exactly one
      *  thread at a time, so --jobs N never contends. */
     std::unique_ptr<prof::RunProfile> profile;
@@ -37,16 +33,10 @@ struct Job
 
 } // namespace
 
-SweepRunner::SweepRunner(Options options) : opts(std::move(options))
+SweepRunner::SweepRunner(Options options)
+    : opts(std::move(options)), numJobs(resolveJobs(opts.jobs)),
+      results(opts.cacheDir, opts.cacheMaxBytes)
 {
-    numJobs = opts.jobs != 0 ? opts.jobs
-                             : std::thread::hardware_concurrency();
-    if (numJobs == 0)
-        numJobs = 1;
-    if (!opts.cacheDir.empty()) {
-        disk = std::make_unique<DiskResultCache>(opts.cacheDir,
-                                                 opts.cacheMaxBytes);
-    }
 }
 
 system::RunResult
@@ -63,15 +53,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     // Fail fast on inconsistent configurations, before any thread
     // spends minutes simulating a meaningless point.
-    for (const RunRequest &req : requests) {
-        const std::string errors =
-            system::validationErrors(req.config);
-        if (!errors.empty()) {
-            fatal("sweep '%s': invalid request [%s]: %s",
-                  sweep_name.c_str(), req.label().c_str(),
-                  errors.c_str());
-        }
-    }
+    if (const std::string invalid = firstInvalid(requests);
+        !invalid.empty())
+        fatal("sweep '%s': %s", sweep_name.c_str(), invalid.c_str());
 
     // Deduplicate at submission time so cache attribution does not
     // depend on worker timing: the first occurrence of each hash
@@ -90,17 +74,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         Job job;
         job.request = &requests[i];
         if (opts.cacheEnabled) {
-            if (auto cached = resultCache.lookup(h)) {
-                job.result = std::move(*cached);
+            if (auto hit = results.lookup(h)) {
+                job.run.result = std::move(hit->result);
                 job.fromCache = true;
-            } else if (disk) {
-                // Second-level lookup: results persisted by an
-                // earlier process (or the daemon) sharing cacheDir.
-                if (auto stored = disk->lookup(h)) {
-                    resultCache.store(h, *stored);
-                    job.result = std::move(*stored);
-                    job.fromCache = true;
-                }
             }
             firstJob.emplace(h, jobs.size());
         }
@@ -117,7 +93,6 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     createObsDirs(opts);
 
-    std::mutex progress_mtx;
     FamilyQueue<std::size_t> queue;
     queue.push(pendingJobs, [&](std::size_t j) -> const RunRequest & {
         return *jobs[j].request;
@@ -126,8 +101,8 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     std::mutex sched_mtx;
     std::uint64_t tasksPrepared = 0;
     std::uint64_t tasksReused = 0;
-    std::size_t done = 0;
     const std::size_t total = pendingJobs.size();
+    ProgressLog progress(opts.progress, total);
 
     auto worker = [&]() {
         FamilyQueue<std::size_t>::Lease lease;
@@ -139,50 +114,24 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
             }
             Job &job = jobs[lease.item];
 
+            // The worker owns this SocSystem outright; the event
+            // queue inside never crosses a thread boundary.
             const obs::ObsOptions obsOpts =
                 obsOptionsFor(opts, *job.request);
             if (obsOpts.profiling())
                 job.profile = std::make_unique<prof::RunProfile>();
+            job.run = runTimed(*job.request, obsOpts, lease.memo.get(),
+                               job.profile.get());
 
-            const auto t0 = std::chrono::steady_clock::now();
-            try {
-                // The worker owns this SocSystem outright; the event
-                // queue inside never crosses a thread boundary. The
-                // profile session covers exactly this job, on this
-                // thread, so scopes hit a private buffer.
-                std::optional<prof::ProfileSession> session;
-                if (job.profile)
-                    session.emplace(*job.profile);
-                job.result =
-                    job.request->execute(obsOpts, lease.memo.get());
-            } catch (const SimError &e) {
-                job.error = e.what();
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            job.wallMillis =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-
-            std::size_t finished;
             {
                 std::scoped_lock lock(sched_mtx);
-                finished = ++done;
                 if (const auto counts = queue.finish(lease)) {
                     tasksPrepared += counts->prepared;
                     tasksReused += counts->reused;
                 }
             }
-            if (opts.progress) {
-                std::scoped_lock lock(progress_mtx);
-                *opts.progress
-                    << "[" << finished << "/" << total << "] "
-                    << job.request->label()
-                    << " cycles=" << job.result.totalCycles
-                    << " cache=miss wall="
-                    << static_cast<std::uint64_t>(job.wallMillis)
-                    << "ms\n";
-                opts.progress->flush();
-            }
+            progress.ran(*job.request, job.run.result.totalCycles,
+                         job.run.wallMillis);
         }
     };
 
@@ -200,120 +149,59 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     }
 
     for (const std::size_t j : pendingJobs) {
-        if (!jobs[j].error.empty()) {
+        if (!jobs[j].run.error.empty()) {
             fatal("sweep '%s': request [%s] failed: %s",
                   sweep_name.c_str(), jobs[j].request->label().c_str(),
-                  jobs[j].error.c_str());
+                  jobs[j].run.error.c_str());
         }
     }
 
-    // Publish fresh results to the cache(s) and tally counters. The
-    // store cost is attributed to the run that produced the result
-    // (workers are joined, so reopening each job's session is safe).
+    // Publish fresh results to the cache(s). The store cost is
+    // attributed to the run that produced the result (workers are
+    // joined, so reopening each job's session is safe).
     for (const std::size_t j : pendingJobs) {
-        if (opts.cacheEnabled) {
-            std::optional<prof::ProfileSession> session;
-            if (jobs[j].profile)
-                session.emplace(*jobs[j].profile);
-            resultCache.store(jobs[j].request->hash(), jobs[j].result);
-            if (disk)
-                disk->store(jobs[j].request->hash(), jobs[j].result);
-        }
-        ++executed;
+        if (!opts.cacheEnabled)
+            continue;
+        std::optional<prof::ProfileSession> session;
+        if (jobs[j].profile)
+            session.emplace(*jobs[j].profile);
+        results.store(jobs[j].request->hash(), jobs[j].run.result);
     }
 
     // Assemble outcomes in input order.
     std::vector<RunOutcome> outcomes;
     outcomes.reserve(requests.size());
+    std::vector<prof::RunProfile *> profiles(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Job &job = jobs[jobOf[i]];
         RunOutcome out;
         out.request = requests[i];
-        out.result = job.result;
+        out.result = job.run.result;
         out.cacheHit = job.fromCache || job.request != &requests[i];
-        out.wallMillis = out.cacheHit ? 0 : job.wallMillis;
+        out.wallMillis = out.cacheHit ? 0 : job.run.wallMillis;
         if (out.cacheHit)
-            ++hits;
-        if (opts.progress && out.cacheHit) {
-            *opts.progress << "[cache] " << requests[i].label()
-                           << " cycles=" << out.result.totalCycles
-                           << " cache=hit\n";
-        }
+            progress.cached(requests[i], out.result.totalCycles);
+        profiles[i] = job.profile.get();
         outcomes.push_back(std::move(out));
     }
 
     SweepProfile profile;
+    profile.tally(outcomes);
+    executed += profile.executed;
+    hits += profile.cacheHits;
     profile.workers = nthreads == 0 ? 1 : nthreads;
-    profile.executed = total;
-    profile.cacheHits = requests.size() - total;
     profile.tasksPrepared = tasksPrepared;
     profile.tasksReused = tasksReused;
-    for (const std::size_t j : pendingJobs)
-        profile.simWallMillis += jobs[j].wallMillis;
     profile.sweepWallMillis =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - batch_t0)
             .count();
-    profile.memCache = resultCache.stats();
-    if (disk) {
-        profile.diskCache = disk->stats();
-        profile.diskCachePresent = true;
-    }
-
-    // Per-run wall-clock spread: a grid with one pathological point
-    // looks healthy as a sum; min/p50/max makes the skew visible.
-    if (!pendingJobs.empty()) {
-        std::vector<double> walls;
-        walls.reserve(pendingJobs.size());
-        for (const std::size_t j : pendingJobs)
-            walls.push_back(jobs[j].wallMillis);
-        std::sort(walls.begin(), walls.end());
-        profile.runWallMinMillis = walls.front();
-        profile.runWallP50Millis = walls[walls.size() / 2];
-        profile.runWallMaxMillis = walls.back();
-    }
-
-    if (opts.progress) {
-        char util[16];
-        std::snprintf(util, sizeof(util), "%.2f",
-                      profile.utilization());
-        *opts.progress << "[sweep " << sweep_name << "] "
-                       << requests.size() << " requests: "
-                       << profile.executed << " executed, "
-                       << profile.cacheHits << " cached, tasks="
-                       << profile.tasksPrepared << " prepared/"
-                       << profile.tasksReused << " reused, wall="
-                       << static_cast<std::uint64_t>(
-                              profile.sweepWallMillis)
-                       << "ms, jobs=" << profile.workers
-                       << ", utilization=" << util;
-        if (profile.executed > 0) {
-            *opts.progress
-                << ", runWall="
-                << static_cast<std::uint64_t>(
-                       profile.runWallMinMillis)
-                << "/"
-                << static_cast<std::uint64_t>(
-                       profile.runWallP50Millis)
-                << "/"
-                << static_cast<std::uint64_t>(
-                       profile.runWallMaxMillis)
-                << "ms min/p50/max";
-        }
-        *opts.progress << "\n";
-        opts.progress->flush();
-    }
-
-    std::map<std::uint64_t, prof::RunProfile *> profiles;
-    for (const std::size_t j : pendingJobs) {
-        if (jobs[j].profile)
-            profiles.emplace(jobs[j].request->hash(),
-                             jobs[j].profile.get());
-    }
+    profile.cache = results.stats();
+    progress.summary(sweep_name, profile, false);
 
     if (!opts.jsonDir.empty()) {
-        writeJson(outcomes, sweep_name, profile,
-                  profiles.empty() ? nullptr : &profiles);
+        writeSweepArtefacts(opts.jsonDir, sweep_name, outcomes, profile,
+                            nullptr, &profiles);
     }
 
     // All attribution windows are closed: render the profiles. Like
@@ -323,75 +211,21 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         if (!job.profile)
             continue;
         const obs::ObsOptions oo = obsOptionsFor(opts, *job.request);
-        if (!oo.profileFile.empty()) {
-            std::ofstream os(oo.profileFile);
+        const auto write = [](const std::string &path, auto render) {
+            if (path.empty())
+                return;
+            std::ofstream os(path);
             if (os)
-                os << job.profile->json(job.request->label());
+                os << render();
             else
-                warn("cannot write '%s'", oo.profileFile.c_str());
-        }
-        if (!oo.foldedFile.empty()) {
-            std::ofstream os(oo.foldedFile);
-            if (os)
-                os << job.profile->foldedText();
-            else
-                warn("cannot write '%s'", oo.foldedFile.c_str());
-        }
+                warn("cannot write '%s'", path.c_str());
+        };
+        write(oo.profileFile,
+              [&] { return job.profile->json(job.request->label()); });
+        write(oo.foldedFile, [&] { return job.profile->foldedText(); });
     }
 
     return outcomes;
-}
-
-void
-SweepRunner::writeJson(
-    const std::vector<RunOutcome> &outcomes,
-    const std::string &sweep_name, const SweepProfile &profile,
-    const std::map<std::uint64_t, prof::RunProfile *> *profiles) const
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(opts.jsonDir, ec);
-    if (ec) {
-        warn("sweep '%s': cannot create json dir '%s': %s",
-             sweep_name.c_str(), opts.jsonDir.c_str(),
-             ec.message().c_str());
-        return;
-    }
-
-    for (const RunOutcome &o : outcomes) {
-        std::optional<prof::ProfileSession> session;
-        if (profiles) {
-            const auto it = profiles->find(o.request.hash());
-            if (it != profiles->end())
-                session.emplace(*it->second);
-        }
-        const fs::path file =
-            fs::path(opts.jsonDir) /
-            ("run-" + o.request.hashHex() + ".json");
-        std::ofstream os(file);
-        if (!os) {
-            warn("cannot write '%s'", file.string().c_str());
-            continue;
-        }
-        std::string text;
-        {
-            PROF_SCOPE("harness", "render.runjson");
-            text = runJson(o.request, o.result);
-        }
-        {
-            PROF_SCOPE("harness", "write.results");
-            os << text;
-        }
-    }
-
-    const fs::path manifest =
-        fs::path(opts.jsonDir) / (sweep_name + ".manifest.json");
-    std::ofstream os(manifest);
-    if (!os) {
-        warn("cannot write '%s'", manifest.string().c_str());
-        return;
-    }
-    os << manifestJson(sweep_name, outcomes, &profile);
 }
 
 } // namespace capcheck::harness

@@ -18,19 +18,13 @@
 #define CAPCHECK_HARNESS_SWEEP_RUNNER_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
-#include "base/types.hh"
-#include "harness/disk_cache.hh"
 #include "harness/result_cache.hh"
 #include "harness/result_json.hh"
 #include "harness/run_request.hh"
 #include "harness/sweep_options.hh"
-#include "obs/prof.hh"
 
 namespace capcheck::harness
 {
@@ -72,28 +66,12 @@ class SweepRunner
     /** Requests served from the cache so far. */
     std::uint64_t cacheHits() const { return hits; }
 
-    ResultCache &cache() { return resultCache; }
-
-    /** The disk cache; nullptr unless Options::cacheDir was set. */
-    DiskResultCache *diskCache() { return disk.get(); }
+    const CacheTier &cache() const { return results; }
 
   private:
-    /**
-     * @p profiles maps request hashes of freshly executed runs to
-     * their host-time profiles, so the JSON render and file writes
-     * are attributed to the run they serve; nullptr when profiling
-     * is off.
-     */
-    void writeJson(
-        const std::vector<RunOutcome> &outcomes,
-        const std::string &sweep_name, const SweepProfile &profile,
-        const std::map<std::uint64_t, prof::RunProfile *> *profiles)
-        const;
-
     Options opts;
     unsigned numJobs = 1;
-    ResultCache resultCache;
-    std::unique_ptr<DiskResultCache> disk;
+    CacheTier results;
     std::uint64_t executed = 0;
     std::uint64_t hits = 0;
 };

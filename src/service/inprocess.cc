@@ -40,11 +40,7 @@ InProcessService::stats()
     s.executed = runner.simulationsExecuted();
     s.cacheHits = runner.cacheHits();
     s.jobs = runner.jobs();
-    s.memCache = runner.cache().stats();
-    if (harness::DiskResultCache *disk = runner.diskCache()) {
-        s.diskCache = disk->stats();
-        s.diskCachePresent = true;
-    }
+    s.cache = runner.cache().stats();
     return s;
 }
 

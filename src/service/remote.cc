@@ -1,12 +1,10 @@
 #include "service/remote.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 
 #include "base/logging.hh"
+#include "harness/sweep_report.hh"
 #include "service/frame.hh"
 #include "service/wire.hh"
 
@@ -15,12 +13,6 @@ namespace capcheck::service
 
 namespace
 {
-
-std::uint64_t
-hashFromHex(const std::string &hex)
-{
-    return std::strtoull(hex.c_str(), nullptr, 16);
-}
 
 /** Map a framing failure onto the structured service error space. */
 [[noreturn]] void
@@ -37,28 +29,24 @@ rethrowFrameError(const FrameError &e)
     throw ServiceError(errConnect, e.what());
 }
 
-/** Throw when the server itself reported a structured error. */
-void
-throwIfErrorFrame(const json::JsonValue &v)
-{
-    if (messageType(v) != "error")
-        return;
-    const json::JsonValue *code = v.get("code");
-    const json::JsonValue *message = v.get("message");
-    throw ServiceError(
-        code && code->isString() ? code->asString() : errProtocol,
-        message && message->isString() ? message->asString()
-                                       : "daemon error");
-}
-
+/** The daemon's message in @p payload; throws when it does not parse
+ *  or when the daemon reported a structured error. */
 json::JsonValue
-parseFrame(const std::string &payload)
+parseReply(const std::string &payload)
 {
     std::string err;
     auto v = json::parseJson(payload, &err);
     if (!v) {
         throw ServiceError(errProtocol,
                            "unparseable frame from daemon: " + err);
+    }
+    if (messageType(*v) == "error") {
+        const json::JsonValue *code = v->get("code");
+        const json::JsonValue *message = v->get("message");
+        throw ServiceError(
+            code && code->isString() ? code->asString() : errProtocol,
+            message && message->isString() ? message->asString()
+                                           : "daemon error");
     }
     return std::move(*v);
 }
@@ -77,8 +65,7 @@ RemoteService::RemoteService(harness::SweepOptions options)
     }
     // Handshake: a pong with a matching protocol version, before the
     // caller invests in building a batch.
-    const json::JsonValue pongv = parseFrame(roundTrip(encodePing()));
-    throwIfErrorFrame(pongv);
+    const json::JsonValue pongv = roundTrip(encodePing());
     const auto pong = pongFromJson(pongv);
     if (!pong) {
         throw ServiceError(errProtocol,
@@ -104,7 +91,7 @@ RemoteService::RemoteService(harness::SweepOptions options)
     }
 }
 
-std::string
+json::JsonValue
 RemoteService::roundTrip(const std::string &payload)
 {
     try {
@@ -115,7 +102,7 @@ RemoteService::roundTrip(const std::string &payload)
             throw ServiceError(errConnect,
                                "daemon closed the connection");
         }
-        return std::move(*reply);
+        return parseReply(*reply);
     } catch (const FrameError &e) {
         rethrowFrameError(e);
     }
@@ -135,8 +122,10 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
     for (std::size_t i = 0; i < requests.size(); ++i)
         outcomes[i].request = requests[i];
 
-    harness::SweepProfile profile;
-    std::size_t executedSeen = 0;
+    // The fresh-simulation total is only known at the done frame, so
+    // remote progress counts against the batch size instead.
+    harness::ProgressLog progress(opts.progress, requests.size());
+    std::optional<DoneMessage> done;
     std::size_t firstFailed = requests.size();
     std::string firstError;
 
@@ -144,7 +133,6 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
         sendFrame(conn.get(),
                   encodeSubmit(batch, sweep_name, opts, requests),
                   &meter);
-        bool done = false;
         while (!done) {
             auto payload = recvFrame(conn.get(),
                                      defaultMaxFrameBytes, &meter);
@@ -153,130 +141,83 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
                     errConnect,
                     "daemon closed the connection mid-batch");
             }
-            const json::JsonValue v = parseFrame(*payload);
-            throwIfErrorFrame(v);
+            const json::JsonValue v = parseReply(*payload);
             const std::string type = messageType(v);
-            if (type == "result") {
-                const json::JsonValue *idx = v.get("index");
-                const std::size_t i =
-                    idx && idx->isNumber()
-                        ? static_cast<std::size_t>(idx->asNumber())
-                        : requests.size();
-                if (i >= requests.size()) {
-                    throw ServiceError(errProtocol,
-                                       "result index out of range");
-                }
-                const json::JsonValue *st = v.get("status");
-                const std::string status =
-                    st && st->isString() ? st->asString() : "";
-                const json::JsonValue *wall = v.get("wallMillis");
-                const double wallMillis =
-                    wall && wall->isNumber() ? wall->asNumber() : 0;
-
-                harness::RunOutcome &out = outcomes[i];
-                filled[i] = 1;
-                if (status == "failed") {
-                    const json::JsonValue *em = v.get("error");
-                    if (firstFailed == requests.size()) {
-                        firstFailed = i;
-                        firstError = em && em->isString()
-                                         ? em->asString()
-                                         : "simulation failed";
-                    }
-                } else {
-                    const json::JsonValue *res = v.get("result");
-                    std::string perr = "missing 'result'";
-                    std::optional<system::RunResult> parsed;
-                    if (res)
-                        parsed =
-                            harness::resultFromWireJson(*res, &perr);
-                    if (!parsed) {
-                        throw ServiceError(
-                            errProtocol,
-                            "result frame for index " +
-                                std::to_string(i) +
-                                " unparseable: " + perr);
-                    }
-                    out.result = std::move(*parsed);
-                    out.cacheHit = status == "cached";
-                    out.wallMillis = out.cacheHit ? 0 : wallMillis;
-                    if (const json::JsonValue *rj =
-                            v.get("resultJson");
-                        rj && rj->isString())
-                        bodies[i] = rj->asString();
-                    if (!out.cacheHit)
-                        profile.simWallMillis += wallMillis;
-                }
-
-                if (opts.progress) {
-                    // The fresh-simulation total is only known at the
-                    // done frame, so remote progress counts against
-                    // the batch size instead.
-                    if (status == "cached") {
-                        *opts.progress
-                            << "[cache] " << requests[i].label()
-                            << " cycles=" << out.result.totalCycles
-                            << " cache=hit\n";
-                    } else if (status == "failed") {
-                        *opts.progress
-                            << "[fail] " << requests[i].label()
-                            << ": " << firstError << "\n";
-                    } else {
-                        ++executedSeen;
-                        *opts.progress
-                            << "[" << executedSeen << "/"
-                            << requests.size() << "] "
-                            << requests[i].label()
-                            << " cycles=" << out.result.totalCycles
-                            << " cache=miss wall="
-                            << static_cast<std::uint64_t>(wallMillis)
-                            << "ms\n";
-                    }
-                    opts.progress->flush();
-                }
-
-                if (sink) {
-                    StreamItem item;
-                    item.index = i;
-                    const json::JsonValue *hx = v.get("hash");
-                    item.hash = hx && hx->isString()
-                                    ? hashFromHex(hx->asString())
-                                    : requests[i].hash();
-                    item.status = status == "cached"
-                                      ? RunStatus::cached
-                                  : status == "failed"
-                                      ? RunStatus::failed
-                                      : RunStatus::executed;
-                    item.result =
-                        status == "failed" ? nullptr : &out.result;
-                    item.resultJson =
-                        bodies[i].empty() ? nullptr : &bodies[i];
-                    item.wallMillis = out.wallMillis;
-                    if (status == "failed")
-                        item.error = firstError;
-                    sink(item);
-                }
-            } else if (type == "done") {
-                const json::JsonValue *jb = v.get("jobs");
-                profile.workers =
-                    jb && jb->isNumber()
-                        ? static_cast<unsigned>(jb->asNumber())
-                        : 1;
-                const auto u64 = [&](const char *key)
-                    -> std::uint64_t {
-                    const json::JsonValue *f = v.get(key);
-                    return f && f->isNumber()
-                               ? static_cast<std::uint64_t>(
-                                     f->asNumber())
-                               : 0;
-                };
-                profile.executed = u64("executed");
-                profile.cacheHits = u64("cached");
-                done = true;
-            } else {
+            if (type == "done") {
+                done = doneFromJson(v);
+                continue;
+            }
+            if (type != "result") {
                 throw ServiceError(errProtocol,
                                    "unexpected frame '" + type +
                                        "' mid-batch");
+            }
+            const json::JsonValue *idx = v.get("index");
+            const std::size_t i =
+                idx && idx->isNumber()
+                    ? static_cast<std::size_t>(idx->asNumber())
+                    : requests.size();
+            if (i >= requests.size()) {
+                throw ServiceError(errProtocol,
+                                   "result index out of range");
+            }
+            const json::JsonValue *st = v.get("status");
+            const std::string status =
+                st && st->isString() ? st->asString() : "";
+            const json::JsonValue *wall = v.get("wallMillis");
+            const double wallMillis =
+                wall && wall->isNumber() ? wall->asNumber() : 0;
+
+            harness::RunOutcome &out = outcomes[i];
+            filled[i] = 1;
+            std::string error;
+            if (status == "failed") {
+                const json::JsonValue *em = v.get("error");
+                error = em && em->isString() ? em->asString()
+                                             : "simulation failed";
+                if (firstFailed == requests.size()) {
+                    firstFailed = i;
+                    firstError = error;
+                }
+                progress.failed(requests[i], error);
+            } else {
+                const json::JsonValue *res = v.get("result");
+                std::string perr = "missing 'result'";
+                std::optional<system::RunResult> parsed;
+                if (res)
+                    parsed = harness::resultFromWireJson(*res, &perr);
+                if (!parsed) {
+                    throw ServiceError(errProtocol,
+                                       "result frame for index " +
+                                           std::to_string(i) +
+                                           " unparseable: " + perr);
+                }
+                out.result = std::move(*parsed);
+                out.cacheHit = status == "cached";
+                out.wallMillis = out.cacheHit ? 0 : wallMillis;
+                if (const json::JsonValue *rj = v.get("resultJson");
+                    rj && rj->isString())
+                    bodies[i] = rj->asString();
+                if (out.cacheHit)
+                    progress.cached(requests[i], out.result.totalCycles);
+                else
+                    progress.ran(requests[i], out.result.totalCycles,
+                                 wallMillis);
+            }
+
+            if (sink) {
+                StreamItem item;
+                item.index = i;
+                // The daemon re-hashed the request against this one.
+                item.hash = requests[i].hash();
+                item.status = status == "cached"   ? RunStatus::cached
+                              : status == "failed" ? RunStatus::failed
+                                                   : RunStatus::executed;
+                item.result = status == "failed" ? nullptr : &out.result;
+                item.resultJson = bodies[i].empty() ? nullptr : &bodies[i];
+                item.wallMillis = out.wallMillis;
+                item.error = error;
+                sink(item);
             }
         }
     } catch (const FrameError &e) {
@@ -298,6 +239,11 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
               firstError.c_str());
     }
 
+    harness::SweepProfile profile;
+    profile.tally(outcomes);
+    profile.workers = done->jobs;
+    profile.tasksPrepared = done->tasksPrepared;
+    profile.tasksReused = done->tasksReused;
     profile.sweepWallMillis =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - batch_t0)
@@ -306,91 +252,29 @@ RemoteService::submit(const std::vector<harness::RunRequest> &requests,
     // Cache occupancy in the manifest profile reflects the daemon's
     // shared caches, fetched after the batch like SweepRunner snapshots
     // its own caches after the publish loop.
-    {
-        const json::JsonValue sv =
-            parseFrame(roundTrip(encodeStatsQuery()));
-        throwIfErrorFrame(sv);
-        if (auto stats = statsFromJson(sv)) {
-            profile.memCache = stats->memCache;
-            profile.diskCache = stats->diskCache;
-            profile.diskCachePresent = stats->diskCachePresent;
-        }
+    profile.cache = queryStats().cache;
+
+    progress.summary(sweep_name, profile, true);
+    if (!opts.jsonDir.empty()) {
+        // Prefer the daemon-rendered bodies: that both backends
+        // produce the same bytes is the contract.
+        harness::writeSweepArtefacts(opts.jsonDir, sweep_name, outcomes,
+                                     profile, &bodies);
     }
-
-    if (opts.progress) {
-        char util[16];
-        std::snprintf(util, sizeof(util), "%.2f",
-                      profile.utilization());
-        *opts.progress << "[sweep " << sweep_name << "] "
-                       << requests.size() << " requests: "
-                       << profile.executed << " executed, "
-                       << profile.cacheHits << " cached, wall="
-                       << static_cast<std::uint64_t>(
-                              profile.sweepWallMillis)
-                       << "ms, jobs=" << profile.workers
-                       << ", utilization=" << util << " (remote)\n";
-        opts.progress->flush();
-    }
-
-    if (!opts.jsonDir.empty())
-        writeArtefacts(outcomes, bodies, sweep_name, profile);
-
     return outcomes;
-}
-
-void
-RemoteService::writeArtefacts(
-    const std::vector<harness::RunOutcome> &outcomes,
-    const std::vector<std::string> &result_bodies,
-    const std::string &sweep_name,
-    const harness::SweepProfile &profile) const
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(opts.jsonDir, ec);
-    if (ec) {
-        warn("sweep '%s': cannot create json dir '%s': %s",
-             sweep_name.c_str(), opts.jsonDir.c_str(),
-             ec.message().c_str());
-        return;
-    }
-
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const harness::RunOutcome &o = outcomes[i];
-        const fs::path file =
-            fs::path(opts.jsonDir) /
-            ("run-" + o.request.hashHex() + ".json");
-        std::ofstream os(file);
-        if (!os) {
-            warn("cannot write '%s'", file.string().c_str());
-            continue;
-        }
-        // Prefer the daemon-rendered body (it is the contract that
-        // both backends produce the same bytes); fall back to local
-        // rendering when the daemon was asked not to ship bodies.
-        if (!result_bodies[i].empty())
-            os << result_bodies[i];
-        else
-            os << harness::runJson(o.request, o.result);
-    }
-
-    const fs::path manifest =
-        fs::path(opts.jsonDir) / (sweep_name + ".manifest.json");
-    std::ofstream os(manifest);
-    if (!os) {
-        warn("cannot write '%s'", manifest.string().c_str());
-        return;
-    }
-    os << harness::manifestJson(sweep_name, outcomes, &profile);
 }
 
 ServiceStats
 RemoteService::stats()
 {
     std::scoped_lock lock(mtx);
-    const json::JsonValue v =
-        parseFrame(roundTrip(encodeStatsQuery()));
-    throwIfErrorFrame(v);
+    return queryStats();
+}
+
+ServiceStats
+RemoteService::queryStats()
+{
+    const json::JsonValue v = roundTrip(encodeStatsQuery());
     auto stats = statsFromJson(v);
     if (!stats) {
         throw ServiceError(errProtocol,
@@ -405,8 +289,7 @@ RemoteService::ping()
 {
     std::scoped_lock lock(mtx);
     try {
-        const json::JsonValue v = parseFrame(roundTrip(encodePing()));
-        return messageType(v) == "pong";
+        return messageType(roundTrip(encodePing())) == "pong";
     } catch (const ServiceError &) {
         return false;
     }

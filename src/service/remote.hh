@@ -13,6 +13,7 @@
 
 #include <mutex>
 
+#include "base/json_value.hh"
 #include "service/frame.hh"
 #include "service/socket.hh"
 #include "service/sweep_service.hh"
@@ -41,14 +42,12 @@ class RemoteService : public SweepService
     bool ping() override;
 
   private:
-    /** One request/response (or submit/stream) exchange at a time. */
-    std::string roundTrip(const std::string &payload);
+    /** One request/response exchange; the reply, parsed (error
+     *  replies throw). */
+    json::JsonValue roundTrip(const std::string &payload);
 
-    void writeArtefacts(
-        const std::vector<harness::RunOutcome> &outcomes,
-        const std::vector<std::string> &result_bodies,
-        const std::string &sweep_name,
-        const harness::SweepProfile &profile) const;
+    /** stats() with `mtx` held. */
+    ServiceStats queryStats();
 
     harness::SweepOptions opts;
     std::mutex mtx;

@@ -5,14 +5,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "base/logging.hh"
 #include "harness/result_json.hh"
 #include "service/frame.hh"
-#include "system/soc_config_builder.hh"
 
 namespace capcheck::service
 {
@@ -94,21 +92,6 @@ ServiceInstruments::ServiceInstruments(obs::MetricsRegistry &r)
 {
 }
 
-namespace
-{
-
-/** The span/disk-cache hash spelling: 16 lowercase hex digits. */
-std::string
-spanHashHex(std::uint64_t hash)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return hex;
-}
-
-} // namespace
-
 /** One connected client and its write-side state. */
 struct Server::Client
 {
@@ -134,6 +117,12 @@ struct Server::Batch
     std::atomic<std::uint64_t> nExecuted{0};
     std::atomic<std::uint64_t> nCached{0};
     std::atomic<std::uint64_t> nFailed{0};
+    /** @{ Task preparations of the batch's families, added as each
+     *  family's last unit finishes, before that unit's waiters are
+     *  answered: complete by the time the done frame goes out. */
+    std::atomic<std::uint64_t> tasksPrepared{0};
+    std::atomic<std::uint64_t> tasksReused{0};
+    /** @} */
 
     /** Batch trace id: the client's, or daemon-synthesized. */
     std::string traceId;
@@ -174,16 +163,10 @@ struct Server::Unit
     }
 };
 
-Server::Server(ServerOptions options) : opts(std::move(options))
+Server::Server(ServerOptions options)
+    : opts(std::move(options)), numJobs(harness::resolveJobs(opts.jobs)),
+      results(opts.cacheDir, opts.cacheMaxBytes)
 {
-    numJobs = opts.jobs != 0 ? opts.jobs
-                             : std::thread::hardware_concurrency();
-    if (numJobs == 0)
-        numJobs = 1;
-    if (!opts.cacheDir.empty()) {
-        disk = std::make_unique<harness::DiskResultCache>(
-            opts.cacheDir, opts.cacheMaxBytes);
-    }
 }
 
 Server::~Server()
@@ -221,7 +204,8 @@ Server::start()
     if (opts.log) {
         *opts.log << "[capcheckd] listening on " << opts.socketPath
                   << " jobs=" << numJobs
-                  << (disk ? " cache=" + opts.cacheDir : "") << "\n";
+                  << (opts.cacheDir.empty() ? "" : " cache=" + opts.cacheDir)
+                  << "\n";
         opts.log->flush();
     }
     workers.reserve(numJobs);
@@ -445,15 +429,11 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
     // Validate every configuration up front — the in-process runner
     // fatal()s here, but a daemon answers with a structured error and
     // lives on.
-    for (const harness::RunRequest &req : msg.requests) {
-        const std::string errors =
-            system::validationErrors(req.config);
-        if (!errors.empty()) {
-            rejectBatch(client, msg.batch, traceId, n, errBadRequest,
-                        "invalid request [" + req.label() +
-                            "]: " + errors);
-            return;
-        }
+    if (const std::string invalid = harness::firstInvalid(msg.requests);
+        !invalid.empty()) {
+        rejectBatch(client, msg.batch, traceId, n, errBadRequest,
+                    invalid);
+        return;
     }
 
     auto batch = std::make_shared<Batch>();
@@ -473,8 +453,7 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
     {
         std::size_t index;
         std::uint64_t hash;
-        system::RunResult result;
-        bool fromDisk;
+        harness::CacheTier::Hit hit;
     };
     std::vector<InlineHit> hits;
     std::vector<std::shared_ptr<Unit>> fresh;
@@ -532,20 +511,10 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint64_t h = batch->requests[i].hash();
             if (useCache) {
-                if (auto cached = memCache.lookup(h)) {
+                if (auto hit = results.lookup(h)) {
                     ++totalCacheHits;
-                    hits.push_back(
-                        {i, h, std::move(*cached), false});
+                    hits.push_back({i, h, std::move(*hit)});
                     continue;
-                }
-                if (disk) {
-                    if (auto stored = disk->lookup(h)) {
-                        memCache.store(h, *stored);
-                        ++totalCacheHits;
-                        hits.push_back(
-                            {i, h, std::move(*stored), true});
-                        continue;
-                    }
                 }
                 if (auto it = pending.find(h);
                     it != pending.end()) {
@@ -590,9 +559,9 @@ Server::handleSubmit(const std::shared_ptr<Client> &client,
 
     for (const InlineHit &hit : hits) {
         sendResult(batch, hit.index, hit.hash, RunStatus::cached,
-                   hit.fromDisk ? AnswerSource::diskCacheHit
-                                : AnswerSource::memCacheHit,
-                   &hit.result, 0, std::string());
+                   hit.hit.fromDisk ? AnswerSource::diskCacheHit
+                                    : AnswerSource::memCacheHit,
+                   &hit.hit.result, 0, std::string());
     }
 }
 
@@ -663,30 +632,18 @@ Server::workerLoop()
             first.batch->requests[first.index];
         const harness::SweepOptions &batchOpts = first.batch->options;
 
-        system::RunResult result;
-        std::string error;
         unit->dequeuedAt = spanClock.nowNanos();
         ins.workersBusy.add(1);
+        // Worker-side host-time attribution rides along on every
+        // request, feeding aggregate prof.* counters rather than
+        // per-run files. It costs clock reads in every component
+        // scope: a profiled full grid takes 2.1-3.0x (median 2.4x)
+        // the host time of an unprofiled one (4 workers, shared
+        // 4-vCPU host).
         prof::RunProfile hostProfile;
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            // Worker-side host-time attribution rides along on every
-            // request, feeding aggregate prof.* counters rather than
-            // per-run files. It costs clock reads in every component
-            // scope: a profiled full grid takes 2.4-2.7x the host time
-            // of an unprofiled one (4 workers, shared 4-vCPU host).
-            const prof::ProfileSession session(hostProfile);
-            result = req.execute(harness::obsOptionsFor(batchOpts, req),
-                                 lease.memo.get());
-        } catch (const SimError &e) {
-            error = e.what();
-        } catch (const std::exception &e) {
-            error = e.what();
-        }
-        const double wallMillis =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
+        const harness::TimedRun run =
+            harness::runTimed(req, harness::obsOptionsFor(batchOpts, req),
+                              lease.memo.get(), &hostProfile);
         unit->executedAt = spanClock.nowNanos();
         ins.workersBusy.sub(1);
         ins.workerBusyMicros.inc(static_cast<std::uint64_t>(
@@ -697,20 +654,23 @@ Server::workerLoop()
         {
             std::scoped_lock lock(mtx);
             pending.erase(unit->hash);
-            if (error.empty()) {
+            if (run.error.empty()) {
                 ++totalExecuted;
-                if (!unit->noStore) {
-                    memCache.store(unit->hash, result);
-                    if (disk)
-                        disk->store(unit->hash, result);
-                }
+                if (!unit->noStore)
+                    results.store(unit->hash, run.result);
             }
             // Coalescing window closes here: the hash is out of
             // `pending`, so no waiter can be added after this swap.
             waiters.swap(unit->waiters);
+            // A family never spans batches, so its counts belong to
+            // the batch whose unit created it.
             if (const auto counts = queue.finish(lease)) {
                 ins.tasksPrepared.inc(counts->prepared);
                 ins.tasksReused.inc(counts->reused);
+                first.batch->tasksPrepared.fetch_add(
+                    counts->prepared, std::memory_order_relaxed);
+                first.batch->tasksReused.fetch_add(
+                    counts->reused, std::memory_order_relaxed);
             }
         }
 
@@ -720,17 +680,17 @@ Server::workerLoop()
             // coalesced stamps dequeued == executed at answer time.
             const std::int64_t dq = k == 0 ? unit->dequeuedAt : 0;
             const std::int64_t ex = k == 0 ? unit->executedAt : 0;
-            if (!error.empty()) {
+            if (!run.error.empty()) {
                 sendResult(waiter.batch, waiter.index, unit->hash,
                            RunStatus::failed, AnswerSource::failure,
-                           nullptr, wallMillis, error, dq, ex);
+                           nullptr, run.wallMillis, run.error, dq, ex);
             } else {
                 sendResult(waiter.batch, waiter.index, unit->hash,
                            k == 0 ? RunStatus::executed
                                   : RunStatus::cached,
                            k == 0 ? AnswerSource::fresh
                                   : AnswerSource::coalescedHit,
-                           &result, k == 0 ? wallMillis : 0,
+                           &run.result, k == 0 ? run.wallMillis : 0,
                            std::string(), dq, ex);
             }
         }
@@ -776,7 +736,7 @@ Server::sendResult(const std::shared_ptr<Batch> &batch,
     }
 
     obs::RequestSpan &span = batch->spans[index];
-    span.hash = spanHashHex(hash);
+    span.hash = harness::hashHex(hash);
     span.status = runStatusName(status);
     if (executed_nanos > 0) {
         span.dequeued = dequeued_nanos;
@@ -822,16 +782,17 @@ Server::sendResult(const std::shared_ptr<Batch> &batch,
     batch->client->inflight.fetch_sub(1, std::memory_order_relaxed);
     if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
         1) {
-        ServiceStats s;
-        s.jobs = numJobs;
-        sendToClient(
-            batch->client,
-            encodeDone(batch->id,
-                       batch->nExecuted.load(
-                           std::memory_order_relaxed),
-                       batch->nCached.load(std::memory_order_relaxed),
-                       batch->nFailed.load(std::memory_order_relaxed),
-                       s));
+        DoneMessage done;
+        done.batch = batch->id;
+        done.executed = batch->nExecuted.load(std::memory_order_relaxed);
+        done.cached = batch->nCached.load(std::memory_order_relaxed);
+        done.failed = batch->nFailed.load(std::memory_order_relaxed);
+        done.jobs = numJobs;
+        done.tasksPrepared =
+            batch->tasksPrepared.load(std::memory_order_relaxed);
+        done.tasksReused =
+            batch->tasksReused.load(std::memory_order_relaxed);
+        sendToClient(batch->client, encodeDone(done));
     }
 }
 
@@ -856,14 +817,15 @@ Server::refreshGaugesLocked()
     ins.clientsActive.set(static_cast<std::int64_t>(clients.size()));
     ins.workersTotal.set(numJobs);
     ins.uptimeMillis.set(spanClock.nowNanos() / 1000000);
-    const harness::CacheStats mem = memCache.stats();
-    ins.memCacheEntries.set(static_cast<std::int64_t>(mem.entries));
-    ins.memCacheBytes.set(static_cast<std::int64_t>(mem.bytes));
-    if (disk) {
-        const harness::CacheStats d = disk->stats();
+    const harness::TierStats cache = results.stats();
+    ins.memCacheEntries.set(
+        static_cast<std::int64_t>(cache.memory.entries));
+    ins.memCacheBytes.set(static_cast<std::int64_t>(cache.memory.bytes));
+    if (cache.diskPresent) {
         ins.diskCacheEntries.set(
-            static_cast<std::int64_t>(d.entries));
-        ins.diskCacheBytes.set(static_cast<std::int64_t>(d.bytes));
+            static_cast<std::int64_t>(cache.disk.entries));
+        ins.diskCacheBytes.set(
+            static_cast<std::int64_t>(cache.disk.bytes));
     }
     // The FrameMeter is the source of truth; its registry mirrors
     // are brought up to it by delta. Refresh always runs under
@@ -926,21 +888,11 @@ ServiceStats
 Server::stats()
 {
     std::scoped_lock lock(mtx);
-    return statsLocked();
-}
-
-ServiceStats
-Server::statsLocked()
-{
     ServiceStats s;
     s.executed = totalExecuted;
     s.cacheHits = totalCacheHits;
     s.jobs = numJobs;
-    s.memCache = memCache.stats();
-    if (disk) {
-        s.diskCache = disk->stats();
-        s.diskCachePresent = true;
-    }
+    s.cache = results.stats();
     s.queueDepth = queue.size();
     s.activeClients = clients.size();
     s.rejectedOverload = rejectedOverload;

@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "harness/disk_cache.hh"
 #include "harness/family_queue.hh"
 #include "harness/result_cache.hh"
 #include "obs/metrics.hh"
@@ -256,8 +255,6 @@ class Server
     void writeMetricsFile();
     void metricsLoop();
 
-    ServiceStats statsLocked();
-
     ServerOptions opts;
     unsigned numJobs = 1;
 
@@ -277,8 +274,7 @@ class Server
     std::vector<std::shared_ptr<Client>> clients;
     std::uint64_t nextClientId = 1;
 
-    harness::ResultCache memCache;
-    std::unique_ptr<harness::DiskResultCache> disk;
+    harness::CacheTier results;
 
     std::uint64_t totalExecuted = 0;
     std::uint64_t totalCacheHits = 0;

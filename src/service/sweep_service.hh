@@ -103,9 +103,7 @@ struct ServiceStats
     std::uint64_t cacheHits = 0;
     /** Worker threads behind the backend. */
     unsigned jobs = 0;
-    harness::CacheStats memCache;
-    harness::CacheStats diskCache;
-    bool diskCachePresent = false;
+    harness::TierStats cache;
     /** @{ Daemon-only gauges (zero for in-process backends). */
     std::uint64_t queueDepth = 0;
     std::uint64_t activeClients = 0;

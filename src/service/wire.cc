@@ -1,6 +1,6 @@
 #include "service/wire.hh"
 
-#include <cstdio>
+#include <algorithm>
 #include <sstream>
 
 #include "base/json.hh"
@@ -46,16 +46,13 @@ oneKeyMessage(const char *type)
     return os.str();
 }
 
-void
-writeCacheStats(json::JsonWriter &w, const harness::CacheStats &c)
+std::uint64_t
+u64Field(const json::JsonValue &v, const char *key)
 {
-    w.beginObject();
-    w.key("entries").value(std::uint64_t{c.entries});
-    w.key("bytes").value(std::uint64_t{c.bytes});
-    w.key("hits").value(std::uint64_t{c.hits});
-    w.key("lookups").value(std::uint64_t{c.lookups});
-    w.key("evictions").value(std::uint64_t{c.evictions});
-    w.endObject();
+    const json::JsonValue *f = v.get(key);
+    return f && f->isNumber()
+               ? static_cast<std::uint64_t>(f->asNumber())
+               : 0;
 }
 
 harness::CacheStats
@@ -64,27 +61,12 @@ cacheStatsFrom(const json::JsonValue *v)
     harness::CacheStats c;
     if (!v || !v->isObject())
         return c;
-    const auto u64 = [&](const char *key) -> std::uint64_t {
-        const json::JsonValue *f = v->get(key);
-        return f && f->isNumber()
-                   ? static_cast<std::uint64_t>(f->asNumber())
-                   : 0;
-    };
-    c.entries = u64("entries");
-    c.bytes = u64("bytes");
-    c.hits = u64("hits");
-    c.lookups = u64("lookups");
-    c.evictions = u64("evictions");
+    c.entries = u64Field(*v, "entries");
+    c.bytes = u64Field(*v, "bytes");
+    c.hits = u64Field(*v, "hits");
+    c.lookups = u64Field(*v, "lookups");
+    c.evictions = u64Field(*v, "evictions");
     return c;
-}
-
-std::uint64_t
-u64Field(const json::JsonValue &v, const char *key)
-{
-    const json::JsonValue *f = v.get(key);
-    return f && f->isNumber()
-               ? static_cast<std::uint64_t>(f->asNumber())
-               : 0;
 }
 
 } // namespace
@@ -167,10 +149,10 @@ encodeStats(const ServiceStats &stats)
     w.key("rejectedOverload")
         .value(std::uint64_t{stats.rejectedOverload});
     w.key("memCache");
-    writeCacheStats(w, stats.memCache);
-    if (stats.diskCachePresent) {
+    harness::writeCacheStatsJson(w, stats.cache.memory);
+    if (stats.cache.diskPresent) {
         w.key("diskCache");
-        writeCacheStats(w, stats.diskCache);
+        harness::writeCacheStatsJson(w, stats.cache.disk);
     }
     if (stats.metricsPresent) {
         w.key("metrics");
@@ -192,10 +174,10 @@ statsFromJson(const json::JsonValue &v)
     s.queueDepth = u64Field(v, "queueDepth");
     s.activeClients = u64Field(v, "activeClients");
     s.rejectedOverload = u64Field(v, "rejectedOverload");
-    s.memCache = cacheStatsFrom(v.get("memCache"));
+    s.cache.memory = cacheStatsFrom(v.get("memCache"));
     if (const json::JsonValue *disk = v.get("diskCache")) {
-        s.diskCache = cacheStatsFrom(disk);
-        s.diskCachePresent = true;
+        s.cache.disk = cacheStatsFrom(disk);
+        s.cache.diskPresent = true;
     }
     if (const json::JsonValue *metrics = v.get("metrics")) {
         if (auto snap = obs::MetricsSnapshot::fromJson(*metrics)) {
@@ -330,10 +312,7 @@ encodeResult(std::uint64_t batch, std::size_t index,
     w.key("type").value("result");
     w.key("batch").value(std::uint64_t{batch});
     w.key("index").value(std::uint64_t{index});
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    w.key("hash").value(hex);
+    w.key("hash").value(harness::hashHex(hash));
     w.key("status").value(runStatusName(status));
     w.key("wallMillis").value(wall_millis);
     if (!error.empty())
@@ -349,21 +328,38 @@ encodeResult(std::uint64_t batch, std::size_t index,
 }
 
 std::string
-encodeDone(std::uint64_t batch, std::uint64_t executed,
-           std::uint64_t cached, std::uint64_t failed,
-           const ServiceStats &stats)
+encodeDone(const DoneMessage &done)
 {
     std::ostringstream os;
     json::JsonWriter w(os);
     w.beginObject();
     w.key("type").value("done");
-    w.key("batch").value(std::uint64_t{batch});
-    w.key("executed").value(std::uint64_t{executed});
-    w.key("cached").value(std::uint64_t{cached});
-    w.key("failed").value(std::uint64_t{failed});
-    w.key("jobs").value(stats.jobs);
+    w.key("batch").value(done.batch);
+    w.key("executed").value(done.executed);
+    w.key("cached").value(done.cached);
+    w.key("failed").value(done.failed);
+    w.key("jobs").value(done.jobs);
+    w.key("tasksPrepared").value(done.tasksPrepared);
+    w.key("tasksReused").value(done.tasksReused);
     w.endObject();
     return os.str();
+}
+
+std::optional<DoneMessage>
+doneFromJson(const json::JsonValue &v)
+{
+    if (!v.isObject() || messageType(v) != "done")
+        return std::nullopt;
+    DoneMessage done;
+    done.batch = u64Field(v, "batch");
+    done.executed = u64Field(v, "executed");
+    done.cached = u64Field(v, "cached");
+    done.failed = u64Field(v, "failed");
+    done.jobs = std::max<unsigned>(
+        1, static_cast<unsigned>(u64Field(v, "jobs")));
+    done.tasksPrepared = u64Field(v, "tasksPrepared");
+    done.tasksReused = u64Field(v, "tasksReused");
+    return done;
 }
 
 std::string

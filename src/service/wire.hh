@@ -72,6 +72,24 @@ struct SubmitMessage
     std::vector<harness::RunRequest> requests;
 };
 
+/** The "done" frame that closes a batch's result stream. */
+struct DoneMessage
+{
+    std::uint64_t batch = 0;
+    /** @{ Answers by status; they add up to the batch size. */
+    std::uint64_t executed = 0;
+    std::uint64_t cached = 0;
+    std::uint64_t failed = 0;
+    /** @} */
+    /** The daemon's worker count; at least 1. */
+    unsigned jobs = 1;
+    /** @{ Task preparations of the batch's fresh runs, summed over its
+     *  families. Optional on the wire: absent reads as 0. */
+    std::uint64_t tasksPrepared = 0;
+    std::uint64_t tasksReused = 0;
+    /** @} */
+};
+
 /** The "type" member; empty when absent/ill-typed. */
 std::string messageType(const json::JsonValue &v);
 
@@ -90,9 +108,7 @@ std::string encodeResult(std::uint64_t batch, std::size_t index,
                          const std::string *result_json,
                          double wall_millis,
                          const std::string &error);
-std::string encodeDone(std::uint64_t batch, std::uint64_t executed,
-                       std::uint64_t cached, std::uint64_t failed,
-                       const ServiceStats &stats);
+std::string encodeDone(const DoneMessage &done);
 std::string encodeError(const std::string &code,
                         const std::string &message,
                         std::optional<std::uint64_t> batch,
@@ -104,6 +120,8 @@ std::optional<SubmitMessage>
 submitFromJson(const json::JsonValue &v, std::string *error);
 
 std::optional<ServiceStats> statsFromJson(const json::JsonValue &v);
+
+std::optional<DoneMessage> doneFromJson(const json::JsonValue &v);
 /** @} */
 
 } // namespace capcheck::service

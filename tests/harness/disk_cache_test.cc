@@ -3,7 +3,8 @@
  * Tests for the disk-backed result cache: round-trip fidelity,
  * persistence across instances (the daemon-restart contract),
  * version/hash validation of on-disk entries, and the LRU byte-cap
- * eviction that bounds growth.
+ * eviction that bounds growth. Also the two-level CacheTier that puts
+ * the disk cache behind the in-memory one.
  */
 
 #include <unistd.h>
@@ -15,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "harness/disk_cache.hh"
+#include "harness/result_cache.hh"
 
 using namespace capcheck;
+using harness::CacheTier;
 using harness::DiskResultCache;
 
 namespace
@@ -198,4 +201,68 @@ TEST(DiskResultCache, StatsTrackOccupancyAndTraffic)
     cache.lookup(99);
     EXPECT_EQ(cache.stats().lookups, 3u);
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(CacheTier, MemoryOnlyTierHitsFromMemory)
+{
+    CacheTier tier("", 0);
+    EXPECT_FALSE(tier.lookup(1).has_value());
+    tier.store(1, sampleResult(100));
+    const auto hit = tier.lookup(1);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_FALSE(hit->fromDisk);
+    EXPECT_EQ(hit->result, sampleResult(100));
+
+    const harness::TierStats s = tier.stats();
+    EXPECT_FALSE(s.diskPresent);
+    EXPECT_EQ(s.memory.entries, 1u);
+    EXPECT_EQ(s.memory.lookups, 2u);
+    EXPECT_EQ(s.memory.hits, 1u);
+}
+
+TEST(CacheTier, StoreLandsInBothLevels)
+{
+    TempDir dir;
+    CacheTier tier(dir.path.string(), 0);
+    tier.store(7, sampleResult(700));
+
+    const harness::TierStats s = tier.stats();
+    ASSERT_TRUE(s.diskPresent);
+    EXPECT_EQ(s.memory.entries, 1u);
+    EXPECT_EQ(s.disk.entries, 1u);
+    // The disk level is the cache directory: a fresh instance reads
+    // the entry back.
+    DiskResultCache disk(dir.path.string());
+    const auto stored = disk.lookup(7);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(*stored, sampleResult(700));
+}
+
+TEST(CacheTier, DiskHitIsPromotedToMemory)
+{
+    TempDir dir;
+    CacheTier(dir.path.string(), 0).store(9, sampleResult(900));
+
+    // A new tier on the same directory (a restarted process): the
+    // first lookup misses memory and hits disk, the second hits
+    // memory without reading the disk again.
+    CacheTier tier(dir.path.string(), 0);
+    const auto first = tier.lookup(9);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_TRUE(first->fromDisk);
+    EXPECT_EQ(first->result, sampleResult(900));
+    const auto second = tier.lookup(9);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_FALSE(second->fromDisk);
+    EXPECT_EQ(second->result, first->result);
+    EXPECT_FALSE(tier.lookup(10).has_value());
+
+    const harness::TierStats s = tier.stats();
+    ASSERT_TRUE(s.diskPresent);
+    EXPECT_EQ(s.memory.entries, 1u);
+    EXPECT_EQ(s.memory.lookups, 3u);
+    EXPECT_EQ(s.memory.hits, 1u);
+    EXPECT_EQ(s.disk.entries, 1u);
+    EXPECT_EQ(s.disk.lookups, 2u);
+    EXPECT_EQ(s.disk.hits, 1u);
 }

@@ -140,6 +140,35 @@ runJsonFiles(const fs::path &dir)
     return files;
 }
 
+/** @p v without its "profile" and "wallMillis" members, at any depth:
+ *  the part of a sweep manifest both backends must write alike. */
+json::JsonValue
+withoutWallClock(const json::JsonValue &v)
+{
+    if (v.isArray()) {
+        std::vector<json::JsonValue> elems;
+        for (const json::JsonValue &e : v.elements())
+            elems.push_back(withoutWallClock(e));
+        return json::JsonValue::makeArray(std::move(elems));
+    }
+    if (!v.isObject())
+        return v;
+    std::vector<json::JsonValue::Member> members;
+    for (const json::JsonValue::Member &m : v.members()) {
+        if (m.first != "profile" && m.first != "wallMillis")
+            members.emplace_back(m.first, withoutWallClock(m.second));
+    }
+    return json::JsonValue::makeObject(std::move(members));
+}
+
+json::JsonValue
+parseFile(const fs::path &p)
+{
+    auto v = json::parseJson(slurp(p));
+    EXPECT_TRUE(v.has_value()) << p;
+    return v.value_or(json::JsonValue{});
+}
+
 /** A raw protocol peer for the malformed/defensive-path tests. */
 struct RawClient
 {
@@ -265,6 +294,26 @@ TEST(Service, RemoteMatchesInProcessByteForByte)
     ASSERT_EQ(localFiles.size(), batch.size());
     EXPECT_EQ(remoteFiles, localFiles);
 
+    // The manifests agree outside the wall-clock fields, and the
+    // remote profile counts the daemon's task preparations.
+    const json::JsonValue localManifest =
+        parseFile(dir.str("local/grid.manifest.json"));
+    const json::JsonValue remoteManifest =
+        parseFile(dir.str("remote/grid.manifest.json"));
+    EXPECT_EQ(json::jsonValueToText(withoutWallClock(remoteManifest)),
+              json::jsonValueToText(withoutWallClock(localManifest)));
+    for (const char *field : {"profile.executed", "profile.cacheHits",
+                              "profile.tasksPrepared",
+                              "profile.tasksReused"}) {
+        ASSERT_NE(remoteManifest.at(field), nullptr) << field;
+        EXPECT_EQ(remoteManifest.at(field)->asNumber(),
+                  localManifest.at(field)->asNumber())
+            << field;
+    }
+    EXPECT_GT(remoteManifest.at("profile.tasksPrepared")->asNumber(), 0);
+    EXPECT_GT(remoteManifest.at("profile.runWall.maxMillis")->asNumber(),
+              0);
+
     const auto stats = remote.stats();
     EXPECT_EQ(stats.executed, batch.size());
     EXPECT_EQ(stats.activeClients, 1u);
@@ -280,8 +329,13 @@ TEST(Service, DaemonPreparesEachDistinctTaskOncePerBatch)
 
     TempDir dir;
     Daemon daemon(dir, 2);
-    RemoteService remote(
-        SweepOptions{}.withServerSocket(daemon.server.socketPath()));
+    std::ostringstream progress;
+    SweepOptions remoteOpts =
+        SweepOptions{}
+            .withJsonDir(dir.str("json"))
+            .withServerSocket(daemon.server.socketPath());
+    remoteOpts.progress = &progress;
+    RemoteService remote(remoteOpts);
     const auto remoteOut = remote.submit(batch, "fig11");
 
     ASSERT_EQ(remoteOut.size(), local.size());
@@ -297,6 +351,17 @@ TEST(Service, DaemonPreparesEachDistinctTaskOncePerBatch)
     const obs::MetricsSnapshot m = daemon.server.stats().metrics;
     EXPECT_EQ(m.counterValue("tasks.prepared"), 16u);
     EXPECT_EQ(m.counterValue("tasks.reused"), 92u);
+
+    // The done frame carries the batch's counts to the client's
+    // manifest and summary line, as in-process.
+    const json::JsonValue manifest =
+        parseFile(dir.str("json/fig11.manifest.json"));
+    ASSERT_NE(manifest.at("profile.tasksPrepared"), nullptr);
+    EXPECT_EQ(manifest.at("profile.tasksPrepared")->asNumber(), 16);
+    EXPECT_EQ(manifest.at("profile.tasksReused")->asNumber(), 92);
+    EXPECT_NE(progress.str().find("tasks=16 prepared/92 reused"),
+              std::string::npos)
+        << progress.str();
 }
 
 TEST(Service, MixedCachedAndFreshBatchesAgreeAcrossClients)
@@ -380,9 +445,9 @@ TEST(Service, RestartedDaemonServesTheBatchFromTheDiskCache)
     const auto stats = svc.stats();
     EXPECT_EQ(stats.executed, 0u);
     EXPECT_EQ(stats.cacheHits, batch.size());
-    ASSERT_TRUE(stats.diskCachePresent);
-    EXPECT_EQ(stats.diskCache.entries, batch.size());
-    EXPECT_GE(stats.diskCache.hits, batch.size());
+    ASSERT_TRUE(stats.cache.diskPresent);
+    EXPECT_EQ(stats.cache.disk.entries, batch.size());
+    EXPECT_GE(stats.cache.disk.hits, batch.size());
 }
 
 TEST(Service, GarbageMagicGetsAStructuredErrorThenDisconnect)
@@ -479,6 +544,6 @@ TEST(Service, StatsFrameReportsTheDaemonConfiguration)
     EXPECT_EQ(stats.jobs, 3u);
     EXPECT_EQ(stats.executed, 0u);
     EXPECT_EQ(stats.activeClients, 1u);
-    EXPECT_TRUE(stats.diskCachePresent);
-    EXPECT_EQ(stats.diskCache.entries, 0u);
+    EXPECT_TRUE(stats.cache.diskPresent);
+    EXPECT_EQ(stats.cache.disk.entries, 0u);
 }

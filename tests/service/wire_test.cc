@@ -239,13 +239,13 @@ TEST(Wire, StatsRoundTrip)
     stats.queueDepth = 3;
     stats.activeClients = 2;
     stats.rejectedOverload = 1;
-    stats.memCache.entries = 5;
-    stats.memCache.bytes = 5000;
-    stats.memCache.hits = 7;
-    stats.memCache.lookups = 9;
-    stats.diskCache.entries = 6;
-    stats.diskCache.evictions = 2;
-    stats.diskCachePresent = true;
+    stats.cache.memory.entries = 5;
+    stats.cache.memory.bytes = 5000;
+    stats.cache.memory.hits = 7;
+    stats.cache.memory.lookups = 9;
+    stats.cache.disk.entries = 6;
+    stats.cache.disk.evictions = 2;
+    stats.cache.diskPresent = true;
 
     const auto back = statsFromJson(parsed(encodeStats(stats)));
     ASSERT_TRUE(back.has_value());
@@ -255,13 +255,13 @@ TEST(Wire, StatsRoundTrip)
     EXPECT_EQ(back->queueDepth, 3u);
     EXPECT_EQ(back->activeClients, 2u);
     EXPECT_EQ(back->rejectedOverload, 1u);
-    EXPECT_EQ(back->memCache.entries, 5u);
-    EXPECT_EQ(back->memCache.bytes, 5000u);
-    EXPECT_EQ(back->memCache.hits, 7u);
-    EXPECT_EQ(back->memCache.lookups, 9u);
-    ASSERT_TRUE(back->diskCachePresent);
-    EXPECT_EQ(back->diskCache.entries, 6u);
-    EXPECT_EQ(back->diskCache.evictions, 2u);
+    EXPECT_EQ(back->cache.memory.entries, 5u);
+    EXPECT_EQ(back->cache.memory.bytes, 5000u);
+    EXPECT_EQ(back->cache.memory.hits, 7u);
+    EXPECT_EQ(back->cache.memory.lookups, 9u);
+    ASSERT_TRUE(back->cache.diskPresent);
+    EXPECT_EQ(back->cache.disk.entries, 6u);
+    EXPECT_EQ(back->cache.disk.evictions, 2u);
 }
 
 TEST(Wire, StatsOmitsTheDiskBlockWhenAbsent)
@@ -271,7 +271,45 @@ TEST(Wire, StatsOmitsTheDiskBlockWhenAbsent)
     EXPECT_EQ(text.find("diskCache"), std::string::npos);
     const auto back = statsFromJson(parsed(text));
     ASSERT_TRUE(back.has_value());
-    EXPECT_FALSE(back->diskCachePresent);
+    EXPECT_FALSE(back->cache.diskPresent);
+}
+
+TEST(Wire, DoneRoundTripCarriesTheTaskCounts)
+{
+    DoneMessage done;
+    done.batch = 7;
+    done.executed = 100;
+    done.cached = 8;
+    done.failed = 1;
+    done.jobs = 4;
+    done.tasksPrepared = 16;
+    done.tasksReused = 92;
+
+    const auto back = doneFromJson(parsed(encodeDone(done)));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->batch, 7u);
+    EXPECT_EQ(back->executed, 100u);
+    EXPECT_EQ(back->cached, 8u);
+    EXPECT_EQ(back->failed, 1u);
+    EXPECT_EQ(back->jobs, 4u);
+    EXPECT_EQ(back->tasksPrepared, 16u);
+    EXPECT_EQ(back->tasksReused, 92u);
+    EXPECT_FALSE(doneFromJson(parsed(encodePing())).has_value());
+}
+
+TEST(Wire, DoneDecodesAnOlderDaemonsFrame)
+{
+    // A done frame as daemons sent it before the task counts.
+    const auto back = doneFromJson(
+        parsed(R"({"type": "done", "batch": 3, "executed": 2, )"
+               R"("cached": 1, "failed": 0, "jobs": 2})"));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->batch, 3u);
+    EXPECT_EQ(back->executed, 2u);
+    EXPECT_EQ(back->cached, 1u);
+    EXPECT_EQ(back->jobs, 2u);
+    EXPECT_EQ(back->tasksPrepared, 0u);
+    EXPECT_EQ(back->tasksReused, 0u);
 }
 
 TEST(Wire, ErrorFramesCarryCodeBatchAndRetry)

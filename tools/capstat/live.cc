@@ -54,17 +54,6 @@ renderSnapshot(std::ostream &os, const service::ServiceStats &stats,
 {
     const obs::MetricsSnapshot &m = stats.metrics;
     os << "-- poll " << poll << " --\n";
-    if (!stats.metricsPresent) {
-        // Pre-telemetry daemon: fall back to the legacy counters.
-        os << "  (daemon sent no metrics registry; legacy stats)\n"
-           << "  executed=" << stats.executed
-           << " cacheHits=" << stats.cacheHits
-           << " queue=" << stats.queueDepth
-           << " clients=" << stats.activeClients
-           << " rejectedOverload=" << stats.rejectedOverload << "\n";
-        return;
-    }
-
     const double upSeconds =
         static_cast<double>(m.gaugeValue("uptime.millis")) / 1000.0;
     os << "  up " << fmtDouble(upSeconds, 1) << "s, "
@@ -88,7 +77,7 @@ renderSnapshot(std::ostream &os, const service::ServiceStats &stats,
        << "]\n";
     os << "  cache: mem " << m.gaugeValue("cache.mem.entries")
        << " entries / " << m.gaugeValue("cache.mem.bytes") << " B";
-    if (stats.diskCachePresent) {
+    if (stats.cache.diskPresent) {
         os << ", disk " << m.gaugeValue("cache.disk.entries")
            << " entries / " << m.gaugeValue("cache.disk.bytes")
            << " B";
@@ -252,10 +241,13 @@ runLive(std::ostream &os, const LiveOptions &opts)
              opts.count == 0 || poll <= opts.count; ++poll) {
             const json::JsonValue sv =
                 roundTrip(conn, service::encodeStatsQuery());
+            // Every protocol-v1 daemon's stats reply carries its
+            // metrics registry.
             auto stats = service::statsFromJson(sv);
-            if (!stats) {
-                os << "capstat: expected stats, got '"
-                   << service::messageType(sv) << "'\n";
+            if (!stats || !stats->metricsPresent) {
+                os << "capstat: expected stats with a metrics registry "
+                   << "(protocol " << service::protocolVersion
+                   << "), got '" << service::messageType(sv) << "'\n";
                 return 2;
             }
             renderSnapshot(os, *stats, poll);
@@ -269,11 +261,6 @@ runLive(std::ostream &os, const LiveOptions &opts)
         }
 
         if (!opts.latencyOut.empty()) {
-            if (!last.metricsPresent) {
-                os << "capstat: daemon sent no metrics; not writing "
-                   << opts.latencyOut << "\n";
-                return 2;
-            }
             std::ofstream lf(opts.latencyOut, std::ios::trunc);
             if (!lf) {
                 os << "capstat: cannot write '" << opts.latencyOut
