@@ -44,24 +44,25 @@
 #     merged document is a valid baseline format.
 #  5. Overhead ceiling: the full grid at --jobs JOBS, profiled, may
 #     take at most PROF_MAX_OVERHEAD times the wall time of the same
-#     grid unprofiled. Event dispatches are only counted; the clock
-#     is read by the component scopes (player tick, arbitration,
-#     memory accept, checks) and the workload and harness scopes.
-#     That measures 2.1-3.0x (median 2.4x over 12 runs) on a shared
-#     4-vCPU host, against 3.3-3.5x when every dispatch is also timed
-#     around those scopes. The 3.0x default fails if dispatches are
-#     timed again; on a busy host a sub-second unprofiled run can
-#     come close to it (2.95x once in those 12). Both runs write
-#     result JSON only: latency artefacts would add the same cost to
-#     both sides and dilute the ratio (with them, timed dispatches
-#     measure only 2.2x).
+#     grid unprofiled, each side the best of three alternating runs
+#     (a single sub-second run is too noisy to gate on). The clock is
+#     read only where a beat changes domain: arbitration, the player's
+#     advance and the check stage; the memory accept and the event
+#     dispatches are counted, and so are the checker's lookups inside
+#     the stage. That measures 1.53-2.09x (median 1.67x, ten runs) on
+#     a shared 4-vCPU host, against 2.11-2.64x (median 2.29x) when
+#     every nested scope and the memory accept read the clock too. The
+#     2.4x default sits above every one of those ten runs; it catches
+#     a return to timing them on a quiet host, not on every run. Both
+#     runs write result JSON only: latency artefacts would add the same
+#     cost to both sides and dilute the ratio.
 #
 # usage: prof_check.sh BUILD_DIR
 set -euo pipefail
 
 build=${1:?usage: prof_check.sh BUILD_DIR}
 jobs=${JOBS:-4}
-max_overhead=${PROF_MAX_OVERHEAD:-3.0}
+max_overhead=${PROF_MAX_OVERHEAD:-2.4}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -248,10 +249,19 @@ echo "prof_check: [4/5] capstat prof report / merge / diff"
     "$work/merged.prof.json" "$work/merged.prof.json"
 
 echo "prof_check: [5/5] overhead ceiling, full grid at --jobs $jobs"
-base_secs=$(run_grid full-off --jobs "$jobs")
-prof_secs=$(run_grid full-on --jobs "$jobs" \
-    --prof-out "$work/full-on/prof" --prof-folded "$work/full-on/folded")
-echo "prof_check: off ${base_secs}s, on ${prof_secs}s" \
+# Best of three runs a side, alternating, so one slow run on a busy
+# host does not decide the ratio.
+off_runs=() on_runs=()
+for _ in 1 2 3; do
+    off_runs+=("$(run_grid full-off --jobs "$jobs")")
+    on_runs+=("$(run_grid full-on --jobs "$jobs" \
+        --prof-out "$work/full-on/prof" \
+        --prof-folded "$work/full-on/folded")")
+done
+base_secs=$(printf '%s\n' "${off_runs[@]}" | sort -n | head -1)
+prof_secs=$(printf '%s\n' "${on_runs[@]}" | sort -n | head -1)
+echo "prof_check: off ${off_runs[*]}s, on ${on_runs[*]}s"
+echo "prof_check: best off ${base_secs}s, on ${prof_secs}s" \
      "($(awk "BEGIN { printf \"%.2f\", $prof_secs / $base_secs }")x," \
      "max ${max_overhead}x)"
 awk "BEGIN { exit !($prof_secs <= $base_secs * $max_overhead) }" || {

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <unordered_set>
 
 #include "base/logging.hh"
 
@@ -88,13 +89,18 @@ writeSweepArtefacts(const std::string &dir, const std::string &sweep_name,
         return;
     }
 
+    // A request repeated in the batch has one file: it is rendered
+    // and written at its first occurrence only.
+    std::unordered_set<std::string> written;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const RunOutcome &o = outcomes[i];
+        const std::string hash = o.request.hashHex();
+        if (!written.insert(hash).second)
+            continue;
         std::optional<prof::ProfileSession> session;
         if (profiles && (*profiles)[i])
             session.emplace(*(*profiles)[i]);
-        const fs::path file =
-            fs::path(dir) / ("run-" + o.request.hashHex() + ".json");
+        const fs::path file = fs::path(dir) / ("run-" + hash + ".json");
         std::ofstream os(file);
         if (!os) {
             warn("cannot write '%s'", file.string().c_str());

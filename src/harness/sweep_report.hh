@@ -53,7 +53,8 @@ class ProgressLog
 };
 
 /**
- * Write one run-<hash>.json per outcome and <sweep_name>.manifest.json
+ * Write one run-<hash>.json per distinct request (at its first
+ * outcome) and <sweep_name>.manifest.json, listing every outcome,
  * under @p dir. Outcome i's body is (*bodies)[i] when that is given
  * and non-empty, else it is rendered while it is written; with
  * @p profiles, its render and write count in (*profiles)[i] if set.

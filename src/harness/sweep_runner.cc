@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "base/logging.hh"
@@ -205,10 +206,13 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     }
 
     // All attribution windows are closed: render the profiles. Like
-    // every other artefact, only fresh simulations produce files.
+    // every other artefact, only fresh simulations produce files, one
+    // per distinct request: the first occurrence's, whose profile
+    // holds the render of its run-<hash>.json.
+    std::set<std::uint64_t> profiled;
     for (const std::size_t j : pendingJobs) {
         const Job &job = jobs[j];
-        if (!job.profile)
+        if (!job.profile || !profiled.insert(job.request->hash()).second)
             continue;
         const obs::ObsOptions oo = obsOptionsFor(opts, *job.request);
         const auto write = [](const std::string &path, auto render) {

@@ -34,22 +34,22 @@ MemoryController::tryAcceptAt(const MemRequest &req, Cycles when)
         return false;
     nextFree = when + 1;
 
-    MemResponse resp;
-    {
-        PROF_SCOPE("mem", "memctrl.accept");
-        ++served;
-        if (req.cmd == MemCmd::read)
-            ++readBeats;
-        else
-            ++writeBeats;
-        _acceptProbe.notify(TimedRequest{&req, when});
+    // Counted, not timed: the accounting costs less than two clock
+    // reads, so its host time stays with the caller's scope.
+    PROF_COUNT("mem", "memctrl.accept");
+    ++served;
+    if (req.cmd == MemCmd::read)
+        ++readBeats;
+    else
+        ++writeBeats;
+    _acceptProbe.notify(TimedRequest{&req, when});
 
-        resp.id = req.id;
-        resp.srcPort = req.srcPort;
-        resp.ok = true;
-        resp.due = when + _latency;
-        _respondProbe.notify(resp);
-    }
+    MemResponse resp;
+    resp.id = req.id;
+    resp.srcPort = req.srcPort;
+    resp.ok = true;
+    resp.due = when + _latency;
+    _respondProbe.notify(resp);
     cpuSidePort.sendResponse(resp);
     return true;
 }

@@ -1,7 +1,6 @@
 #include "obs/prof.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -9,37 +8,21 @@
 
 #include "base/json.hh"
 
-#if defined(__x86_64__)
-#include <x86intrin.h>
-#endif
-
 namespace capcheck::prof
 {
 
 namespace
 {
 
-std::uint64_t
-steadyNanos()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
+using detail::nowTicks;
 
 #if defined(__x86_64__)
 
-/** The profiler's clock: the time-stamp counter. */
-std::uint64_t
-nowTicks()
-{
-    return __rdtsc();
-}
+using detail::steadyNanos;
 
 /** Both clocks read together at process start: the calibration's
  *  origin. */
-const std::pair<std::uint64_t, std::uint64_t> clockOrigin{__rdtsc(),
+const std::pair<std::uint64_t, std::uint64_t> clockOrigin{nowTicks(),
                                                           steadyNanos()};
 
 /** Nanoseconds per TSC tick, measured against steady_clock over the
@@ -47,7 +30,7 @@ const std::pair<std::uint64_t, std::uint64_t> clockOrigin{__rdtsc(),
 double
 nanosPerTick()
 {
-    const std::uint64_t ticks = __rdtsc() - clockOrigin.first;
+    const std::uint64_t ticks = nowTicks() - clockOrigin.first;
     const std::uint64_t nanos = steadyNanos() - clockOrigin.second;
     return ticks > 0 ? static_cast<double>(nanos) /
                            static_cast<double>(ticks)
@@ -55,13 +38,6 @@ nanosPerTick()
 }
 
 #else
-
-/** The profiler's clock: steady_clock nanoseconds. */
-std::uint64_t
-nowTicks()
-{
-    return steadyNanos();
-}
 
 double
 nanosPerTick()
@@ -76,6 +52,9 @@ struct SiteRegistry {
     std::mutex mutex;
     std::vector<SiteInfo> sites;
     std::unordered_map<std::string, SiteId> byKey;
+    /** Each site's domain as a small id: equal ids, equal domains. */
+    std::vector<std::uint32_t> siteDomain;
+    std::unordered_map<std::string, std::uint32_t> domainIds;
 };
 
 SiteRegistry &
@@ -99,6 +78,9 @@ registerSite(const std::string &domain, const std::string &name)
     const SiteId id = static_cast<SiteId>(reg.sites.size());
     reg.sites.push_back(SiteInfo{domain, name});
     reg.byKey.emplace(key, id);
+    const auto domainId = static_cast<std::uint32_t>(reg.domainIds.size());
+    reg.siteDomain.push_back(
+        reg.domainIds.emplace(domain, domainId).first->second);
     return id;
 }
 
@@ -108,6 +90,17 @@ siteTable()
     SiteRegistry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     return reg.sites;
+}
+
+void
+RunProfile::grow(SiteId site)
+{
+    const std::size_t first = perSite.size();
+    perSite.resize(site + 1);
+    SiteRegistry &reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    for (std::size_t i = first; i <= site && i < reg.siteDomain.size(); ++i)
+        perSite[i].domain = reg.siteDomain[i];
 }
 
 void
@@ -132,44 +125,6 @@ RunProfile::trieChild(std::uint32_t parent, SiteId site)
     trie.push_back(std::move(fresh));
     trie[parent].children.push_back(node);
     return node;
-}
-
-void
-RunProfile::enter(SiteId site)
-{
-    if (perSite.size() <= site)
-        perSite.resize(site + 1);
-    PerSite &totals = perSite[site];
-    ++totals.calls;
-    ++totals.active;
-    const std::uint32_t parent = stack.empty() ? 0 : stack.back().node;
-    Frame frame;
-    frame.site = site;
-    frame.node = trieChild(parent, site);
-    frame.startTicks = nowTicks();
-    stack.push_back(frame);
-}
-
-void
-RunProfile::exit()
-{
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const std::uint64_t now = nowTicks();
-    const std::uint64_t elapsed =
-        now >= frame.startTicks ? now - frame.startTicks : 0;
-    const std::uint64_t self =
-        elapsed >= frame.childTicks ? elapsed - frame.childTicks : 0;
-    PerSite &totals = perSite[frame.site];
-    totals.selfTicks += self;
-    --totals.active;
-    // Recursion guard: only outermost activations contribute to the
-    // site total, so recursive scopes never exceed wall time.
-    if (totals.active == 0)
-        totals.totalTicks += elapsed;
-    trie[frame.node].selfTicks += self;
-    if (!stack.empty())
-        stack.back().childTicks += elapsed;
 }
 
 void
@@ -202,7 +157,7 @@ RunProfile::merge(const RunProfile &other)
         if (src.calls == 0)
             continue;
         if (perSite.size() <= site)
-            perSite.resize(site + 1);
+            grow(site);
         perSite[site].selfNanos += src.selfNanos;
         perSite[site].totalNanos += src.totalNanos;
         perSite[site].calls += src.calls;

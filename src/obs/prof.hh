@@ -21,11 +21,15 @@
  * under a (domain, name) key. A RunProfile accumulates per-site
  * {selfNanos, totalNanos, calls} — self excludes enclosed scopes,
  * total is wall time of outermost activations only (recursion safe) —
- * plus a call-stack trie for Brendan Gregg folded-stacks output. Each
- * host interval is timed by exactly one scope: hot boundaries that only
- * need a frequency (the event queue's sim/dispatch) are counted with
- * RunProfile::count(), which reads no clock and opens no frame, so
- * their host time stays with the enclosing scope.
+ * plus a call-stack trie for Brendan Gregg folded-stacks output. The
+ * clock is read only where host time changes domain: a scope whose
+ * domain equals that of the innermost timed scope around it is
+ * counted, not timed. Its calls stay exact, but it reads no clock and
+ * opens no frame, so its host time stays with the enclosing scope of
+ * the same domain and domain totals keep their meaning. Hot boundaries
+ * that only need a frequency (the event queue's sim/dispatch, the
+ * memory controller's accept) are declared with PROF_COUNT and are
+ * always counted the same way.
  * Profiles are strictly single-threaded accumulation buffers: one per
  * worker/run, merged at run end, so --jobs N never contends on shared
  * counters. The rendered JSON closes the books exactly: an "other"
@@ -39,6 +43,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include <chrono>
 
 namespace capcheck::prof
 {
@@ -70,6 +76,30 @@ compiledIn()
     return true;
 }
 
+namespace detail
+{
+inline std::uint64_t
+steadyNanos()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+/** The profiler's clock: the time-stamp counter on x86-64, steady_clock
+ *  nanoseconds elsewhere. */
+inline std::uint64_t
+nowTicks()
+{
+#if defined(__x86_64__)
+    return __builtin_ia32_rdtsc();
+#else
+    return steadyNanos();
+#endif
+}
+} // namespace detail
+
 /**
  * One run's (or one thread's) accumulation buffer. NOT thread-safe:
  * exactly one thread may feed it at a time (enforced by construction —
@@ -98,9 +128,56 @@ class RunProfile
 
     RunProfile() = default;
 
-    /** Scope entry/exit; called by ScopeTimer only. */
-    void enter(SiteId site);
-    void exit();
+    /**
+     * Scope entry; called by ScopeTimer only. Counts the call and
+     * returns whether the scope is timed. A scope in the domain of the
+     * innermost timed scope is only counted (see count()) and must not
+     * call exit().
+     */
+    bool
+    enter(SiteId site)
+    {
+        if (perSite.size() <= site)
+            grow(site);
+        PerSite &totals = perSite[site];
+        ++totals.calls;
+        std::uint32_t parent = 0;
+        if (!stack.empty()) {
+            if (stack.back().domain == totals.domain)
+                return false;
+            parent = stack.back().node;
+        }
+        if (totals.lastParent != parent) {
+            totals.lastNode = trieChild(parent, site);
+            totals.lastParent = parent;
+        }
+        ++totals.active;
+        stack.push_back(Frame{site, totals.domain, totals.lastNode, 0,
+                              detail::nowTicks()});
+        return true;
+    }
+
+    /** Timed scope exit; called by ScopeTimer only. */
+    void
+    exit()
+    {
+        const std::uint64_t now = detail::nowTicks();
+        const Frame frame = stack.back();
+        stack.pop_back();
+        const std::uint64_t elapsed =
+            now >= frame.startTicks ? now - frame.startTicks : 0;
+        const std::uint64_t self =
+            elapsed >= frame.childTicks ? elapsed - frame.childTicks : 0;
+        PerSite &totals = perSite[frame.site];
+        totals.selfTicks += self;
+        // Recursion guard: only outermost activations contribute to
+        // the site total, so recursive scopes never exceed wall time.
+        if (--totals.active == 0)
+            totals.totalTicks += elapsed;
+        trie[frame.node].selfTicks += self;
+        if (!stack.empty())
+            stack.back().childTicks += elapsed;
+    }
 
     /** Add one call to @p site without timing it: no clock read, no
      *  stack frame, no trie node. Its self and total stay 0. */
@@ -108,7 +185,7 @@ class RunProfile
     count(SiteId site)
     {
         if (perSite.size() <= site)
-            perSite.resize(site + 1);
+            grow(site);
         ++perSite[site].calls;
     }
 
@@ -158,6 +235,12 @@ class RunProfile
         std::uint64_t totalNanos = 0;
         std::uint64_t calls = 0;
         std::uint32_t active = 0;
+        /** The site's domain, resolved once by grow(). */
+        std::uint32_t domain = 0;
+        /** The trie child last entered under lastParent: a scope
+         *  usually re-enters under the same parent node. */
+        std::uint32_t lastParent = invalidSite;
+        std::uint32_t lastNode = 0;
         /** Ticks of the open window, not yet converted. */
         std::uint64_t selfTicks = 0;
         std::uint64_t totalTicks = 0;
@@ -165,6 +248,7 @@ class RunProfile
 
     struct Frame {
         SiteId site = invalidSite;
+        std::uint32_t domain = 0;
         std::uint32_t node = 0;
         std::uint64_t childTicks = 0;
         std::uint64_t startTicks = 0;
@@ -179,6 +263,9 @@ class RunProfile
         std::vector<std::uint32_t> children;
     };
 
+    /** Extend perSite up to @p site, resolving each new site's
+     *  domain. */
+    void grow(SiteId site);
     std::uint32_t trieChild(std::uint32_t parent, SiteId site);
     void ensureRoot();
 
@@ -210,15 +297,17 @@ installCurrent(RunProfile *profile)
 
 /**
  * RAII scope: attributes the enclosed host time to @p site on the
- * current thread's profile. Free when no profile is installed.
+ * current thread's profile, or only counts the call when the
+ * innermost timed scope is in the same domain. Free when no profile
+ * is installed.
  */
 class ScopeTimer
 {
   public:
     explicit ScopeTimer(SiteId site) : prof(current())
     {
-        if (prof)
-            prof->enter(site);
+        if (prof && !prof->enter(site))
+            prof = nullptr;
     }
 
     ~ScopeTimer()
@@ -270,5 +359,21 @@ class ProfileSession
         ::capcheck::prof::registerSite(domain, name);                   \
     const ::capcheck::prof::ScopeTimer CAPCHECK_CONCAT(                 \
         profScope_, __LINE__)(CAPCHECK_CONCAT(profScopeSite_, __LINE__))
+
+/**
+ * Count one call on the (domain, name) site without timing it, for a
+ * boundary whose body costs less than two clock reads. A TLS load +
+ * branch when no session is active; the site is registered on the
+ * first profiled call.
+ */
+#define PROF_COUNT(domain, name)                                        \
+    do {                                                                \
+        if (::capcheck::prof::RunProfile *const profCounter_ =          \
+                ::capcheck::prof::current()) {                          \
+            static const ::capcheck::prof::SiteId profCountSite_ =      \
+                ::capcheck::prof::registerSite(domain, name);           \
+            profCounter_->count(profCountSite_);                        \
+        }                                                               \
+    } while (false)
 
 #endif // CAPCHECK_OBS_PROF_HH

@@ -53,6 +53,22 @@ parseReply(const std::string &payload)
 
 } // namespace
 
+json::JsonValue
+roundTrip(int fd, const std::string &payload, FrameMeter *meter)
+{
+    try {
+        sendFrame(fd, payload, meter);
+        auto reply = recvFrame(fd, defaultMaxFrameBytes, meter);
+        if (!reply) {
+            throw ServiceError(errConnect,
+                               "daemon closed the connection");
+        }
+        return parseReply(*reply);
+    } catch (const FrameError &e) {
+        rethrowFrameError(e);
+    }
+}
+
 RemoteService::RemoteService(harness::SweepOptions options)
     : opts(std::move(options))
 {
@@ -65,7 +81,8 @@ RemoteService::RemoteService(harness::SweepOptions options)
     }
     // Handshake: a pong with a matching protocol version, before the
     // caller invests in building a batch.
-    const json::JsonValue pongv = roundTrip(encodePing());
+    const json::JsonValue pongv =
+        roundTrip(conn.get(), encodePing(), &meter);
     const auto pong = pongFromJson(pongv);
     if (!pong) {
         throw ServiceError(errProtocol,
@@ -88,23 +105,6 @@ RemoteService::RemoteService(harness::SweepOptions options)
              "client %s): caches will not be shared across the skew",
              opts.serverSocket.c_str(), pong->build.c_str(),
              buildHash().c_str());
-    }
-}
-
-json::JsonValue
-RemoteService::roundTrip(const std::string &payload)
-{
-    try {
-        sendFrame(conn.get(), payload, &meter);
-        auto reply = recvFrame(conn.get(), defaultMaxFrameBytes,
-                               &meter);
-        if (!reply) {
-            throw ServiceError(errConnect,
-                               "daemon closed the connection");
-        }
-        return parseReply(*reply);
-    } catch (const FrameError &e) {
-        rethrowFrameError(e);
     }
 }
 
@@ -274,7 +274,8 @@ RemoteService::stats()
 ServiceStats
 RemoteService::queryStats()
 {
-    const json::JsonValue v = roundTrip(encodeStatsQuery());
+    const json::JsonValue v =
+        roundTrip(conn.get(), encodeStatsQuery(), &meter);
     auto stats = statsFromJson(v);
     if (!stats) {
         throw ServiceError(errProtocol,
@@ -289,7 +290,8 @@ RemoteService::ping()
 {
     std::scoped_lock lock(mtx);
     try {
-        return messageType(roundTrip(encodePing())) == "pong";
+        return messageType(roundTrip(conn.get(), encodePing(),
+                                     &meter)) == "pong";
     } catch (const ServiceError &) {
         return false;
     }

@@ -21,6 +21,15 @@
 namespace capcheck::service
 {
 
+/**
+ * One framed request/reply exchange over the connected socket @p fd:
+ * the reply, parsed. Throws ServiceError when the daemon closes the
+ * connection, sends a bad frame or an unparseable reply, or answers
+ * with a structured error. @p meter, if set, counts the wire bytes.
+ */
+json::JsonValue roundTrip(int fd, const std::string &payload,
+                          FrameMeter *meter = nullptr);
+
 class RemoteService : public SweepService
 {
   public:
@@ -42,10 +51,6 @@ class RemoteService : public SweepService
     bool ping() override;
 
   private:
-    /** One request/response exchange; the reply, parsed (error
-     *  replies throw). */
-    json::JsonValue roundTrip(const std::string &payload);
-
     /** stats() with `mtx` held. */
     ServiceStats queryStats();
 

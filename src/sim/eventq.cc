@@ -175,22 +175,11 @@ EventQueue::serviceOne()
     if (event->_when != _curCycle)
         advanceTo(event->_when);
     PARANOID_INVARIANT(wellFormed(), "heap malformed after pop");
-    countDispatch();
+    // Event-dispatch boundary: counted, never timed. The component
+    // scopes inside process() time their own work; the rest stays in
+    // eventq.run.
+    PROF_COUNT("sim", "dispatch");
     event->process();
-}
-
-void
-EventQueue::countDispatch()
-{
-    // Event-dispatch boundary: a profile session counts the dispatch
-    // on sim/dispatch without timing it. The component scopes inside
-    // process() time their own work; the rest stays in eventq.run.
-    // The disabled path is a TLS load + branch.
-    if (prof::RunProfile *const profile = prof::current()) {
-        static const prof::SiteId dispatchSite =
-            prof::registerSite("sim", "dispatch");
-        profile->count(dispatchSite);
-    }
 }
 
 bool
@@ -205,7 +194,7 @@ EventQueue::continueInline(Cycles when, int priority)
             return false;
     }
     advanceTo(when);
-    countDispatch();
+    PROF_COUNT("sim", "dispatch");
     return true;
 }
 

@@ -187,8 +187,6 @@ class EventQueue
     /** Pop and dispatch the earliest pending event; call only when
      *  !empty(). */
     void serviceOne();
-    /** Count one dispatch on sim/dispatch under a profile session. */
-    static void countDispatch();
     /** Advance time to @p when and notify the cycle probe. */
     void advanceTo(Cycles when);
     /** Remove the entry at @p slot, refilling the hole with the last

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "base/json_value.hh"
 #include "base/logging.hh"
 #include "harness/result_json.hh"
+#include "harness/sweep_report.hh"
 #include "harness/sweep_runner.hh"
 #include "system/soc_config_builder.hh"
 
@@ -292,6 +294,68 @@ TEST(SweepRunner, ManifestCarriesTheProfilingBlock)
     EXPECT_NE(manifest.find("\"workerUtilization\""),
               std::string::npos);
     EXPECT_NE(manifest.find("\"wallMillis\""), std::string::npos);
+
+    fs::remove_all(dir);
+}
+
+TEST(SweepRunner, RepeatedRequestIsWrittenOnce)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "capcheck_sweep_repeat_test";
+    fs::remove_all(dir);
+
+    RunOutcome first;
+    first.request = RunRequest::single(
+        "aes", smallConfig(SystemMode::ccpuAccel));
+    RunOutcome again = first;
+    again.cacheHit = true;
+    // Distinct bodies show which occurrence reached the file.
+    const std::vector<std::string> bodies = {"first\n", "again\n"};
+    SweepProfile profile;
+    profile.tally({first, again});
+    writeSweepArtefacts(dir.string(), "repeat", {first, again}, profile,
+                        &bodies);
+
+    std::ifstream run(dir / ("run-" + first.request.hashHex() + ".json"));
+    std::stringstream text;
+    text << run.rdbuf();
+    EXPECT_EQ(text.str(), "first\n");
+    std::ifstream is(dir / "repeat.manifest.json");
+    std::stringstream manifest;
+    manifest << is.rdbuf();
+    EXPECT_NE(manifest.str().find("\"runs\": 2"), std::string::npos);
+
+    fs::remove_all(dir);
+}
+
+TEST(SweepRunner, UncachedRepeatKeepsTheProfileThatRendered)
+{
+    // Without a cache both occurrences simulate, but the request has
+    // one result file and one profile: the first occurrence's, which
+    // timed that file's render.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "capcheck_sweep_repeat_prof_test";
+    fs::remove_all(dir);
+
+    SweepRunner::Options opts = silent(1, /*cache=*/false);
+    opts.jsonDir = (dir / "json").string();
+    opts.profDir = (dir / "prof").string();
+    SweepRunner runner(opts);
+    const auto req = RunRequest::single(
+        "aes", smallConfig(SystemMode::ccpuAccel));
+    runner.run({req, req}, "repeat");
+
+    const auto doc = json::parseJsonFile(
+        (dir / "prof" / ("run-" + req.hashHex() + ".prof.json")).string());
+    ASSERT_TRUE(doc.has_value());
+    double renders = 0;
+    for (const json::JsonValue &site : doc->get("sites")->elements()) {
+        if (site.get("name")->asString() == "render.runjson")
+            renders += site.get("calls")->asNumber();
+    }
+    EXPECT_EQ(renders, 1);
 
     fs::remove_all(dir);
 }

@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the host-time self-profiler (obs/prof): site
  * registration idempotence, scope attribution (self vs total,
- * nesting, recursion), the exact-books "other" domain, merge
- * semantics for per-thread buffers, JSON/folded output shape, the
- * disabled fast path, and counted (untimed) event dispatches.
+ * nesting, recursion), same-domain scopes counted rather than timed,
+ * the exact-books "other" domain, merge semantics for per-thread
+ * buffers, JSON/folded output shape, the disabled fast path, and
+ * counted (untimed) event dispatches and memory accepts.
  */
 
 #include <chrono>
@@ -14,8 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/trace_player.hh"
 #include "base/json_value.hh"
+#include "mem/interconnect.hh"
+#include "mem/mem_ctrl.hh"
 #include "obs/prof.hh"
+#include "protect/check_stage.hh"
+#include "protect/no_protection.hh"
 #include "sim/clocked.hh"
 
 using namespace capcheck;
@@ -124,8 +130,9 @@ TEST(Prof, SessionAttributesScopesAndWall)
 
 TEST(Prof, NestedScopesSplitSelfFromTotal)
 {
+    // Two domains: a same-domain inner scope would only be counted.
     const prof::SiteId outer = prof::registerSite("t.nest", "outer");
-    const prof::SiteId inner = prof::registerSite("t.nest", "inner");
+    const prof::SiteId inner = prof::registerSite("t.nest.in", "inner");
 
     RunProfile profile;
     {
@@ -140,7 +147,7 @@ TEST(Prof, NestedScopesSplitSelfFromTotal)
 
     const auto sites = profile.siteTotals();
     const auto *o = findSite(sites, "t.nest", "outer");
-    const auto *i = findSite(sites, "t.nest", "inner");
+    const auto *i = findSite(sites, "t.nest.in", "inner");
     ASSERT_NE(o, nullptr);
     ASSERT_NE(i, nullptr);
     // Outer's total covers the inner scope; its self does not.
@@ -148,9 +155,198 @@ TEST(Prof, NestedScopesSplitSelfFromTotal)
     EXPECT_EQ(i->selfNanos, i->totalNanos);
 }
 
+TEST(Prof, SameDomainNestedScopeIsCountedNotTimed)
+{
+    const prof::SiteId outer = prof::registerSite("t.same", "outer");
+    const prof::SiteId inner = prof::registerSite("t.same", "inner");
+
+    RunProfile profile;
+    {
+        const ProfileSession session(profile);
+        const ScopeTimer a(outer);
+        spin();
+        for (int k = 0; k < 3; ++k) {
+            const ScopeTimer b(inner);
+            spin();
+        }
+    }
+
+    const auto sites = profile.siteTotals();
+    const auto *o = findSite(sites, "t.same", "outer");
+    const auto *i = findSite(sites, "t.same", "inner");
+    ASSERT_NE(o, nullptr);
+    ASSERT_NE(i, nullptr);
+    // The inner scope's calls are exact, but it reads no clock...
+    EXPECT_EQ(i->calls, 3u);
+    EXPECT_EQ(i->selfNanos, 0u);
+    EXPECT_EQ(i->totalNanos, 0u);
+    // ...so its host time stays in the outer scope's self, which
+    // covers all four spins.
+    EXPECT_EQ(o->calls, 1u);
+    EXPECT_EQ(o->selfNanos, o->totalNanos);
+    EXPECT_GE(o->selfNanos, 4 * 200'000u * 9 / 10);
+
+    // No frame: the folded stacks hold the outer scope alone.
+    const std::string folded = profile.foldedText();
+    EXPECT_EQ(folded.find("t.same.inner"), std::string::npos);
+    EXPECT_NE(folded.find("t.same.outer "), std::string::npos);
+}
+
+TEST(Prof, OtherDomainUnderACountedScopeSplitsFromTheTimedAncestor)
+{
+    const prof::SiteId top = prof::registerSite("t.gp", "top");
+    const prof::SiteId mid = prof::registerSite("t.gp", "mid");
+    const prof::SiteId leaf = prof::registerSite("t.gc", "leaf");
+
+    RunProfile profile;
+    {
+        const ProfileSession session(profile);
+        const ScopeTimer a(top);
+        spin();
+        const ScopeTimer b(mid); // counted: same domain as top
+        spin();
+        const ScopeTimer c(leaf); // timed: the domain changes
+        spin();
+    }
+
+    const auto sites = profile.siteTotals();
+    const auto *t = findSite(sites, "t.gp", "top");
+    const auto *m = findSite(sites, "t.gp", "mid");
+    const auto *l = findSite(sites, "t.gc", "leaf");
+    ASSERT_NE(t, nullptr);
+    ASSERT_NE(m, nullptr);
+    ASSERT_NE(l, nullptr);
+    EXPECT_EQ(m->calls, 1u);
+    EXPECT_EQ(m->totalNanos, 0u);
+    EXPECT_EQ(l->calls, 1u);
+    EXPECT_GT(l->selfNanos, 0u);
+    // The leaf's time comes off the nearest timed ancestor's self.
+    EXPECT_GE(t->totalNanos, t->selfNanos + l->totalNanos);
+    EXPECT_GE(t->selfNanos, 2 * 200'000u * 9 / 10);
+
+    // The leaf's frame sits directly under the timed ancestor.
+    const std::string folded = profile.foldedText();
+    EXPECT_NE(folded.find("t.gp.top;t.gc.leaf "), std::string::npos);
+    EXPECT_EQ(folded.find("t.gp.mid"), std::string::npos);
+
+    std::uint64_t selfSum = 0;
+    for (const auto &dom : profile.domainTotals())
+        selfSum += dom.selfNanos;
+    EXPECT_EQ(selfSum, profile.wallNanos());
+}
+
+TEST(Prof, CountedScopesCloseTheBooksAndMerge)
+{
+    const prof::SiteId outer = prof::registerSite("t.cmerge", "outer");
+    const prof::SiteId inner = prof::registerSite("t.cmerge", "inner");
+
+    RunProfile a;
+    RunProfile b;
+    const auto fill = [&](RunProfile &profile, int inners) {
+        const ProfileSession session(profile);
+        const ScopeTimer timer(outer);
+        for (int k = 0; k < inners; ++k) {
+            const ScopeTimer counted(inner);
+            spin();
+        }
+    };
+    fill(a, 2);
+    fill(b, 3);
+
+    RunProfile merged;
+    merged.merge(a);
+    merged.merge(b);
+    for (const RunProfile *profile : {&a, &b, &merged}) {
+        std::uint64_t selfSum = 0;
+        for (const auto &dom : profile->domainTotals())
+            selfSum += dom.selfNanos;
+        EXPECT_EQ(selfSum, profile->wallNanos());
+    }
+    const auto sites = merged.siteTotals();
+    const auto *o = findSite(sites, "t.cmerge", "outer");
+    const auto *i = findSite(sites, "t.cmerge", "inner");
+    ASSERT_NE(o, nullptr);
+    ASSERT_NE(i, nullptr);
+    EXPECT_EQ(o->calls, 2u);
+    EXPECT_EQ(i->calls, 5u);
+    EXPECT_EQ(i->selfNanos, 0u);
+}
+
+TEST(Prof, ProfCountRecordsNothingWithoutASession)
+{
+    ASSERT_EQ(prof::current(), nullptr);
+    PROF_COUNT("t.pcount", "idle");
+    RunProfile idle;
+    EXPECT_TRUE(idle.siteTotals().empty());
+
+    RunProfile profile;
+    {
+        const ProfileSession session(profile);
+        for (int k = 0; k < 4; ++k)
+            PROF_COUNT("t.pcount", "hit");
+    }
+    const auto sites = profile.siteTotals();
+    EXPECT_EQ(findSite(sites, "t.pcount", "idle"), nullptr);
+    const auto *row = findSite(sites, "t.pcount", "hit");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->calls, 4u);
+    EXPECT_EQ(row->selfNanos, 0u);
+    EXPECT_EQ(row->totalNanos, 0u);
+}
+
+TEST(Prof, MemoryAcceptsAreCountedOncePerServedBeat)
+{
+    // A player's DMA beats through crossbar, check stage and memory
+    // controller, profiled.
+    EventQueue eq;
+    stats::StatGroup root("t");
+    MemoryController memctrl(eq, &root, 10);
+    protect::NoProtection none;
+    protect::CheckStage stage(eq, &root, none);
+    AxiInterconnect xbar(eq, &root, 1);
+    xbar.memSide().bind(stage.cpuSide());
+    stage.memSide().bind(memctrl.cpuSide());
+
+    workloads::KernelSpec spec;
+    spec.name = "t";
+    spec.buffers = {{"ext", 64, workloads::BufferAccess::readWrite,
+                     workloads::BufferPlacement::external}};
+    spec.timing.ilp = 4;
+    spec.timing.maxOutstanding = 4;
+    accel::InstanceTrace trace;
+    for (unsigned k = 0; k < 8; ++k)
+        trace.access(k % 2 ? MemCmd::write : MemCmd::read, 0, 8 * k, 8);
+    trace.barrier();
+    accel::TracePlayer player(
+        eq, &root, "p0", spec,
+        std::make_shared<const accel::InstanceTrace>(std::move(trace)),
+        {{0x1000, 64, {}}}, 0, 0, accel::AddressingMode{});
+    player.memSide().bind(xbar.accelSide(0));
+
+    RunProfile profile;
+    {
+        const ProfileSession session(profile);
+        player.start(0);
+        eq.run();
+    }
+    ASSERT_TRUE(player.done());
+    ASSERT_EQ(memctrl.requestsServed(), 8u);
+
+    const auto sites = profile.siteTotals();
+    const auto *accept = findSite(sites, "mem", "memctrl.accept");
+    ASSERT_NE(accept, nullptr);
+    EXPECT_EQ(accept->calls, memctrl.requestsServed());
+    EXPECT_EQ(accept->selfNanos, 0u);
+    EXPECT_EQ(profile.foldedText().find("mem.memctrl.accept"),
+              std::string::npos);
+}
+
 TEST(Prof, RecursionCountsTotalOnceButEveryCall)
 {
+    // The recursion passes through another domain, so every
+    // activation is timed (a direct same-domain one is only counted).
     const prof::SiteId site = prof::registerSite("t.rec", "fib");
+    const prof::SiteId hop = prof::registerSite("t.rec.hop", "call");
 
     RunProfile profile;
     {
@@ -158,9 +354,11 @@ TEST(Prof, RecursionCountsTotalOnceButEveryCall)
         const ScopeTimer a(site);
         spin();
         {
+            const ScopeTimer ab(hop);
             const ScopeTimer b(site);
             spin();
             {
+                const ScopeTimer bc(hop);
                 const ScopeTimer c(site);
                 spin();
             }

@@ -9,7 +9,7 @@
 #include "base/json_value.hh"
 #include "base/table.hh"
 #include "obs/metrics.hh"
-#include "service/frame.hh"
+#include "service/remote.hh"
 #include "service/socket.hh"
 #include "service/sweep_service.hh"
 #include "service/wire.hh"
@@ -21,26 +21,6 @@ namespace
 {
 
 using service::Fd;
-
-/** One framed request/reply exchange; throws on any failure. */
-json::JsonValue
-roundTrip(Fd &conn, const std::string &payload)
-{
-    service::sendFrame(conn.get(), payload);
-    auto reply = service::recvFrame(conn.get());
-    if (!reply) {
-        throw service::ServiceError(service::errConnect,
-                                    "daemon closed the connection");
-    }
-    std::string err;
-    auto v = json::parseJson(*reply, &err);
-    if (!v) {
-        throw service::ServiceError(
-            service::errProtocol,
-            "unparseable frame from daemon: " + err);
-    }
-    return std::move(*v);
-}
 
 std::string
 u64s(std::uint64_t v)
@@ -215,7 +195,7 @@ runLive(std::ostream &os, const LiveOptions &opts)
 
     try {
         const json::JsonValue pongv =
-            roundTrip(conn, service::encodePing());
+            service::roundTrip(conn.get(), service::encodePing());
         const auto pong = service::pongFromJson(pongv);
         if (!pong) {
             os << "capstat: expected pong, got '"
@@ -240,7 +220,8 @@ runLive(std::ostream &os, const LiveOptions &opts)
         for (unsigned poll = 1;
              opts.count == 0 || poll <= opts.count; ++poll) {
             const json::JsonValue sv =
-                roundTrip(conn, service::encodeStatsQuery());
+                service::roundTrip(conn.get(),
+                                   service::encodeStatsQuery());
             // Every protocol-v1 daemon's stats reply carries its
             // metrics registry.
             auto stats = service::statsFromJson(sv);
@@ -270,9 +251,6 @@ runLive(std::ostream &os, const LiveOptions &opts)
             lf << last.metrics.serviceLatencyJson(opts.label);
         }
     } catch (const service::ServiceError &e) {
-        os << "capstat: " << e.what() << "\n";
-        return 2;
-    } catch (const service::FrameError &e) {
         os << "capstat: " << e.what() << "\n";
         return 2;
     }
