@@ -122,30 +122,106 @@ RunProfile::trieChild(std::uint32_t parent, SiteId site)
     TrieNode fresh;
     fresh.parent = parent;
     fresh.site = site;
+    for (std::uint32_t up = parent; up != 0; up = trie[up].parent)
+        fresh.outermost = fresh.outermost && trie[up].site != site;
     trie.push_back(std::move(fresh));
     trie[parent].children.push_back(node);
     return node;
 }
 
+std::uint32_t
+RunProfile::nextGap()
+{
+    gapState ^= gapState << 13;
+    gapState ^= gapState >> 17;
+    gapState ^= gapState << 5;
+    return 1 + gapState % (2 * samplePeriod - 1);
+}
+
+void
+RunProfile::estimateSkipped(std::uint64_t window_ticks)
+{
+    std::vector<std::uint64_t> subtree(trie.size(), 0);
+    std::uint64_t attributed = 0;
+    for (const TrieNode &node : trie)
+        attributed += node.selfTicks;
+    // Children sit above their parents, so a backward walk settles
+    // every nested root before the root whose subtree holds it.
+    for (std::size_t n = trie.size(); n-- > 1;) {
+        TrieNode &root = trie[n];
+        subtree[n] += root.selfTicks;
+        if (root.skipped > 0 && root.timed > 0 && subtree[n] > 0) {
+            // The parent's self (the sentinel's is the window's
+            // unattributed rest) holds the skipped activations.
+            const std::uint64_t held =
+                root.parent != 0 ? trie[root.parent].selfTicks
+                : window_ticks > attributed ? window_ticks - attributed
+                                            : 0;
+            const std::uint64_t moved = static_cast<std::uint64_t>(
+                std::min<unsigned __int128>(
+                    static_cast<unsigned __int128>(subtree[n]) *
+                        root.skipped / root.timed,
+                    held));
+            // Share it by measured self; the rounding goes to the root.
+            std::uint64_t given = 0;
+            const auto give = [&](const auto &self, std::uint32_t at)
+                -> void {
+                for (const std::uint32_t child : trie[at].children) {
+                    const auto share = static_cast<std::uint64_t>(
+                        static_cast<unsigned __int128>(moved) *
+                        trie[child].selfTicks / subtree[n]);
+                    trie[child].selfTicks += share;
+                    given += share;
+                    self(self, child);
+                }
+            };
+            give(give, static_cast<std::uint32_t>(n));
+            root.selfTicks += moved - given;
+            subtree[n] += moved;
+            if (root.parent != 0)
+                trie[root.parent].selfTicks -= moved;
+            else
+                attributed += moved;
+        }
+        subtree[root.parent] += subtree[n];
+    }
+}
+
 void
 RunProfile::closeWindow(std::uint64_t window_ticks)
 {
+    estimateSkipped(window_ticks);
     // Truncating each figure keeps any sum of converted self times at
     // or below the converted window: the books stay closed.
     const double scale = nanosPerTick();
-    const auto nanos = [scale](std::uint64_t &ticks) {
-        const auto converted = static_cast<std::uint64_t>(
-            static_cast<double>(ticks) * scale);
-        ticks = 0;
-        return converted;
+    const auto nanos = [scale](std::uint64_t ticks) {
+        return static_cast<std::uint64_t>(static_cast<double>(ticks) *
+                                          scale);
     };
     wall += nanos(window_ticks);
-    for (PerSite &totals : perSite) {
-        totals.selfNanos += nanos(totals.selfTicks);
-        totals.totalNanos += nanos(totals.totalTicks);
+    // Site self and total follow from the trie: self is the sum over
+    // the site's nodes, total the inclusive time of its outermost
+    // ones.
+    std::vector<std::uint64_t> inclusive(trie.size(), 0);
+    for (std::size_t n = trie.size(); n-- > 1;) {
+        inclusive[n] += trie[n].selfTicks;
+        inclusive[trie[n].parent] += inclusive[n];
     }
-    for (TrieNode &node : trie)
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> siteTicks(
+        perSite.size());
+    for (std::size_t n = 1; n < trie.size(); ++n) {
+        TrieNode &node = trie[n];
+        siteTicks[node.site].first += node.selfTicks;
+        if (node.outermost)
+            siteTicks[node.site].second += inclusive[n];
+        perSite[node.site].timedCalls += node.timed;
         node.selfNanos += nanos(node.selfTicks);
+        node.selfTicks = node.timed = node.skipped = 0;
+    }
+    for (std::size_t site = 0; site < perSite.size(); ++site) {
+        perSite[site].selfNanos += nanos(siteTicks[site].first);
+        perSite[site].totalNanos += nanos(siteTicks[site].second);
+    }
 }
 
 void
@@ -161,6 +237,7 @@ RunProfile::merge(const RunProfile &other)
         perSite[site].selfNanos += src.selfNanos;
         perSite[site].totalNanos += src.totalNanos;
         perSite[site].calls += src.calls;
+        perSite[site].timedCalls += src.timedCalls;
     }
     // Replay the other trie path by path so folded stacks merge too.
     if (other.trie.empty())
@@ -197,6 +274,7 @@ RunProfile::siteTotals() const
         row.selfNanos = totals.selfNanos;
         row.totalNanos = totals.totalNanos;
         row.calls = totals.calls;
+        row.timedCalls = totals.timedCalls;
         out.push_back(std::move(row));
     }
     std::sort(out.begin(), out.end(),
@@ -266,6 +344,7 @@ RunProfile::json(const std::string &label) const
         w.key("selfNanos").value(row.selfNanos);
         w.key("totalNanos").value(row.totalNanos);
         w.key("calls").value(row.calls);
+        w.key("timedCalls").value(row.timedCalls);
         w.endObject();
     }
     w.endArray();

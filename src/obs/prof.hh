@@ -19,17 +19,33 @@
  *
  * Attribution model: every scope site is registered once per process
  * under a (domain, name) key. A RunProfile accumulates per-site
- * {selfNanos, totalNanos, calls} — self excludes enclosed scopes,
- * total is wall time of outermost activations only (recursion safe) —
- * plus a call-stack trie for Brendan Gregg folded-stacks output. The
- * clock is read only where host time changes domain: a scope whose
- * domain equals that of the innermost timed scope around it is
- * counted, not timed. Its calls stay exact, but it reads no clock and
- * opens no frame, so its host time stays with the enclosing scope of
- * the same domain and domain totals keep their meaning. Hot boundaries
- * that only need a frequency (the event queue's sim/dispatch, the
- * memory controller's accept) are declared with PROF_COUNT and are
- * always counted the same way.
+ * {selfNanos, totalNanos, calls, timedCalls} — self excludes enclosed
+ * scopes, total is wall time of outermost activations only (recursion
+ * safe) — plus a call-stack trie for Brendan Gregg folded-stacks
+ * output; site self and total are derived from the trie when a window
+ * closes. The clock is read only where host time changes domain: a
+ * scope whose domain equals that of the innermost timed scope around
+ * it is counted, not timed. Its calls stay exact, but it reads no
+ * clock and opens no frame, so its host time stays with the enclosing
+ * scope of the same domain and domain totals keep their meaning. Hot
+ * boundaries that only need a frequency (the event queue's
+ * sim/dispatch, the memory controller's accept) are declared with
+ * PROF_COUNT and are always counted the same way.
+ *
+ * Sampling: a timed scope entered while no sampling activation is
+ * open is a sampling root. Each root trie node times its first
+ * sampleWarmup activations; after that it times one activation in
+ * samplePeriod on average, at gaps drawn from a fixed-seed xorshift,
+ * and the activations it times or skips are sampling activations.
+ * A skipped activation is only counted, and so is every scope inside
+ * it; inside a timed one, nested scopes are timed as above and are not
+ * roots. When the window closes, each root node's skipped activations
+ * are estimated at the mean of its timed ones, and that time moves
+ * from the parent node's self (where the clock put it) into the
+ * root's subtree, in proportion to the self time measured there.
+ * Calls, wall time and the books are exact; the self and total of hot
+ * sites (timedCalls < calls) are estimates.
+ *
  * Profiles are strictly single-threaded accumulation buffers: one per
  * worker/run, merged at run end, so --jobs N never contends on shared
  * counters. The rendered JSON closes the books exactly: an "other"
@@ -110,6 +126,12 @@ nowTicks()
 class RunProfile
 {
   public:
+    /** Activations a sampling root's trie node times before it
+     *  samples. */
+    static constexpr std::uint32_t sampleWarmup = 64;
+    /** Mean activations per timed one once a root samples. */
+    static constexpr std::uint32_t samplePeriod = 16;
+
     struct SiteTotals {
         SiteId site = invalidSite;
         std::string domain;
@@ -117,6 +139,8 @@ class RunProfile
         std::uint64_t selfNanos = 0;
         std::uint64_t totalNanos = 0;
         std::uint64_t calls = 0;
+        /** Activations that read the clock; the rest were counted. */
+        std::uint64_t timedCalls = 0;
     };
 
     struct DomainTotals {
@@ -130,9 +154,10 @@ class RunProfile
 
     /**
      * Scope entry; called by ScopeTimer only. Counts the call and
-     * returns whether the scope is timed. A scope in the domain of the
-     * innermost timed scope is only counted (see count()) and must not
-     * call exit().
+     * returns whether the scope must call exit(): true when it is
+     * timed, or when it is a sampling root's skipped activation. A
+     * scope in the domain of the innermost timed scope, or inside a
+     * skipped activation, is only counted (see count()).
      */
     bool
     enter(SiteId site)
@@ -141,40 +166,57 @@ class RunProfile
             grow(site);
         PerSite &totals = perSite[site];
         ++totals.calls;
+        if (skipping)
+            return false;
         std::uint32_t parent = 0;
+        bool sampling = false;
         if (!stack.empty()) {
-            if (stack.back().domain == totals.domain)
+            const Frame &top = stack.back();
+            if (top.domain == totals.domain)
                 return false;
-            parent = stack.back().node;
+            parent = top.node;
+            sampling = top.sampling;
         }
         if (totals.lastParent != parent) {
             totals.lastNode = trieChild(parent, site);
             totals.lastParent = parent;
         }
-        ++totals.active;
-        stack.push_back(Frame{site, totals.domain, totals.lastNode, 0,
-                              detail::nowTicks()});
+        TrieNode &node = trie[totals.lastNode];
+        if (!sampling) {
+            // A sampling root: time the warm-up, then sample.
+            if (node.warmup > 0) {
+                --node.warmup;
+            } else if (--node.countdown > 0) {
+                ++node.skipped;
+                skipping = true;
+                return true;
+            } else {
+                node.countdown = nextGap();
+                sampling = true;
+            }
+        }
+        ++node.timed;
+        stack.push_back(Frame{totals.domain, totals.lastNode, sampling,
+                              0, detail::nowTicks()});
         return true;
     }
 
-    /** Timed scope exit; called by ScopeTimer only. */
+    /** Exit of a scope whose enter() returned true; called by
+     *  ScopeTimer only. */
     void
     exit()
     {
+        if (skipping) {
+            skipping = false;
+            return;
+        }
         const std::uint64_t now = detail::nowTicks();
         const Frame frame = stack.back();
         stack.pop_back();
         const std::uint64_t elapsed =
             now >= frame.startTicks ? now - frame.startTicks : 0;
-        const std::uint64_t self =
+        trie[frame.node].selfTicks +=
             elapsed >= frame.childTicks ? elapsed - frame.childTicks : 0;
-        PerSite &totals = perSite[frame.site];
-        totals.selfTicks += self;
-        // Recursion guard: only outermost activations contribute to
-        // the site total, so recursive scopes never exceed wall time.
-        if (--totals.active == 0)
-            totals.totalTicks += elapsed;
-        trie[frame.node].selfTicks += self;
         if (!stack.empty())
             stack.back().childTicks += elapsed;
     }
@@ -192,10 +234,14 @@ class RunProfile
     /** Host nanoseconds spent inside ProfileSession windows. */
     std::uint64_t wallNanos() const { return wall; }
 
+    /** Nodes of the call-stack trie, the root sentinel included. */
+    std::size_t trieNodes() const { return trie.size(); }
+
     /**
      * Close a session window of @p window_ticks (ProfileSession dtor):
-     * add it to the wall time and convert every tick accumulated
-     * since the last window into nanoseconds.
+     * estimate the sampling roots' skipped activations, add the window
+     * to the wall time and convert every tick accumulated since the
+     * last window into nanoseconds.
      */
     void closeWindow(std::uint64_t window_ticks);
 
@@ -217,7 +263,8 @@ class RunProfile
     /**
      * Deterministic-shape profile document (fixed key order, sorted
      * domains/sites): {schema, label, wallNanos, domains:[
-     * {domain, selfNanos, totalNanos, calls, share}...], sites:[...]}.
+     * {domain, selfNanos, totalNanos, calls, share}...], sites:[
+     * {domain, name, selfNanos, totalNanos, calls, timedCalls}...]}.
      * share is selfNanos/wallNanos.
      */
     std::string json(const std::string &label) const;
@@ -234,32 +281,42 @@ class RunProfile
         std::uint64_t selfNanos = 0;
         std::uint64_t totalNanos = 0;
         std::uint64_t calls = 0;
-        std::uint32_t active = 0;
+        std::uint64_t timedCalls = 0;
         /** The site's domain, resolved once by grow(). */
         std::uint32_t domain = 0;
         /** The trie child last entered under lastParent: a scope
          *  usually re-enters under the same parent node. */
         std::uint32_t lastParent = invalidSite;
         std::uint32_t lastNode = 0;
-        /** Ticks of the open window, not yet converted. */
-        std::uint64_t selfTicks = 0;
-        std::uint64_t totalTicks = 0;
     };
 
     struct Frame {
-        SiteId site = invalidSite;
         std::uint32_t domain = 0;
         std::uint32_t node = 0;
+        /** A sampling activation is this one or one around it. */
+        bool sampling = false;
         std::uint64_t childTicks = 0;
         std::uint64_t startTicks = 0;
     };
 
-    /** Call-stack trie node; node 0 is the root sentinel. */
+    /** Call-stack trie node; node 0 is the root sentinel. A child's
+     *  index is always above its parent's. */
     struct TrieNode {
         std::uint32_t parent = 0;
         SiteId site = invalidSite;
+        /** No ancestor has the same site: the node's inclusive time
+         *  counts toward the site's total. */
+        bool outermost = true;
+        /** As a sampling root: warm-up activations left, and
+         *  activations until the next timed one. */
+        std::uint32_t warmup = sampleWarmup;
+        std::uint32_t countdown = 1;
         std::uint64_t selfNanos = 0;
-        std::uint64_t selfTicks = 0; ///< open window, not yet converted
+        /** @{ Open window, not yet converted. */
+        std::uint64_t selfTicks = 0;
+        std::uint64_t timed = 0;
+        std::uint64_t skipped = 0;
+        /** @} */
         std::vector<std::uint32_t> children;
     };
 
@@ -268,11 +325,20 @@ class RunProfile
     void grow(SiteId site);
     std::uint32_t trieChild(std::uint32_t parent, SiteId site);
     void ensureRoot();
+    /** Activations until a sampling root's next timed one: 1 to
+     *  2 * samplePeriod - 1, from a fixed-seed xorshift. */
+    std::uint32_t nextGap();
+    /** Move each sampling root's estimated skipped time from its
+     *  parent node's self into its subtree, in tick space. */
+    void estimateSkipped(std::uint64_t window_ticks);
 
     std::vector<PerSite> perSite;
     std::vector<Frame> stack;
     std::vector<TrieNode> trie;
     std::uint64_t wall = 0;
+    /** A skipped activation is open: every scope is only counted. */
+    bool skipping = false;
+    std::uint32_t gapState = 0x9e3779b9u;
 };
 
 namespace detail
@@ -298,8 +364,8 @@ installCurrent(RunProfile *profile)
 /**
  * RAII scope: attributes the enclosed host time to @p site on the
  * current thread's profile, or only counts the call when the
- * innermost timed scope is in the same domain. Free when no profile
- * is installed.
+ * innermost timed scope is in the same domain or a sampling root
+ * skips the activation. Free when no profile is installed.
  */
 class ScopeTimer
 {

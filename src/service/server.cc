@@ -636,10 +636,10 @@ Server::workerLoop()
         ins.workersBusy.add(1);
         // Worker-side host-time attribution rides along on every
         // request, feeding aggregate prof.* counters rather than
-        // per-run files. It reads the clock where a beat changes
-        // domain, two to three scopes per beat: a profiled full grid
-        // takes 1.53-2.09x (median 1.67x) the host time of an
-        // unprofiled one (4 workers, shared 4-vCPU host).
+        // per-run files. Hot scopes read the clock on about one beat
+        // in 16 and count the rest: a profiled full grid takes
+        // 1.04-1.41x (median 1.19x) the host time of an unprofiled
+        // one (4 workers, shared 4-vCPU host).
         prof::RunProfile hostProfile;
         const harness::TimedRun run =
             harness::runTimed(req, harness::obsOptionsFor(batchOpts, req),

@@ -96,6 +96,7 @@ parseRun(const json::JsonValue &v, const std::string &path,
             site.selfNanos = u64Member(s, "selfNanos");
             site.totalNanos = u64Member(s, "totalNanos");
             site.calls = u64Member(s, "calls");
+            site.timedCalls = u64Member(s, "timedCalls");
             run.sites.push_back(std::move(site));
         }
     }
@@ -227,6 +228,7 @@ mergedProfJson(const ProfReport &report)
             w.key("selfNanos").value(s.selfNanos);
             w.key("totalNanos").value(s.totalNanos);
             w.key("calls").value(s.calls);
+            w.key("timedCalls").value(s.timedCalls);
             w.endObject();
         }
         w.endArray();
@@ -369,17 +371,21 @@ printProfReport(std::ostream &os, const ProfReport &report,
                   });
         if (top_sites && sorted.size() > top_sites)
             sorted.resize(top_sites);
-        TextTable sites({"site", "selfMs", "totalMs", "calls"});
+        TextTable sites(
+            {"site", "selfMs", "totalMs", "calls", "timedCalls"});
         for (const ProfSite *s : sorted) {
             sites.addRow({s->domain + "." + s->name,
                           fmtMillis(s->selfNanos),
                           fmtMillis(s->totalNanos),
-                          std::to_string(s->calls)});
+                          std::to_string(s->calls),
+                          std::to_string(s->timedCalls)});
         }
         sites.print(os);
     }
     os << "(self = host nanoseconds in the domain's own scopes; "
-          "share = self / run wall time)\n";
+          "share = self / run wall time; timedCalls = calls that "
+          "read the clock, the rest were sampled out or sat in a "
+          "scope of their own domain)\n";
 }
 
 } // namespace capcheck::tools

@@ -43,6 +43,9 @@ struct ProfSite
     std::uint64_t selfNanos = 0;
     std::uint64_t totalNanos = 0;
     std::uint64_t calls = 0;
+    /** Calls that read the clock. The rest were sampled out (their
+     *  time is estimated) or sat in a scope of the same domain. */
+    std::uint64_t timedCalls = 0;
 };
 
 /** One run's host-time profile. */
@@ -138,8 +141,8 @@ bool printProfDiff(std::ostream &os, const ProfDiffResult &diff,
                    const ProfDiffOptions &opts);
 
 /** Per-run domain attribution tables (self ms, share, calls), plus a
- *  top-sites table per run when site rows are present (@p top_sites
- *  trims it; 0 = all sites). */
+ *  top-sites table per run when site rows are present, with each
+ *  site's timed calls (@p top_sites trims it; 0 = all sites). */
 void printProfReport(std::ostream &os, const ProfReport &report,
                      unsigned top_sites = 10);
 
