@@ -31,9 +31,12 @@ namespace capcheck::harness
 class DiskResultCache
 {
   public:
-    /** Bump when the entry document layout changes; readers treat a
-     *  mismatched stamp as a miss and overwrite on the next store. */
-    static constexpr unsigned formatVersion = 1;
+    /** Bump when the entry document layout changes, or when a stored
+     *  result would no longer match a fresh one (version 2: CPU-only
+     *  runs of one kernel are labelled by it, not "mixed"); readers
+     *  treat a mismatched stamp as a miss and overwrite on the next
+     *  store. */
+    static constexpr unsigned formatVersion = 2;
 
     /**
      * Open (and index) the cache under @p dir, creating it if needed.

@@ -373,7 +373,7 @@ SocSystem::runCpuOnly(const std::vector<std::string> &pools,
     const cheri::Capability authority = tree.capOf(app);
 
     RunResult result;
-    result.benchmark = num_tasks == 1 ? pools[0] : "mixed";
+    result.benchmark = pools.size() == 1 ? pools[0] : "mixed";
     result.mode = cfg.mode;
     result.numTasks = num_tasks;
     result.functionallyCorrect = true;

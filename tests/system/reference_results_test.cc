@@ -120,9 +120,9 @@ TEST(PinnedDigests, CpuOnlyRuns)
                                   2);
     };
     expectRecorded(request(SystemMode::cpu),
-                   {641500, 0x352701cf08eb61a4ull});
+                   {641500, 0x4fde8f2ed9aa4137ull});
     expectRecorded(request(SystemMode::ccpu),
-                   {642596, 0x30a13d7755f7ff1full});
+                   {642596, 0x932039fa27a5495eull});
 }
 
 TEST(PinnedDigests, MixedSystem)
